@@ -51,15 +51,35 @@ def _emit(text: str, output):
 
 
 COUNT_FAMILIES = {
-    "ultrametrics": (labeled.count_ultrametrics, True),
-    "fully-colored-labeled": (labeled.count_fully_colored_labeled, True),
-    "mobiles": (labeled.count_mobiles, True),
-    "chain-increasing": (labeled.chain_increasing_count, True),
-    "processes": (labeled.count_processes, False),
-    "unlabeled": (unlabeled.unlabeled_count, False),
-    "multipartite-unlabeled": (unlabeled.multipartite_unlabeled, True),
-    "fully-colored-unlabeled": (unlabeled.fully_colored_unlabeled, True),
+    "ultrametrics": (labeled.ultrametric_counts, True),
+    "fully-colored-labeled": (labeled.fully_colored_labeled_counts, True),
+    "mobiles": (labeled.mobile_counts, True),
+    "chain-increasing": (labeled.chain_increasing_counts, True),
+    "processes": (labeled.process_counts, False),
+    "unlabeled": (unlabeled.unlabeled_counts, False),
+    "multipartite-unlabeled": (unlabeled.multipartite_unlabeled_counts, True),
+    "fully-colored-unlabeled": (unlabeled.fully_colored_unlabeled_counts, True),
 }
+
+
+def _family(family: str, m):
+    """The family's prefix function and the arguments that follow the
+    size; a missing or unexpected --m is a usage error."""
+    fn, needs_m = COUNT_FAMILIES[family]
+    if needs_m and m is None:
+        raise click.UsageError(f"family {family!r} requires --m")
+    if not needs_m and m is not None:
+        raise click.UsageError(f"family {family!r} does not take --m")
+    return fn, ((m,) if needs_m else ())
+
+
+def _values(fn, *args):
+    """fn(*args), with the ValueError of an out-of-range argument turned
+    into a usage error."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 @click.group()
@@ -75,15 +95,8 @@ def cli():
 @click.option("-o", "--output", type=click.Path(), default=None)
 def cmd_count(family, s, m, fmt, output):
     """Print one exact count."""
-    fn, needs_m = COUNT_FAMILIES[family]
-    if needs_m and m is None:
-        raise click.UsageError(f"family {family!r} requires --m")
-    if not needs_m and m is not None:
-        raise click.UsageError(f"family {family!r} does not take --m")
-    try:
-        value = fn(s, m) if needs_m else fn(s)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    fn, args = _family(family, m)
+    value = _values(fn, s, *args)[-1]
     if fmt == "plain":
         _emit(str(value), output)
     elif fmt == "json":
@@ -96,21 +109,14 @@ def cmd_count(family, s, m, fmt, output):
         _emit(buf.getvalue().rstrip("\n"), output)
 
 
+# table name -> reference values by m; each table is the count family of
+# the same name, except "symbolic", which is the ultrametrics family
 TABLE_FAMILIES = {
-    "symbolic": (labeled.count_ultrametrics, reference.ULTRAMETRIC_TABLE),
-    "fully-colored-labeled": (
-        labeled.count_fully_colored_labeled,
-        reference.FULLY_COLORED_LABELED_TABLE,
-    ),
-    "mobiles": (labeled.count_mobiles, reference.MOBILES_TABLE),
-    "multipartite-unlabeled": (
-        unlabeled.multipartite_unlabeled,
-        reference.MULTIPARTITE_UNLABELED_TABLE,
-    ),
-    "fully-colored-unlabeled": (
-        unlabeled.fully_colored_unlabeled,
-        reference.FULLY_COLORED_UNLABELED_TABLE,
-    ),
+    "symbolic": reference.ULTRAMETRIC_TABLE,
+    "fully-colored-labeled": reference.FULLY_COLORED_LABELED_TABLE,
+    "mobiles": reference.MOBILES_TABLE,
+    "multipartite-unlabeled": reference.MULTIPARTITE_UNLABELED_TABLE,
+    "fully-colored-unlabeled": reference.FULLY_COLORED_UNLABELED_TABLE,
 }
 
 
@@ -147,36 +153,33 @@ def cmd_table(name, max_s, max_m, max_n, check_paper, fmt, output):
     """Emit one of the count tables."""
     mismatches = []
     if name == "riordan-triangle":
-        tri = unlabeled.riordan_triangle(max_n)
+        polys = _values(unlabeled.refined_polys, max_n)
         header = ["k\\n"] + list(range(2, max_n + 1))
         rows = [header]
         for k in range(1, max_n):
-            rows.append([k] + [tri.get((k, n), "") for n in range(2, max_n + 1)])
-        sums = [unlabeled.unlabeled_count(n) for n in range(2, max_n + 1)]
-        rows.append(["sum"] + sums)
+            rows.append([k] + [polys[n - 1][k] or "" for n in range(2, max_n + 1)])
+        sums = [p.eval_at(1) for p in polys]
+        rows.append(["sum"] + sums[1:])
         if check_paper:
             for (k, n), ref in reference.RIORDAN_TRIANGLE.items():
-                if n <= max_n and tri.get((k, n)) != ref:
-                    mismatches.append(((k, n), tri.get((k, n)), ref))
+                if n <= max_n and polys[n - 1][k] != ref:
+                    mismatches.append(((k, n), polys[n - 1][k], ref))
             for n in range(1, max_n + 1):
                 ref = reference.UNLABELED_SEQUENCE[n - 1]
-                got = unlabeled.unlabeled_count(n)
-                if got != ref:
-                    mismatches.append((("sum", n), got, ref))
+                if sums[n - 1] != ref:
+                    mismatches.append((("sum", n), sums[n - 1], ref))
     else:
-        fn, ref_table = TABLE_FAMILIES[name]
+        ref_table = TABLE_FAMILIES[name]
+        fn, _ = COUNT_FAMILIES["ultrametrics" if name == "symbolic" else name]
         header = ["m\\s"] + list(range(1, max_s + 1))
         rows = [header]
         for m in range(1, max_m + 1):
-            rows.append([m] + [fn(s, m) for s in range(1, max_s + 1)])
-        if check_paper:
-            for m, ref_row in ref_table.items():
-                if m > max_m:
-                    continue
-                for s, ref in enumerate(ref_row[:max_s], start=1):
-                    got = fn(s, m)
-                    if got != ref:
-                        mismatches.append(((m, s), got, ref))
+            row = _values(fn, max_s, m)
+            rows.append([m] + row)
+            if check_paper and m in ref_table:
+                for s, ref in enumerate(ref_table[m][:max_s], start=1):
+                    if row[s - 1] != ref:
+                        mismatches.append(((m, s), row[s - 1], ref))
     _emit(_render_grid(rows, fmt), output)
     if check_paper:
         if mismatches:
@@ -186,11 +189,13 @@ def cmd_table(name, max_s, max_m, max_n, check_paper, fmt, output):
         click.echo("all checked cells match the reference values", err=True)
 
 
-GF_KINDS = ("P", "A", "G", "Y")
+# exponential series of a count family: A labeled trees, G mobiles,
+# Y chain-increasing trees
+GF_FAMILIES = {"A": "ultrametrics", "G": "mobiles", "Y": "chain-increasing"}
 
 
 @cli.command("gf")
-@click.argument("kind", type=click.Choice(GF_KINDS))
+@click.argument("kind", type=click.Choice(["P", *GF_FAMILIES]))
 @click.option("--m", "m", type=int, required=True)
 @click.option("--order", type=int, default=8)
 @click.option("--spec", "spec_kind", type=click.Choice(["symbolic", "ones", "factorial"]),
@@ -213,19 +218,10 @@ def cmd_gf(kind, m, order, spec_kind, output):
         }
         _emit(json.dumps(payload), output)
         return
-    if kind == "A":
-        if m < 1:
-            raise click.UsageError("A needs m >= 1")
-        series = labeled.labeled_series(m, order)
-    elif kind == "G":
-        if m < 1:
-            raise click.UsageError("G needs m >= 1")
-        series = labeled.mobiles_series(m, order)
-    else:
-        if m < 0:
-            raise click.UsageError("Y needs m >= 0")
-        series = labeled.chain_increasing_series(m, order)
-    _emit(series.to_json(), output)
+    # c_s = s-th count, c_0 = 0, each as an exact rational "num/den"
+    values = _values(COUNT_FAMILIES[GF_FAMILIES[kind]][0], order, m)
+    coeffs = ["0/1"] + [f"{v}/1" for v in values]
+    _emit(json.dumps({"order": order, "coeffs": coeffs}), output)
 
 
 def parse_bfile(path: str):
@@ -256,23 +252,18 @@ def parse_bfile(path: str):
 @click.option("--bfile", type=click.Path(exists=True, dir_okay=False), required=True)
 def cmd_verify(family, m, bfile):
     """Compare computed values against a b-file over its index range."""
-    fn, needs_m = COUNT_FAMILIES[family]
-    if needs_m and m is None:
-        raise click.UsageError(f"family {family!r} requires --m")
+    fn, args = _family(family, m)
     try:
         entries = parse_bfile(bfile)
     except (ValueError, OSError) as exc:
         raise click.UsageError(str(exc))
-    checked = 0
+    entries = [(idx, val) for idx, val in entries if idx >= 1]
+    values = _values(fn, entries[-1][0], *args) if entries else []
     for idx, val in entries:
-        if idx < 1:
-            continue
-        got = fn(idx, m) if needs_m else fn(idx)
-        if got != val:
-            click.echo(f"mismatch at index {idx}: computed {got}, b-file {val}")
+        if values[idx - 1] != val:
+            click.echo(f"mismatch at index {idx}: computed {values[idx - 1]}, b-file {val}")
             raise VerificationFailure(f"index {idx}")
-        checked += 1
-    click.echo(f"OK ({checked} entries)")
+    click.echo(f"OK ({len(entries)} entries)")
 
 
 def main(argv=None) -> int:

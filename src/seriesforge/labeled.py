@@ -1,10 +1,13 @@
 """Counting families for rooted multipartite labeled series-reduced trees.
 
 The weighted generating function P(m,t,x) is computed three independent
-ways (global inversion, per-root-color recurrence, closed-form inversion),
-and the specializations give the ultrametric / fully-colored / mobile /
-chain-increasing / process counts, either as exact integers or as
-polynomials in the number of colors.
+ways (global inversion, per-root-color recurrence, closed-form inversion).
+The ultrametric / fully-colored / mobile / chain-increasing / process
+counts come from prefix recurrences that return the values for
+s = 1..up_to_s in one pass, over the ring of m: an int gives the counts,
+the PolyVar m the counts as polynomials in the number of colors.  The
+series-inversion routes *_series_polynomials and the paper's alternating
+Bell sums (oracle.alternating_bell_poly) are kept to check them.
 """
 
 from __future__ import annotations
@@ -13,15 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .bell import (
-    CoeffSeq,
-    assoc_stirling2,
-    bell_inverse_recursive,
-    bell_partial,
-    derangement_count,
-)
+from .bell import CoeffSeq, bell_inverse_recursive, bell_partial
 from .egf import ExpSeries
-from .rings import QQ, PolyVar, factorial, poly_ring
+from .rings import QQ, PolyVar, binomial, factorial, poly_ring
 from .weights import WEIGHT_RING, WeightPoly
 
 POLY_M = poly_ring("m")
@@ -44,7 +41,10 @@ class DegreeSpec:
 
     def value(self, c: int, k: int) -> WeightPoly:
         if self.custom is not None:
-            return WeightPoly.const(self.custom(c, k))
+            v = self.custom(c, k)
+            if not isinstance(v, int):
+                raise ValueError(f"custom coefficient at (c, k) = {(c, k)} is not an int: {v!r}")
+            return WeightPoly.const(v)
         if self.kind == "symbolic":
             return WeightPoly.gen(c, k)
         if self.kind == "ones":
@@ -133,34 +133,41 @@ def p_closed_form(spec: DegreeSpec, s: int) -> WeightPoly:
     return acc
 
 
+def _check(s: int, m, least: int = 1) -> None:
+    """ValueError unless s >= 1 and an int m is at least `least`."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    if isinstance(m, int) and m < least:
+        raise ValueError(f"m must be >= {least}")
+
+
 # ---------------------------------------------------------------------------
 # Ultrametrics / plain multipartite labeled trees.
 # ---------------------------------------------------------------------------
 
-def count_ultrametrics(s: int, m: int) -> int:
-    """Number of symbolic ultrametrics on s points with m symbols.
+def ultrametric_counts(up_to_s: int, m) -> list:
+    """Symbolic ultrametrics on s = 1..up_to_s points with m symbols, equal
+    to the m-partite labeled series-reduced trees with s leaves.
 
-    Equals the number of m-partite labeled series-reduced trees with s
-    leaves, via the alternating derangement-number sum.
+    P inverts (1-m)t + m log(1+t), so (1 + (1-m)P) P' = 1 + P and
+    p_{n+1} = p_n - (1-m) sum_{i=1..n} C(n,i) p_i p_{n+1-i}.
     """
-    if s < 1 or m < 1:
-        raise ValueError("need s >= 1 and m >= 1")
-    total = 0
-    for k in range(s + 1):
-        total += (-m) ** k * derangement_count(s + k - 1, k)
-    return (-1) ** (s - 1) * total
+    _check(up_to_s, m)
+    p = [None, m * 0 + 1]               # p_1 = 1 in the ring of m
+    for n in range(1, up_to_s):
+        acc = sum(binomial(n, i) * p[i] * p[n + 1 - i] for i in range(1, n + 1))
+        p.append(p[n] - (1 - m) * acc)
+    return p[1:]
+
+
+def count_ultrametrics(s: int, m: int) -> int:
+    """Number of symbolic ultrametrics on s points with m symbols."""
+    return ultrametric_counts(s, m)[-1]
 
 
 def a_polynomial(s: int) -> PolyVar:
     """The tree count for s leaves as a polynomial in the color count m."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    sign = (-1) ** (s - 1)
-    coeffs = [
-        sign * (-1) ** k * derangement_count(s + k - 1, k)
-        for k in range(s + 1)
-    ]
-    return PolyVar(coeffs, "m")
+    return ultrametric_counts(s, _M)[-1]
 
 
 def ultrametric_series_polynomials(up_to_s: int) -> list:
@@ -177,25 +184,26 @@ def ultrametric_series_polynomials(up_to_s: int) -> list:
     return [inv[s] for s in range(1, up_to_s + 1)]
 
 
-def count_fully_colored_labeled(s: int, m: int) -> int:
-    """Labeled m-partite series-reduced trees with colored leaves too.
+def fully_colored_labeled_counts(up_to_s: int, m: int) -> list:
+    """Labeled m-partite series-reduced trees with colored leaves too,
+    for s = 1..up_to_s.
 
     A lone vertex (s = 1) has no neighbor, so it takes any of the m
     colors; for s > 1 every leaf has exactly one parent, leaving m - 1
     color choices per leaf.
     """
-    if s < 1 or m < 1:
-        raise ValueError("need s >= 1 and m >= 1")
-    if s == 1:
-        return m
-    return (m - 1) ** s * count_ultrametrics(s, m)
+    counts = ultrametric_counts(up_to_s, m)
+    return [m] + [(m - 1) ** s * a for s, a in enumerate(counts[1:], start=2)]
+
+
+def count_fully_colored_labeled(s: int, m: int) -> int:
+    """Labeled m-partite series-reduced trees with colored leaves too."""
+    return fully_colored_labeled_counts(s, m)[-1]
 
 
 def labeled_series(m: int, order: int) -> ExpSeries:
     """A(m,t): exponential series of the labeled m-partite tree counts."""
-    return ExpSeries(
-        QQ, [Fraction(0)] + [Fraction(count_ultrametrics(s, m)) for s in range(1, order + 1)]
-    )
+    return ExpSeries(QQ, [Fraction(0)] + [Fraction(v) for v in ultrametric_counts(order, m)])
 
 
 def verify_integral_relation(m: int, order: int) -> bool:
@@ -211,29 +219,30 @@ def verify_integral_relation(m: int, order: int) -> bool:
 # Mobiles (circular trees).
 # ---------------------------------------------------------------------------
 
-def count_mobiles(s: int, m: int) -> int:
-    """Labeled m-partite series-reduced mobiles with s leaves.
+def mobile_counts(up_to_s: int, m) -> list:
+    """Labeled m-partite series-reduced mobiles with s = 1..up_to_s leaves.
 
-    Same alternating sum as the ultrametric count, with associated
-    Stirling numbers of the second kind in place of derangement numbers.
+    G inverts (1-m)t + m(1 - e^{-t}); with E = e^{-G}, ((1-m) + mE) G' = 1
+    and E' = -G'E give g_{n+1} = -m sum_{i=1..n} C(n,i) e_i g_{n+1-i} and
+    e_n = -sum_{i=0..n-1} C(n-1,i) g_{i+1} e_{n-1-i}.
     """
-    if s < 1 or m < 1:
-        raise ValueError("need s >= 1 and m >= 1")
-    total = 0
-    for k in range(s + 1):
-        total += (-m) ** k * assoc_stirling2(s + k - 1, k)
-    return (-1) ** (s - 1) * total
+    _check(up_to_s, m)
+    one = m * 0 + 1
+    g, e = [None, one], [one]
+    for n in range(1, up_to_s):
+        e.append(-sum(binomial(n - 1, i) * g[i + 1] * e[n - 1 - i] for i in range(n)))
+        g.append(-m * sum(binomial(n, i) * e[i] * g[n + 1 - i] for i in range(1, n + 1)))
+    return g[1:]
+
+
+def count_mobiles(s: int, m: int) -> int:
+    """Labeled m-partite series-reduced mobiles with s leaves."""
+    return mobile_counts(s, m)[-1]
 
 
 def mobiles_polynomial(s: int) -> PolyVar:
     """The mobile count for s leaves as a polynomial in m."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    sign = (-1) ** (s - 1)
-    coeffs = [
-        sign * (-1) ** k * assoc_stirling2(s + k - 1, k) for k in range(s + 1)
-    ]
-    return PolyVar(coeffs, "m")
+    return mobile_counts(s, _M)[-1]
 
 
 def mobiles_series_polynomials(up_to_s: int) -> list:
@@ -246,61 +255,43 @@ def mobiles_series_polynomials(up_to_s: int) -> list:
     return [inv[s] for s in range(1, up_to_s + 1)]
 
 
-def mobiles_series(m: int, order: int) -> ExpSeries:
-    """G(m,t): exponential series of the mobile counts."""
-    return ExpSeries(
-        QQ, [Fraction(0)] + [Fraction(count_mobiles(s, m)) for s in range(1, order + 1)]
-    )
-
-
 # ---------------------------------------------------------------------------
 # Chain-increasing binary trees and parallel processes.
 # ---------------------------------------------------------------------------
 
+def chain_increasing_counts(up_to_s: int, m) -> list:
+    """Chain-increasing binary trees with s = 1..up_to_s chains and m
+    junction colors.
+
+    The root is a chain over the tree for s - 1 chains, or a junction of
+    one of m colors over two subtrees:
+    y_n = y_{n-1} + m sum_{i=1..n-1} C(n-1,i-1) y_i y_{n-i}.
+    """
+    _check(up_to_s, m, least=0)
+    y = [None, m * 0 + 1]
+    for n in range(2, up_to_s + 1):
+        pairs = sum(binomial(n - 1, i - 1) * y[i] * y[n - i] for i in range(1, n))
+        y.append(y[n - 1] + m * pairs)
+    return y[1:]
+
+
 def chain_increasing_polynomial(s: int) -> PolyVar:
     """Number of chain-increasing binary trees with s chains, as a
-    polynomial in the junction color count.
-
-    Recurrence: the count for s chains is the count for s - 1 (unary
-    root) plus (colors) * B_{s,2} over the smaller counts (binary root).
-    """
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    ring = POLY_M
-    y = [ring.one]
-    for n in range(2, s + 1):
-        y.append(y[-1] + _M * bell_partial(n, 2, y, ring))
-    return y[s - 1]
+    polynomial in the junction color count."""
+    return chain_increasing_counts(s, _M)[-1]
 
 
 def chain_increasing_count(s: int, m: Optional[int] = None) -> Union[int, PolyVar]:
     """y_s(m); with m None the symbolic polynomial is returned."""
-    poly = chain_increasing_polynomial(s)
-    if m is None:
-        return poly
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return poly.eval_at(m)
+    return chain_increasing_counts(s, _M if m is None else m)[-1]
 
 
-def chain_increasing_series(m: int, order: int) -> ExpSeries:
-    """Y(m,t): exponential series of the chain-increasing counts."""
-    return ExpSeries(
-        QQ,
-        [Fraction(0)]
-        + [Fraction(chain_increasing_count(s, m)) for s in range(1, order + 1)],
-    )
+def process_counts(up_to_s: int) -> list:
+    """Increasingly labeled parallel processes with s = 1..up_to_s actions:
+    the 2-colored chain-increasing and the 3-partite labeled tree counts."""
+    return ultrametric_counts(up_to_s, 3)
 
 
 def count_processes(s: int) -> int:
-    """Increasingly labeled parallel processes with s actions.
-
-    Equals the 2-colored chain-increasing count and the 3-partite labeled
-    tree count: an alternating derangement sum at m = 3.
-    """
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    total = 0
-    for k in range(s + 1):
-        total += (-3) ** k * derangement_count(s + k - 1, k)
-    return (-1) ** (s - 1) * total
+    """Increasingly labeled parallel processes with s actions."""
+    return process_counts(s)[-1]

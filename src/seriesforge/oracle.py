@@ -1,8 +1,12 @@
-"""Brute-force enumerators of the actual combinatorial objects.
+"""Test oracles: brute-force enumerators of the actual combinatorial
+objects, and the paper's formula routes that production has replaced.
 
-Everything here counts by direct construction (set partitions, exhaustive
-maps, canonical codes) with no Bell-polynomial or series machinery, so it
-can independently validate the formula modules at small sizes.
+The enumerators count by direct construction (set partitions, exhaustive
+maps, canonical codes) with no Bell-polynomial or series machinery, so
+they can independently validate the formula modules at small sizes.  The
+last section keeps the paper's alternating Bell sums and its divisor-sum
+Bell recurrence for the unlabeled refinement, as references for the
+prefix recurrences of the labeled and unlabeled modules.
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Dict, Iterator, Tuple
 
-from .rings import factorial
+from .bell import bell_partial
+from .rings import PolyVar, Ring, factorial
 from .weights import WeightPoly
 
 MAX_LABELED_LEAVES = 8
@@ -275,3 +280,44 @@ def enum_set_partitions_min_block(n: int, k: int, min_size: int) -> int:
         if len(part) == k and all(len(b) >= min_size for b in part):
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# The paper's formula routes.
+# ---------------------------------------------------------------------------
+
+def alternating_bell_poly(s: int, seq) -> PolyVar:
+    """The paper's count for s leaves as a polynomial in m:
+    (-1)^{s-1} sum_{k=0..s} (-m)^k seq(s+k-1, k).
+
+    seq = bell.derangement_count gives the ultrametric (labeled tree)
+    counts, seq = bell.assoc_stirling2 the mobile counts; evaluate at an
+    integer m for a single count.
+    """
+    sign = (-1) ** (s - 1)
+    return PolyVar([sign * (-1) ** k * seq(s + k - 1, k) for k in range(s + 1)], "m")
+
+
+def refined_polys_bell(up_to_s: int) -> list:
+    """Unlabeled refinement polynomials for s = 1..up_to_s by the paper's
+    divisor-sum Bell recurrence over Q[t].
+
+    Level s is t/s! times sum_j B_{s,j}(w), with weights w_n = n! * sum over
+    divisors d of n, n/d != s, of (1/d) * (level n/d with t -> t^d).
+    """
+    ring = Ring("Q[t]", PolyVar([], "t"), PolyVar([Fraction(1)], "t"),
+                lambda n: PolyVar.const(Fraction(n), "t"))
+    levels = [PolyVar([1], "t")]        # s = 1: a bare leaf, zero inner vertices
+    for s in range(2, up_to_s + 1):
+        weights = []
+        for n in range(1, s + 1):
+            w = ring.zero
+            for d in range(1, n + 1):
+                if n % d == 0 and n // d != s:
+                    w = w + Fraction(1, d) * levels[n // d - 1].substitute(d).map_coeffs(Fraction)
+            weights.append(factorial(n) * w)
+        memo: dict = {}
+        acc = sum((bell_partial(s, j, weights, ring, _memo=memo) for j in range(1, s + 1)),
+                  ring.zero)
+        levels.append((PolyVar.gen("t") * acc).scale_exact(1, factorial(s)))
+    return levels

@@ -134,10 +134,10 @@ class PolyVar:
         """Multiply by num/den, requiring every coefficient to stay integral."""
         out = []
         for c in self.coeffs:
-            v = Fraction(c) * num / den
-            if v.denominator != 1:
-                raise ArithmeticError(f"non-integral coefficient {v}")
-            out.append(int(v))
+            q, r = divmod(c * num, den)
+            if r:
+                raise ArithmeticError(f"non-integral coefficient {Fraction(c * num, den)}")
+            out.append(int(q))
         return PolyVar(out, self.var)
 
     def substitute(self, power: int) -> "PolyVar":
@@ -231,14 +231,4 @@ def poly_ring(var: str = "m") -> Ring:
         PolyVar([], var),
         PolyVar([1], var),
         lambda n, v=var: PolyVar.const(n, v),
-    )
-
-
-def poly_ring_q(var: str = "t") -> Ring:
-    """Univariate polynomials with rational coefficients."""
-    return Ring(
-        f"Q[{var}]",
-        PolyVar([], var),
-        PolyVar([Fraction(1)], var),
-        lambda n, v=var: PolyVar.const(Fraction(n), v),
     )

@@ -3,91 +3,70 @@ triangle, the total counts, and the multipartite and fully-colored
 specializations.
 
 The refinement polynomial for s leaves has the number of trees with k
-inner vertices as its t^k coefficient; the divisor-sum recurrence builds
-them bottom-up with rational intermediates and an integrality assertion
-at the end of each level.
+inner vertices as its t^k coefficient.  The production route is the
+integer Euler transform of A = x + t(MSET(A) - 1 - A), with an
+integrality check at every exact division; the paper's divisor-sum Bell
+recurrence over Q[t] is kept as a test oracle (oracle.refined_polys_bell).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-
-from .bell import bell_partial
-from .rings import PolyVar, factorial, poly_ring_q
-
-POLY_T_Q = poly_ring_q("t")
+from .rings import PolyVar
 
 
 def refined_polys(up_to_s: int) -> list:
-    """Refinement polynomials for s = 1..up_to_s (integer coefficients).
+    """Refinement polynomials a_1..a_S (integer coefficients in t).
 
-    Level s is t/s! times a Bell-polynomial sum over the weights
-    w_n = n! * sum over divisors d of n, n/d != s, of (1/d) * (level n/d
-    with t -> t^d).
+    With B = MSET(A) = sum b_n x^n and c_n = sum_{d | n} d a_d(t^{n/d}),
+    n b_n = sum_{j=1..n} c_j b_{n-j} (Euler transform).  The j = n term
+    holds n a_n, so r_n = b_n - a_n, the multisets of two or more trees,
+    needs only smaller levels; then a_n = t r_n and b_n = a_n + r_n.
     """
     if up_to_s < 1:
-        raise ValueError("up_to_s must be >= 1")
-    ring = POLY_T_Q
-    levels = [PolyVar([1], "t")]        # s = 1: a bare leaf, zero inner vertices
-    for s in range(2, up_to_s + 1):
-        weights = []
-        for n in range(1, s + 1):
-            w = ring.zero
-            for d in range(1, n + 1):
-                if n % d:
-                    continue
-                if n // d == s:
-                    continue
-                w = w + Fraction(1, d) * levels[n // d - 1].substitute(d).map_coeffs(Fraction)
-            weights.append(factorial(n) * w)
-        memo: dict = {}
-        acc = ring.zero
-        for j in range(1, s + 1):
-            acc = acc + bell_partial(s, j, weights, ring, _memo=memo)
-        poly = (PolyVar([0, Fraction(1)], "t") * acc).map_coeffs(
-            lambda c: c / factorial(s)
-        )
-        ints = []
-        for c in poly.coeffs:
-            if c.denominator != 1:
-                raise ArithmeticError(
-                    f"refined recurrence produced non-integer at s={s}: {poly!r}"
-                )
-            ints.append(int(c))
-        levels.append(PolyVar(ints, "t"))
-    return levels[:up_to_s]
-
-
-@lru_cache(maxsize=None)
-def _refined(s: int) -> PolyVar:
-    return refined_polys(s)[s - 1]
+        raise ValueError("s must be >= 1")
+    t = PolyVar.gen("t")
+    one = PolyVar([1], "t")
+    a, b, c = [None, one], [one, one], [None, one]
+    for n in range(2, up_to_s + 1):
+        # c_n without its d = n term n a_n, which is not known yet
+        c_short = sum(d * a[d].substitute(n // d) for d in range(1, n) if n % d == 0)
+        r = (c_short + sum(c[j] * b[n - j] for j in range(1, n))).scale_exact(1, n)
+        a.append(t * r)
+        b.append(a[n] + r)
+        c.append(c_short + n * a[n])
+    return a[1:]
 
 
 def refined_poly(s: int) -> PolyVar:
     """Refinement polynomial for a single leaf count."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    return _refined(s)
+    return refined_polys(s)[-1]
+
+
+def unlabeled_counts(up_to_s: int) -> list:
+    """Total rooted unlabeled series-reduced trees with s = 1..up_to_s leaves."""
+    return [p.eval_at(1) for p in refined_polys(up_to_s)]
 
 
 def unlabeled_count(s: int) -> int:
     """Total rooted unlabeled series-reduced trees with s leaves."""
-    return refined_poly(s).eval_at(1)
+    return unlabeled_counts(s)[-1]
 
 
-def multipartite_unlabeled(s: int, m: int) -> int:
-    """m-partite (inner vertices colored, adjacent distinct) tree count.
+def multipartite_unlabeled_counts(up_to_s: int, m: int) -> list:
+    """m-partite (inner vertices colored, adjacent distinct) tree counts
+    for s = 1..up_to_s.
 
     Computed as m * q(m - 1) where q is the refinement polynomial with
     one factor of t removed; this form is finite at m = 1.
     """
-    if s < 1 or m < 1:
+    if up_to_s < 1 or m < 1:
         raise ValueError("need s >= 1 and m >= 1")
-    if s == 1:
-        return 1
-    q = refined_poly(s).shift_down()
-    return m * q.eval_at(m - 1)
+    return [1] + [m * p.shift_down().eval_at(m - 1) for p in refined_polys(up_to_s)[1:]]
+
+
+def multipartite_unlabeled(s: int, m: int) -> int:
+    """m-partite (inner vertices colored, adjacent distinct) tree count."""
+    return multipartite_unlabeled_counts(s, m)[-1]
 
 
 def multipartite_unlabeled_polynomial(s: int) -> PolyVar:
@@ -101,13 +80,19 @@ def multipartite_unlabeled_polynomial(s: int) -> PolyVar:
     return m * q.compose(m - 1)
 
 
+def fully_colored_unlabeled_counts(up_to_s: int, m: int) -> list:
+    """Unlabeled m-partite trees with leaves colored as well, for
+    s = 1..up_to_s."""
+    if up_to_s < 1 or m < 1:
+        raise ValueError("need s >= 1 and m >= 1")
+    polys = refined_polys(up_to_s)
+    return [m] + [m * (m - 1) ** (s - 1) * p.eval_at(m - 1)
+                  for s, p in enumerate(polys[1:], start=2)]
+
+
 def fully_colored_unlabeled(s: int, m: int) -> int:
     """Unlabeled m-partite trees with leaves colored as well."""
-    if s < 1 or m < 1:
-        raise ValueError("need s >= 1 and m >= 1")
-    if s == 1:
-        return m
-    return m * (m - 1) ** (s - 1) * refined_poly(s).eval_at(m - 1)
+    return fully_colored_unlabeled_counts(s, m)[-1]
 
 
 def riordan_triangle(max_n: int) -> dict:
@@ -116,12 +101,5 @@ def riordan_triangle(max_n: int) -> dict:
     Returns {(k, n): count} for the nonzero cells, matching the layout
     rows k = 1..max_n - 1, columns n = 2..max_n.
     """
-    out = {}
     polys = refined_polys(max_n)
-    for n in range(2, max_n + 1):
-        p = polys[n - 1]
-        for k in range(1, n):
-            v = p[k]
-            if v:
-                out[(k, n)] = v
-    return out
+    return {(k, n): p[k] for n, p in enumerate(polys[1:], start=2) for k in range(1, n) if p[k]}

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from seriesforge.bell import derangement_count
 from seriesforge.cli import main, parse_bfile
+from seriesforge.oracle import alternating_bell_poly
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 BFILE = os.path.join(DATA, "b000669_prefix.txt")
@@ -122,6 +124,11 @@ class TestTable:
         data = json.loads(out)
         assert data[1]["2"] == 2
 
+    def test_bad_size_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "table", "riordan-triangle", "--max-n", "0")
+        assert code == 1
+        assert err.startswith("error:")
+
 
 class TestGf:
     def test_a_series(self, capsys):
@@ -191,6 +198,28 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "unlabeled", "--bfile", str(bf))
         assert code == 1
         assert "malformed" in err
+
+    def test_bad_m_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "verify", "ultrametrics", "--m", "0", "--bfile", BFILE)
+        assert code == 1
+        assert err.startswith("error:")
+
+    def test_unexpected_m_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "verify", "processes", "--m", "3", "--bfile", BFILE)
+        assert code == 1
+        assert "does not take --m" in err
+
+    def test_long_bfile_from_the_alternating_sum(self, capsys, tmp_path):
+        values = [alternating_bell_poly(s, derangement_count).eval_at(8) for s in range(1, 41)]
+        bf = tmp_path / "b.txt"
+        bf.write_text("".join(f"{s} {v}\n" for s, v in enumerate(values, start=1)))
+        code, out, _ = run(capsys, "verify", "ultrametrics", "--m", "8", "--bfile", str(bf))
+        assert (code, out.strip()) == (0, "OK (40 entries)")
+        values[29] += 1
+        bf.write_text("".join(f"{s} {v}\n" for s, v in enumerate(values, start=1)))
+        code, out, _ = run(capsys, "verify", "ultrametrics", "--m", "8", "--bfile", str(bf))
+        assert code == 2
+        assert "mismatch at index 30" in out
 
     def test_missing_bfile(self, capsys):
         code, _, _ = run(capsys, "verify", "unlabeled", "--bfile", "/no/such/file")

@@ -98,6 +98,10 @@ class TestPSeries:
         assert p[1] == WeightPoly.const(1)
         assert p[3] == expected_p2()[3]
 
+    def test_custom_coefficients_must_be_ints(self):
+        with pytest.raises(ValueError, match=r"\(1, 2\)"):
+            p_series(DegreeSpec(1, custom=lambda c, k: 0.5), 4)
+
     def test_closed_form_base(self):
         assert p_closed_form(DegreeSpec(4), 1) == WeightPoly.const(1)
 

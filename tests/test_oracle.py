@@ -3,22 +3,29 @@ enumeration oracles at sizes small enough to enumerate exhaustively."""
 
 import pytest
 
+from seriesforge.bell import assoc_stirling2, derangement_count
 from seriesforge.labeled import (
     DegreeSpec,
+    a_polynomial,
     chain_increasing_count,
     count_mobiles,
     count_ultrametrics,
+    mobile_counts,
+    mobiles_polynomial,
     p_series,
+    ultrametric_counts,
 )
 from seriesforge.oracle import (
+    alternating_bell_poly,
     enum_chain_increasing,
     enum_labeled_trees,
     enum_mobiles,
     enum_ultrametrics,
     enum_unlabeled_trees,
+    refined_polys_bell,
     set_partitions,
 )
-from seriesforge.unlabeled import refined_poly, unlabeled_count
+from seriesforge.unlabeled import refined_poly, refined_polys, unlabeled_count
 
 
 def test_set_partitions_counts_are_bell_numbers():
@@ -89,3 +96,27 @@ class TestChainIncreasingOracle:
 
     def test_example(self):
         assert enum_chain_increasing(3, 1) == 8
+
+
+class TestPaperFormulaOracles:
+    """The prefix recurrences against the paper's formula routes."""
+
+    @pytest.mark.parametrize("counts, seq", [
+        (ultrametric_counts, derangement_count),
+        (mobile_counts, assoc_stirling2),
+    ])
+    def test_integer_prefix_matches_alternating_sum(self, counts, seq):
+        polys = [alternating_bell_poly(s, seq) for s in range(1, 21)]
+        for m in range(1, 9):
+            assert counts(20, m) == [p.eval_at(m) for p in polys], f"m={m}"
+
+    @pytest.mark.parametrize("poly, seq", [
+        (a_polynomial, derangement_count),
+        (mobiles_polynomial, assoc_stirling2),
+    ])
+    def test_polynomial_prefix_matches_alternating_sum(self, poly, seq):
+        for s in range(1, 13):
+            assert poly(s) == alternating_bell_poly(s, seq), f"s={s}"
+
+    def test_refined_polys_match_bell_recurrence(self):
+        assert refined_polys(14) == refined_polys_bell(14)

@@ -72,6 +72,11 @@ class TestPolyVar:
         with pytest.raises(ArithmeticError):
             PolyVar([1, 1], "t").shift_down()
 
+    def test_scale_exact(self):
+        assert PolyVar([2, 4], "t").scale_exact(3, 2) == PolyVar([3, 6], "t")
+        with pytest.raises(ArithmeticError, match="1/2"):
+            PolyVar([2, 1], "t").scale_exact(1, 2)
+
     def test_degree_of_product(self):
         p, q = PolyVar([1, 2, 3]), PolyVar([0, 5, 0, 7])
         assert (p * q).degree == p.degree + q.degree
