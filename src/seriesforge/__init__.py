@@ -4,10 +4,7 @@ processes, built on Bell polynomials and Lagrange inversion over exact
 coefficient rings."""
 
 from .bell import (
-    CoeffSeq,
     assoc_stirling2,
-    bell_identity,
-    bell_inverse_closed,
     bell_inverse_recursive,
     bell_partial,
     bell_product,
@@ -25,9 +22,7 @@ from .labeled import (
     count_processes,
     count_ultrametrics,
     mobiles_polynomial,
-    p_closed_form,
     p_series,
-    p_series_by_color_recursion,
     verify_integral_relation,
 )
 from .rings import QQ, ZZ, PolyVar, Ring, binomial, factorial, poly_ring
@@ -45,13 +40,12 @@ from .weights import WEIGHT_RING, WeightPoly
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoeffSeq", "ExpSeries", "PolyVar", "Ring", "WeightPoly", "DegreeSpec",
+    "ExpSeries", "PolyVar", "Ring", "WeightPoly", "DegreeSpec",
     "QQ", "ZZ", "WEIGHT_RING",
     "factorial", "binomial", "poly_ring", "make_named",
-    "bell_partial", "bell_product", "bell_identity",
-    "bell_inverse_recursive", "bell_inverse_closed",
+    "bell_partial", "bell_product", "bell_inverse_recursive",
     "derangement_count", "assoc_stirling2", "stirling2",
-    "p_series", "p_series_by_color_recursion", "p_closed_form",
+    "p_series",
     "count_ultrametrics", "a_polynomial", "count_fully_colored_labeled",
     "count_mobiles", "mobiles_polynomial", "verify_integral_relation",
     "chain_increasing_count", "chain_increasing_polynomial",

@@ -1,183 +1,109 @@
 """Partial Bell polynomials, the composition-group product on coefficient
-sequences, and both compositional-inversion routines, generic over any
-ring from :mod:`seriesforge.rings`.
+sequences and the recursive compositional inversion that production runs,
+generic over any ring from :mod:`seriesforge.rings`.
 
-A coefficient sequence (v_1, v_2, ..., v_N) stands for the exponential
-series sum v_n t^n/n!.  The group product corresponds to composition of
-those series; the identity is (1, 0, 0, ...).
+A coefficient sequence is a tuple (v_1, v_2, ..., v_N) over an explicit
+ring; it stands for the exponential series sum v_n t^n/n!.  The group
+product corresponds to composition of those series; the identity is
+(1, 0, 0, ...).  Every routine is an iterative table built by Comtet's
+binomial recurrence.  The closed-form inversion is a test oracle in
+:mod:`seriesforge.oracle`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
-from .rings import QQ, Ring, ZZ, binomial, factorial
+from .rings import Ring, ZZ, binomial, factorial
 
 
-@dataclass(frozen=True)
-class CoeffSeq:
-    """Truncated coefficient sequence over a ring; values[i] is v_{i+1}."""
+def bell_row(rows: list, y, ring: Ring) -> None:
+    """Append row n = len(rows) of the table rows[n][k] = B_{n,k}(y), k = 0..n.
 
-    ring: Ring
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, n: int):
-        """1-based coordinate access; zero beyond the truncation order."""
-        if n < 1:
-            raise IndexError("coordinates start at 1")
-        if n > len(self.values):
-            return self.ring.zero
-        return self.values[n - 1]
-
-    def truncate(self, order: int) -> "CoeffSeq":
-        return CoeffSeq(self.ring, self.values[:order])
-
-    def __add__(self, other: "CoeffSeq") -> "CoeffSeq":
-        _require_same_ring(self, other)
-        n = min(self.order, other.order)
-        return CoeffSeq(self.ring, [self[i] + other[i] for i in range(1, n + 1)])
-
-    def __sub__(self, other: "CoeffSeq") -> "CoeffSeq":
-        _require_same_ring(self, other)
-        n = min(self.order, other.order)
-        return CoeffSeq(self.ring, [self[i] - other[i] for i in range(1, n + 1)])
+    A table starts as [[ring.one]], the row B_{0,0} = 1.  Row n comes from
+    B_{n,k} = sum_i C(n-1, i-1) y_i B_{n-i,k-1}; for k >= 2 it reads only
+    y_1..y_{n-1}, and entries past the end of y count as zero.  B_{n,1} is
+    y_n, or zero while y is shorter than n, for a caller to set once it
+    knows y_n.
+    """
+    n = len(rows)
+    row = [ring.zero, y[n - 1] if n <= len(y) else ring.zero]
+    for k in range(2, n + 1):
+        acc = ring.zero
+        for i in range(1, min(n - k + 1, len(y)) + 1):
+            yi = y[i - 1]
+            if yi == ring.zero:
+                continue
+            acc = acc + binomial(n - 1, i - 1) * yi * rows[n - i][k - 1]
+        row.append(acc)
+    rows.append(row)
 
 
-def bell_identity(ring: Ring, order: int) -> CoeffSeq:
-    """The sequence (1, 0, 0, ...): identity of the composition group."""
-    return CoeffSeq(ring, [ring.one] + [ring.zero] * (order - 1))
-
-
-def _require_same_ring(x: CoeffSeq, y: CoeffSeq) -> None:
-    if x.ring is not y.ring and x.ring != y.ring:
-        raise ValueError(f"ring mismatch: {x.ring.name} vs {y.ring.name}")
-
-
-def _values(x) -> tuple:
-    if isinstance(x, CoeffSeq):
-        return x.values
-    return tuple(x)
-
-
-def bell_partial(n: int, k: int, x, ring: Ring = QQ, _memo=None):
+def bell_partial(n: int, k: int, x, ring: Ring):
     """Partial Bell polynomial B_{n,k}(x_1, ..., x_{n-k+1}).
 
-    Computed by the binomial recurrence
-    B_{n,k} = sum_i C(n-1, i-1) x_i B_{n-i,k-1},  B_{0,0} = 1, B_{n,0} = 0
-    for n > 0.  Out-of-range arguments give the ring zero.
+    Computed column by column over the band n' - k' <= n - k only, by the
+    binomial recurrence B_{n,k} = sum_i C(n-1, i-1) x_i B_{n-i,k-1},
+    B_{0,0} = 1, B_{n,0} = 0 for n > 0.  Out-of-range arguments give the
+    ring zero.
     """
-    if isinstance(x, CoeffSeq):
-        ring = x.ring
-    vals = _values(x)
-    memo = {} if _memo is None else _memo
-
-    def rec(n: int, k: int):
-        if k == 0:
-            return ring.one if n == 0 else ring.zero
-        if n < k:
-            return ring.zero
-        key = (n, k)
-        if key in memo:
-            return memo[key]
-        total = ring.zero
-        for i in range(1, n - k + 2):
-            xi = vals[i - 1] if i <= len(vals) else ring.zero
-            if xi == ring.zero:
-                continue
-            total = total + binomial(n - 1, i - 1) * xi * rec(n - i, k - 1)
-        memo[key] = total
-        return total
-
-    return rec(n, k)
+    if k < 0 or n < k:
+        return ring.zero
+    width = n - k
+    x = list(x[: width + 1]) + [ring.zero] * (width + 1 - len(x))
+    col = [ring.one] + [ring.zero] * width     # col[d] = B_{j+d,j}, here j = 0
+    for j in range(1, k + 1):
+        nxt = []
+        for d in range(width + 1):
+            acc = ring.zero
+            for i in range(1, d + 2):
+                xi = x[i - 1]
+                if xi == ring.zero:
+                    continue
+                acc = acc + binomial(j + d - 1, i - 1) * xi * col[d + 1 - i]
+            nxt.append(acc)
+        col = nxt
+    return col[width]
 
 
-def bell_product(x: CoeffSeq, y: CoeffSeq) -> CoeffSeq:
+def bell_product(x, y, ring: Ring) -> tuple:
     """Coordinates of the group product: (x o y)_n = sum_k x_k B_{n,k}(y)."""
-    _require_same_ring(x, y)
-    ring = x.ring
-    order = min(x.order, y.order)
-    memo: dict = {}
+    order = min(len(x), len(y))
+    rows = [[ring.one]]
     out = []
     for n in range(1, order + 1):
+        bell_row(rows, y, ring)
         acc = ring.zero
         for k in range(1, n + 1):
-            xk = x[k]
+            xk = x[k - 1]
             if xk == ring.zero:
                 continue
-            acc = acc + xk * bell_partial(n, k, y, ring, _memo=memo)
+            acc = acc + xk * rows[n][k]
         out.append(acc)
-    return CoeffSeq(ring, out)
+    return tuple(out)
 
 
-def bell_inverse_recursive(x: CoeffSeq) -> CoeffSeq:
+def bell_inverse_recursive(x, ring: Ring) -> tuple:
     """Compositional inverse by the recursive inversion formula.
 
     inv_1 = 1/x_1 and, for n > 1,
     inv_n = (-1/x_1) * sum_{k=2..n} x_k B_{n,k}(inv),
     each coordinate using only the previously computed ones.
     """
-    ring = x.ring
-    if x.order < 1:
+    if not x:
         raise ValueError("empty sequence")
-    inv1 = ring.invert(x[1])
+    inv1 = ring.invert(x[0])
     inv = [inv1]
-    memo: dict = {}
-    for n in range(2, x.order + 1):
+    rows = [[ring.one], [ring.zero, inv1]]
+    for n in range(2, len(x) + 1):
+        bell_row(rows, inv, ring)
         acc = ring.zero
         for k in range(2, n + 1):
-            xk = x[k]
+            xk = x[k - 1]
             if xk == ring.zero:
                 continue
-            acc = acc + xk * bell_partial(n, k, inv, ring, _memo=memo)
-        # memo entries stay valid: B_{n,k} only reads inv_1..inv_{n-k+1}
+            acc = acc + xk * rows[n][k]
         inv.append(-inv1 * acc)
-    return CoeffSeq(ring, inv)
-
-
-def bell_inverse_closed(x: CoeffSeq) -> CoeffSeq:
-    """Compositional inverse by the closed-form (non-recursive) formula.
-
-    inv_n = sum_{k=1..n-1} (-1)^k x_1^{-(n+k)} B_{n+k-1,k}(0, x_2, x_3, ...)
-    for n > 1.  The sign (-1)^k (not (-1)^{n+k-1}) is the one that agrees
-    with bell_inverse_recursive; see tests.
-    """
-    ring = x.ring
-    if x.order < 1:
-        raise ValueError("empty sequence")
-    x1 = x[1]
-    one_over_x1 = ring.invert(x1)
-    shifted = [ring.zero] + [x[i] for i in range(2, x.order + 1)]
-    memo: dict = {}
-    out = [one_over_x1]
-    for n in range(2, x.order + 1):
-        acc = ring.zero
-        for k in range(1, n):
-            term = bell_partial(n + k - 1, k, shifted, ring, _memo=memo)
-            if term == ring.zero:
-                continue
-            scale = _unit_power(ring, one_over_x1, n + k)
-            if k % 2:
-                term = -term
-            acc = acc + scale * term
-        out.append(acc)
-    return CoeffSeq(ring, out)
-
-
-def _unit_power(ring: Ring, u, e: int):
-    if ring.is_one(u):
-        return ring.one
-    acc = ring.one
-    for _ in range(e):
-        acc = acc * u
-    return acc
+        rows[n][1] = inv[-1]
+    return tuple(inv)
 
 
 def derangement_count(n: int, k: int) -> int:

@@ -1,9 +1,9 @@
 """Truncated exponential generating functions.
 
 An ExpSeries stores c_0..c_N of sum c_n t^n/n!.  Composition and
-compositional inversion delegate to the coefficient-sequence group in
-:mod:`seriesforge.bell`; multiplication, powers and formal integration are
-the standard exponential-convolution operations.
+compositional inversion act on its tail c_1..c_N, a coefficient sequence
+of the group in :mod:`seriesforge.bell`; multiplication, powers and formal
+integration are the standard exponential-convolution operations.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bell import CoeffSeq, bell_inverse_recursive, bell_product
+from .bell import bell_inverse_recursive, bell_product
 from .rings import QQ, Ring, binomial, factorial
 
 
@@ -39,14 +39,14 @@ class ExpSeries:
             return self.ring.zero
         return self.coeffs[n]
 
-    def tail(self) -> CoeffSeq:
+    def tail(self) -> tuple:
         """Coefficients c_1..c_N as a group element (c_0 dropped)."""
-        return CoeffSeq(self.ring, self.coeffs[1:])
+        return self.coeffs[1:]
 
     @classmethod
-    def from_tail(cls, seq: CoeffSeq, c0=None) -> "ExpSeries":
-        c0 = seq.ring.zero if c0 is None else c0
-        return cls(seq.ring, (c0,) + seq.values)
+    def from_tail(cls, ring: Ring, values, c0=None) -> "ExpSeries":
+        """The series c0 + sum values[n-1] t^n/n!; c0 defaults to zero."""
+        return cls(ring, (ring.zero if c0 is None else c0,) + tuple(values))
 
     @classmethod
     def zero(cls, ring: Ring, order: int) -> "ExpSeries":
@@ -147,14 +147,14 @@ class ExpSeries:
         """f(g) for g with zero constant term; c_0 of the result is f.c_0."""
         if inner[0] != inner.ring.zero:
             raise ValueError("composition argument must have zero constant term")
-        seq = bell_product(self.tail(), inner.tail())
-        return ExpSeries.from_tail(seq, self.coeffs[0])
+        seq = bell_product(self.tail(), inner.tail(), self.ring)
+        return ExpSeries.from_tail(self.ring, seq, self.coeffs[0])
 
     def invert(self) -> "ExpSeries":
         """Compositional inverse; needs c_0 = 0 and c_1 a unit."""
         if self[0] != self.ring.zero:
             raise ValueError("inversion needs zero constant term")
-        return ExpSeries.from_tail(bell_inverse_recursive(self.tail()))
+        return ExpSeries.from_tail(self.ring, bell_inverse_recursive(self.tail(), self.ring))
 
     # ---- serialization ----------------------------------------------------
 
@@ -162,13 +162,12 @@ class ExpSeries:
         """Exact-rational JSON: {"order": N, "coeffs": ["num/den", ...]}."""
         strs = []
         for c in self.coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise ValueError(f"to_json writes exact rationals only, not {self.ring.name} "
+                                 f"coefficients such as {c!r}")
             f = Fraction(c)
             strs.append(f"{f.numerator}/{f.denominator}")
         return json.dumps({"order": self.order, "coeffs": strs})
-
-
-NAMED_SERIES = ("exp_minus_one", "log1p", "neg_log_one_minus",
-                "one_minus_exp_neg", "identity")
 
 
 def make_named(name: str, order: int) -> ExpSeries:

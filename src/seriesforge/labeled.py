@@ -1,13 +1,16 @@
 """Counting families for rooted multipartite labeled series-reduced trees.
 
-The weighted generating function P(m,t,x) is computed three independent
-ways (global inversion, per-root-color recurrence, closed-form inversion).
+The weighted generating function P(m,t,x) has one route, p_series: global
+Lagrange inversion over the weight ring.  Its other routes (root-color
+recurrence, closed-form inversion) live in :mod:`seriesforge.oracle`.
 The ultrametric / fully-colored / mobile / chain-increasing / process
 counts come from prefix recurrences that return the values for
 s = 1..up_to_s in one pass, over the ring of m: an int gives the counts,
-the PolyVar m the counts as polynomials in the number of colors.  The
-series-inversion routes *_series_polynomials and the paper's alternating
-Bell sums (oracle.alternating_bell_poly) are kept to check them.
+the PolyVar m the counts as polynomials in the number of colors.  They are
+checked against ultrametric_series_polynomials (Lagrange inversion over
+Z[m], kept here because the benchmark builds its b-files with it) and
+against the oracle module's series inversion for mobiles and the paper's
+alternating Bell sums.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .bell import CoeffSeq, bell_inverse_recursive, bell_partial
+from .bell import bell_inverse_recursive
 from .egf import ExpSeries
 from .rings import QQ, PolyVar, binomial, factorial, poly_ring
 from .weights import WEIGHT_RING, WeightPoly
@@ -39,6 +42,12 @@ class DegreeSpec:
     kind: str = "symbolic"
     custom: Optional[Callable[[int, int], int]] = None
 
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
+        if self.kind not in ("symbolic", "ones", "factorial"):
+            raise ValueError(f"unknown degree spec kind: {self.kind}")
+
     def value(self, c: int, k: int) -> WeightPoly:
         if self.custom is not None:
             v = self.custom(c, k)
@@ -49,88 +58,25 @@ class DegreeSpec:
             return WeightPoly.gen(c, k)
         if self.kind == "ones":
             return WeightPoly.const(1)
-        if self.kind == "factorial":
-            return WeightPoly.const(factorial(k - 1))
-        raise ValueError(f"unknown degree spec kind: {self.kind}")
+        return WeightPoly.const(factorial(k - 1))
 
 
 # ---------------------------------------------------------------------------
-# The weighted generating function, three ways.
+# The weighted generating function.
 # ---------------------------------------------------------------------------
 
 def p_series(spec: DegreeSpec, order: int) -> ExpSeries:
     """P(m,t,x) as the inverse of t + sum_c (inverse degree function - t)."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
     ring = WEIGHT_RING
     f = [ring.one] + [ring.zero] * (order - 1)
     for c in range(1, spec.m + 1):
-        xc = CoeffSeq(ring, [ring.one] + [spec.value(c, k) for k in range(2, order + 1)])
-        inv = bell_inverse_recursive(xc)
+        xc = [ring.one] + [spec.value(c, k) for k in range(2, order + 1)]
+        inv = bell_inverse_recursive(xc, ring)
         for n in range(2, order + 1):
-            f[n - 1] = f[n - 1] + inv[n]
-    p = bell_inverse_recursive(CoeffSeq(ring, f))
-    return ExpSeries.from_tail(p)
-
-
-def p_series_by_color_recursion(spec: DegreeSpec, order: int) -> ExpSeries:
-    """P(m,t,x) by the root-color recurrence.
-
-    For each color c, trees with root color c are a root vertex of
-    out-degree k >= 2 over a forest of subtrees whose roots avoid c; the
-    forests are counted by Bell polynomials in the complementary weights.
-    """
-    ring = WEIGHT_RING
-    m = spec.m
-    total = [None, ring.one]            # total[s] = P_s(m, x)
-    by_color = {c: [None, None] for c in range(1, m + 1)}
-    memos = {c: {} for c in range(1, m + 1)}
-    for s in range(2, order + 1):
-        level_sum = ring.zero
-        for c in range(1, m + 1):
-            # forest component weights: a singleton block is a bare leaf
-            comp = [ring.one] + [total[j] - by_color[c][j] for j in range(2, s)]
-            acc = ring.zero
-            for k in range(2, s + 1):
-                acc = acc + spec.value(c, k) * bell_partial(
-                    s, k, comp, ring, _memo=memos[c]
-                )
-            by_color[c].append(acc)
-            level_sum = level_sum + acc
-        total.append(level_sum)
-    return ExpSeries(ring, [ring.zero] + total[1:])
-
-
-def _closed_inverse_coeffs(spec: DegreeSpec, c: int, s: int) -> list:
-    """Coefficients (x_c^<-1>)_j for j = 1..s by the closed-form formula."""
-    ring = WEIGHT_RING
-    shifted = [ring.zero] + [spec.value(c, k) for k in range(2, s + 1)]
-    memo: dict = {}
-    out = [ring.one]
-    for j in range(2, s + 1):
-        acc = ring.zero
-        for k in range(1, j):
-            term = bell_partial(j + k - 1, k, shifted, ring, _memo=memo)
-            acc = acc + (-term if k % 2 else term)
-        out.append(acc)
-    return out
-
-
-def p_closed_form(spec: DegreeSpec, s: int) -> WeightPoly:
-    """P_s(m,x) by the alternating closed-form inversion."""
-    ring = WEIGHT_RING
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    sums = [ring.zero] * (s + 1)        # sums[j] = sum_c (x_c^<-1>)_j
-    for c in range(1, spec.m + 1):
-        inv = _closed_inverse_coeffs(spec, c, s)
-        for j in range(2, s + 1):
-            sums[j] = sums[j] + inv[j - 1]
-    shifted = [ring.zero] + [sums[j] for j in range(2, s + 1)]
-    memo: dict = {}
-    acc = ring.zero
-    for k in range(s + 1):
-        term = bell_partial(s + k - 1, k, shifted, ring, _memo=memo)
-        acc = acc + (-term if k % 2 else term)
-    return acc
+            f[n - 1] = f[n - 1] + inv[n - 1]
+    return ExpSeries.from_tail(ring, bell_inverse_recursive(f, ring))
 
 
 def _check(s: int, m, least: int = 1) -> None:
@@ -180,8 +126,7 @@ def ultrametric_series_polynomials(up_to_s: int) -> list:
     tail = [ring.one] + [
         (-1) ** (n - 1) * factorial(n - 1) * _M for n in range(2, up_to_s + 1)
     ]
-    inv = bell_inverse_recursive(CoeffSeq(ring, tail))
-    return [inv[s] for s in range(1, up_to_s + 1)]
+    return list(bell_inverse_recursive(tail, ring))
 
 
 def fully_colored_labeled_counts(up_to_s: int, m: int) -> list:
@@ -243,16 +188,6 @@ def count_mobiles(s: int, m: int) -> int:
 def mobiles_polynomial(s: int) -> PolyVar:
     """The mobile count for s leaves as a polynomial in m."""
     return mobile_counts(s, _M)[-1]
-
-
-def mobiles_series_polynomials(up_to_s: int) -> list:
-    """g_s(m) for s = 1..up_to_s by inverting t(1-m) + m(1 - e^{-t})."""
-    ring = POLY_M
-    tail = [ring.one] + [
-        (-1) ** (n + 1) * _M for n in range(2, up_to_s + 1)
-    ]
-    inv = bell_inverse_recursive(CoeffSeq(ring, tail))
-    return [inv[s] for s in range(1, up_to_s + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,13 @@ objects, and the paper's formula routes that production has replaced.
 The enumerators count by direct construction (set partitions, exhaustive
 maps, canonical codes) with no Bell-polynomial or series machinery, so
 they can independently validate the formula modules at small sizes.  The
-last section keeps the paper's alternating Bell sums and its divisor-sum
-Bell recurrence for the unlabeled refinement, as references for the
-prefix recurrences of the labeled and unlabeled modules.
+last sections keep the paper's other routes as references for production:
+the closed-form inversion and the root-color recurrence for P (against
+labeled.p_series and bell.bell_inverse_recursive), the series inversion
+for the mobile polynomials, the alternating Bell sums (against the labeled
+prefix recurrences) and the divisor-sum Bell recurrence for the unlabeled
+refinement (against unlabeled.refined_polys).  Production never imports
+this module.
 """
 
 from __future__ import annotations
@@ -15,9 +19,11 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Dict, Iterator, Tuple
 
-from .bell import bell_partial
+from .bell import bell_inverse_recursive, bell_row
+from .egf import ExpSeries
+from .labeled import POLY_M, DegreeSpec
 from .rings import PolyVar, Ring, factorial
-from .weights import WeightPoly
+from .weights import WEIGHT_RING, WeightPoly
 
 MAX_LABELED_LEAVES = 8
 MAX_ULTRA_POINTS = 5
@@ -305,8 +311,7 @@ def refined_polys_bell(up_to_s: int) -> list:
     Level s is t/s! times sum_j B_{s,j}(w), with weights w_n = n! * sum over
     divisors d of n, n/d != s, of (1/d) * (level n/d with t -> t^d).
     """
-    ring = Ring("Q[t]", PolyVar([], "t"), PolyVar([Fraction(1)], "t"),
-                lambda n: PolyVar.const(Fraction(n), "t"))
+    ring = Ring("Q[t]", PolyVar([], "t"), PolyVar([Fraction(1)], "t"))
     levels = [PolyVar([1], "t")]        # s = 1: a bare leaf, zero inner vertices
     for s in range(2, up_to_s + 1):
         weights = []
@@ -316,8 +321,96 @@ def refined_polys_bell(up_to_s: int) -> list:
                 if n % d == 0 and n // d != s:
                     w = w + Fraction(1, d) * levels[n // d - 1].substitute(d).map_coeffs(Fraction)
             weights.append(factorial(n) * w)
-        memo: dict = {}
-        acc = sum((bell_partial(s, j, weights, ring, _memo=memo) for j in range(1, s + 1)),
-                  ring.zero)
+        rows = [[ring.one]]
+        for _ in range(s):
+            bell_row(rows, weights, ring)
+        acc = sum(rows[s][1:], ring.zero)
         levels.append((PolyVar.gen("t") * acc).scale_exact(1, factorial(s)))
     return levels
+
+
+def mobiles_series_polynomials(up_to_s: int) -> list:
+    """g_s(m) for s = 1..up_to_s by inverting t(1-m) + m(1 - e^{-t}) over
+    Z[m], the series route to labeled.mobile_counts."""
+    tail = [POLY_M.one] + [(-1) ** (n + 1) * PolyVar.gen("m") for n in range(2, up_to_s + 1)]
+    return list(bell_inverse_recursive(tail, POLY_M))
+
+
+# ---------------------------------------------------------------------------
+# The other routes to the weighted generating function P.
+# ---------------------------------------------------------------------------
+
+def bell_inverse_closed(x, ring: Ring) -> tuple:
+    """Compositional inverse by the closed-form (non-recursive) formula.
+
+    inv_n = sum_{k=1..n-1} (-1)^k x_1^{-(n+k)} B_{n+k-1,k}(0, x_2, x_3, ...)
+    for n > 1.  The sign (-1)^k (not (-1)^{n+k-1}) is the one that agrees
+    with bell.bell_inverse_recursive; see tests.
+    """
+    if not x:
+        raise ValueError("empty sequence")
+    one_over_x1 = ring.invert(x[0])
+    powers = [ring.one]                 # powers[e] = x_1^{-e}
+    for _ in range(2 * len(x) - 1):
+        powers.append(powers[-1] * one_over_x1)
+    rows = [[ring.one]]
+    shifted = (ring.zero,) + tuple(x[1:])
+    for _ in range(2 * len(x) - 2):
+        bell_row(rows, shifted, ring)
+    out = [one_over_x1]
+    for n in range(2, len(x) + 1):
+        acc = ring.zero
+        for k in range(1, n):
+            term = rows[n + k - 1][k]
+            if term == ring.zero:
+                continue
+            if k % 2:
+                term = -term
+            acc = acc + powers[n + k] * term
+        out.append(acc)
+    return tuple(out)
+
+
+def p_closed_form(spec: DegreeSpec, s: int) -> WeightPoly:
+    """P_s(m,x) by the closed-form inversion: of every degree function,
+    then of t + sum_c (inverse degree function - t)."""
+    ring = WEIGHT_RING
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    f = [ring.one] + [ring.zero] * (s - 1)
+    for c in range(1, spec.m + 1):
+        inv = bell_inverse_closed([ring.one] + [spec.value(c, k) for k in range(2, s + 1)], ring)
+        for j in range(2, s + 1):
+            f[j - 1] = f[j - 1] + inv[j - 1]
+    return bell_inverse_closed(f, ring)[s - 1]
+
+
+def p_series_by_color_recursion(spec: DegreeSpec, order: int) -> ExpSeries:
+    """P(m,t,x) by the root-color recurrence.
+
+    For each color c, trees with root color c are a root vertex of
+    out-degree k >= 2 over a forest of subtrees whose roots avoid c; the
+    forests are counted by Bell polynomials in the complementary weights
+    comp_1 = 1 (a singleton block is a bare leaf), comp_j = P_j - P_j^{(c)}.
+    """
+    ring = WEIGHT_RING
+    m = spec.m
+    total = [None, ring.one]            # total[s] = P_s(m, x)
+    by_color = {c: [None, None] for c in range(1, m + 1)}
+    comps = {c: [ring.one] for c in range(1, m + 1)}
+    tables = {c: [[ring.one], [ring.zero, ring.one]] for c in range(1, m + 1)}
+    for s in range(2, order + 1):
+        level_sum = ring.zero
+        for c in range(1, m + 1):
+            comp, rows = comps[c], tables[c]
+            if s > 2:                   # comp_{s-1} is known once level s-1 is
+                comp.append(total[s - 1] - by_color[c][s - 1])
+                rows[s - 1][1] = comp[-1]
+            bell_row(rows, comp, ring)
+            acc = ring.zero
+            for k in range(2, s + 1):
+                acc = acc + spec.value(c, k) * rows[s][k]
+            by_color[c].append(acc)
+            level_sum = level_sum + acc
+        total.append(level_sum)
+    return ExpSeries(ring, [ring.zero] + total[1:])

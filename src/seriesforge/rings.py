@@ -194,14 +194,13 @@ class Ring:
     """Commutative-ring contract.
 
     Elements are plain Python values supporting +, -, * and ==; the ring
-    object supplies the constants, the embedding of integers, and exact
-    inversion of units when available.
+    object supplies the constants and exact inversion of units when
+    available.
     """
 
     name: str
     zero: Any
     one: Any
-    from_int: Callable[[int], Any]
     inv: Optional[Callable[[Any], Any]] = field(default=None)
 
     def is_one(self, x) -> bool:
@@ -220,15 +219,10 @@ class Ring:
         return self.inv(x)
 
 
-QQ = Ring("QQ", Fraction(0), Fraction(1), Fraction, inv=lambda x: 1 / Fraction(x))
-ZZ = Ring("ZZ", 0, 1, int)
+QQ = Ring("QQ", Fraction(0), Fraction(1), inv=lambda x: 1 / Fraction(x))
+ZZ = Ring("ZZ", 0, 1)
 
 
 def poly_ring(var: str = "m") -> Ring:
     """Univariate integer polynomials in the given variable."""
-    return Ring(
-        f"Z[{var}]",
-        PolyVar([], var),
-        PolyVar([1], var),
-        lambda n, v=var: PolyVar.const(n, v),
-    )
+    return Ring(f"Z[{var}]", PolyVar([], var), PolyVar([1], var))

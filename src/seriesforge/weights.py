@@ -153,9 +153,4 @@ def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-WEIGHT_RING = Ring(
-    "Z[x_{c,k}]",
-    WeightPoly(),
-    WeightPoly.const(1),
-    WeightPoly.const,
-)
+WEIGHT_RING = Ring("Z[x_{c,k}]", WeightPoly(), WeightPoly.const(1))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seriesforge.egf import ExpSeries, make_named
+from seriesforge.labeled import DegreeSpec, p_series
 from seriesforge.rings import QQ, PolyVar, poly_ring
 
 small_rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -156,3 +157,12 @@ def test_json_serialization():
     f = make_named("log1p", 3)
     data = json.loads(f.to_json())
     assert data == {"order": 3, "coeffs": ["0/1", "1/1", "-1/1", "2/1"]}
+
+
+@pytest.mark.parametrize("series", [
+    lambda: p_series(DegreeSpec(1), 2),
+    lambda: ExpSeries.identity(poly_ring("m"), 3),
+])
+def test_json_rejects_non_rational_rings(series):
+    with pytest.raises(ValueError, match=r"exact rationals only.*Z\["):
+        series().to_json()

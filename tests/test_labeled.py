@@ -13,12 +13,14 @@ from seriesforge.labeled import (
     count_processes,
     count_ultrametrics,
     mobiles_polynomial,
-    mobiles_series_polynomials,
-    p_closed_form,
     p_series,
-    p_series_by_color_recursion,
     ultrametric_series_polynomials,
     verify_integral_relation,
+)
+from seriesforge.oracle import (
+    mobiles_series_polynomials,
+    p_closed_form,
+    p_series_by_color_recursion,
 )
 from seriesforge.rings import PolyVar
 from seriesforge.weights import WeightPoly
@@ -101,6 +103,16 @@ class TestPSeries:
     def test_custom_coefficients_must_be_ints(self):
         with pytest.raises(ValueError, match=r"\(1, 2\)"):
             p_series(DegreeSpec(1, custom=lambda c, k: 0.5), 4)
+
+    @pytest.mark.parametrize("order", [0, -2])
+    def test_order_must_be_positive(self, order):
+        with pytest.raises(ValueError, match="order"):
+            p_series(DegreeSpec(2), order)
+
+    @pytest.mark.parametrize("args, match", [((0,), "m must be >= 1"), ((2, "bogus"), "bogus")])
+    def test_spec_rejects_bad_input(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            DegreeSpec(*args)
 
     def test_closed_form_base(self):
         assert p_closed_form(DegreeSpec(4), 1) == WeightPoly.const(1)
