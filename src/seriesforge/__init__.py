@@ -25,14 +25,13 @@ from .labeled import (
     p_series,
     verify_integral_relation,
 )
-from .rings import QQ, ZZ, PolyVar, Ring, binomial, factorial, poly_ring
+from .rings import QQ, ZZ, PolyVar, Ring, poly_ring
 from .unlabeled import (
     fully_colored_unlabeled,
     multipartite_unlabeled,
     multipartite_unlabeled_polynomial,
     refined_poly,
     refined_polys,
-    riordan_triangle,
     unlabeled_count,
 )
 from .weights import WEIGHT_RING, WeightPoly
@@ -42,7 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ExpSeries", "PolyVar", "Ring", "WeightPoly", "DegreeSpec",
     "QQ", "ZZ", "WEIGHT_RING",
-    "factorial", "binomial", "poly_ring", "make_named",
+    "poly_ring", "make_named",
     "bell_partial", "bell_product", "bell_inverse_recursive",
     "derangement_count", "assoc_stirling2", "stirling2",
     "p_series",
@@ -52,5 +51,5 @@ __all__ = [
     "count_processes",
     "refined_poly", "refined_polys", "unlabeled_count",
     "multipartite_unlabeled", "multipartite_unlabeled_polynomial",
-    "fully_colored_unlabeled", "riordan_triangle",
+    "fully_colored_unlabeled",
 ]

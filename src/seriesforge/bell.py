@@ -12,7 +12,9 @@ binomial recurrence.  The closed-form inversion is a test oracle in
 
 from __future__ import annotations
 
-from .rings import Ring, ZZ, binomial, factorial
+from math import comb, factorial
+
+from .rings import Ring, ZZ
 
 
 def bell_row(rows: list, y, ring: Ring) -> None:
@@ -32,7 +34,7 @@ def bell_row(rows: list, y, ring: Ring) -> None:
             yi = y[i - 1]
             if yi == ring.zero:
                 continue
-            acc = acc + binomial(n - 1, i - 1) * yi * rows[n - i][k - 1]
+            acc = acc + comb(n - 1, i - 1) * yi * rows[n - i][k - 1]
         row.append(acc)
     rows.append(row)
 
@@ -58,7 +60,7 @@ def bell_partial(n: int, k: int, x, ring: Ring):
                 xi = x[i - 1]
                 if xi == ring.zero:
                     continue
-                acc = acc + binomial(j + d - 1, i - 1) * xi * col[d + 1 - i]
+                acc = acc + comb(j + d - 1, i - 1) * xi * col[d + 1 - i]
             nxt.append(acc)
         col = nxt
     return col[width]

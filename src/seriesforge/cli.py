@@ -153,7 +153,9 @@ def cmd_table(name, max_s, max_m, max_n, check_paper, fmt, output):
     """Emit one of the count tables."""
     mismatches = []
     if name == "riordan-triangle":
-        polys = _values(unlabeled.refined_polys, max_n)
+        if max_n < 2:
+            raise click.UsageError("--max-n must be >= 2")
+        polys = unlabeled.refined_polys(max_n)
         header = ["k\\n"] + list(range(2, max_n + 1))
         rows = [header]
         for k in range(1, max_n):
@@ -169,6 +171,8 @@ def cmd_table(name, max_s, max_m, max_n, check_paper, fmt, output):
                 if sums[n - 1] != ref:
                     mismatches.append((("sum", n), sums[n - 1], ref))
     else:
+        if max_m < 1:
+            raise click.UsageError("--max-m must be >= 1")
         ref_table = TABLE_FAMILIES[name]
         fn, _ = COUNT_FAMILIES["ultrametrics" if name == "symbolic" else name]
         header = ["m\\s"] + list(range(1, max_s + 1))
@@ -209,9 +213,7 @@ def cmd_gf(kind, m, order, spec_kind, output):
     if order < 1:
         raise click.UsageError("order must be >= 1")
     if kind == "P":
-        if m < 1:
-            raise click.UsageError("P needs m >= 1")
-        series = labeled.p_series(labeled.DegreeSpec(m, spec_kind), order)
+        series = _values(lambda: labeled.p_series(labeled.DegreeSpec(m, spec_kind), order))
         payload = {
             "kind": "P", "m": m, "order": order,
             "coeffs": [series[n].to_jsonable() for n in range(order + 1)],
@@ -258,7 +260,9 @@ def cmd_verify(family, m, bfile):
     except (ValueError, OSError) as exc:
         raise click.UsageError(str(exc))
     entries = [(idx, val) for idx, val in entries if idx >= 1]
-    values = _values(fn, entries[-1][0], *args) if entries else []
+    if not entries:
+        raise click.UsageError(f"{bfile}: no entry at index >= 1")
+    values = _values(fn, entries[-1][0], *args)
     for idx, val in entries:
         if values[idx - 1] != val:
             click.echo(f"mismatch at index {idx}: computed {values[idx - 1]}, b-file {val}")

@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 
 from .bell import bell_inverse_recursive, bell_product
-from .rings import QQ, Ring, binomial, factorial
+from .rings import QQ, Ring
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ class ExpSeries:
                 a, b = self[i], other[s - i]
                 if a == self.ring.zero or b == self.ring.zero:
                     continue
-                acc = acc + binomial(s, i) * a * b
+                acc = acc + comb(s, i) * a * b
             out.append(acc)
         return ExpSeries(self.ring, out)
 
@@ -115,7 +116,7 @@ class ExpSeries:
                 a = self[i]
                 if a == self.ring.zero:
                     continue
-                acc = acc + binomial(n, i) * a * out[n - i]
+                acc = acc + comb(n, i) * a * out[n - i]
             out.append(-inv0 * acc)
         return ExpSeries(self.ring, out)
 
@@ -171,7 +172,7 @@ class ExpSeries:
 
 
 def make_named(name: str, order: int) -> ExpSeries:
-    """Stock rational series used by the counting specializations.
+    """Stock rational series, used by the tests as inversion inputs.
 
     exp_minus_one:      e^t - 1            (coefficients 1, 1, 1, ...)
     log1p:              log(1 + t)         ((-1)^{n-1} (n-1)!)

@@ -3,25 +3,24 @@
 The weighted generating function P(m,t,x) has one route, p_series: global
 Lagrange inversion over the weight ring.  Its other routes (root-color
 recurrence, closed-form inversion) live in :mod:`seriesforge.oracle`.
-The ultrametric / fully-colored / mobile / chain-increasing / process
-counts come from prefix recurrences that return the values for
-s = 1..up_to_s in one pass, over the ring of m: an int gives the counts,
-the PolyVar m the counts as polynomials in the number of colors.  They are
-checked against ultrametric_series_polynomials (Lagrange inversion over
-Z[m], kept here because the benchmark builds its b-files with it) and
-against the oracle module's series inversion for mobiles and the paper's
-alternating Bell sums.
+The counts come from two prefix recurrences that return the values for
+s = 1..up_to_s in one pass, over the ring of m (an int, or the PolyVar m
+for polynomials in the number of colors): mobile_counts for the mobiles,
+ultrametric_counts for the ultrametrics, fully-colored trees, processes
+(m = 3) and chain-increasing trees (y_s(m) = a_s(m + 1)).  They are checked
+against ultrametric_series_polynomials (Lagrange inversion over Z[m], kept
+here because the benchmark builds its b-files with it) and the oracle
+module's mobile series inversion, chain recurrence and alternating sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Optional, Union
+from math import comb, factorial
 
 from .bell import bell_inverse_recursive
 from .egf import ExpSeries
-from .rings import QQ, PolyVar, binomial, factorial, poly_ring
+from .rings import ZZ, PolyVar, poly_ring
 from .weights import WEIGHT_RING, WeightPoly
 
 POLY_M = poly_ring("m")
@@ -34,13 +33,11 @@ class DegreeSpec:
 
     kind "symbolic" keeps x_{c,k} as indeterminates; "ones" sets them all
     to 1 (plain tree counting); "factorial" sets x_{c,k} = (k-1)! (mobile
-    counting).  A custom callable (c, k) -> int overrides the kind.
-    The coefficient of t in every degree function is fixed at 1.
+    counting).  The coefficient of t in every degree function is fixed at 1.
     """
 
     m: int
     kind: str = "symbolic"
-    custom: Optional[Callable[[int, int], int]] = None
 
     def __post_init__(self):
         if self.m < 1:
@@ -49,11 +46,6 @@ class DegreeSpec:
             raise ValueError(f"unknown degree spec kind: {self.kind}")
 
     def value(self, c: int, k: int) -> WeightPoly:
-        if self.custom is not None:
-            v = self.custom(c, k)
-            if not isinstance(v, int):
-                raise ValueError(f"custom coefficient at (c, k) = {(c, k)} is not an int: {v!r}")
-            return WeightPoly.const(v)
         if self.kind == "symbolic":
             return WeightPoly.gen(c, k)
         if self.kind == "ones":
@@ -101,7 +93,7 @@ def ultrametric_counts(up_to_s: int, m) -> list:
     _check(up_to_s, m)
     p = [None, m * 0 + 1]               # p_1 = 1 in the ring of m
     for n in range(1, up_to_s):
-        acc = sum(binomial(n, i) * p[i] * p[n + 1 - i] for i in range(1, n + 1))
+        acc = sum(comb(n, i) * p[i] * p[n + 1 - i] for i in range(1, n + 1))
         p.append(p[n] - (1 - m) * acc)
     return p[1:]
 
@@ -148,15 +140,15 @@ def count_fully_colored_labeled(s: int, m: int) -> int:
 
 def labeled_series(m: int, order: int) -> ExpSeries:
     """A(m,t): exponential series of the labeled m-partite tree counts."""
-    return ExpSeries(QQ, [Fraction(0)] + [Fraction(v) for v in ultrametric_counts(order, m)])
+    return ExpSeries(ZZ, [0] + ultrametric_counts(order, m))
 
 
 def verify_integral_relation(m: int, order: int) -> bool:
     """Check 1 + A = 1 + (1 + A)^m * integral of (1 + A)^{-m}, to order."""
     if m < 1 or order < 2:
         raise ValueError("need m >= 1 and order >= 2")
-    cal_a = labeled_series(m, order).add_const(Fraction(1))
-    rhs = ExpSeries.one(QQ, order) + cal_a.pow(m) * cal_a.pow(-m).integrate()
+    cal_a = labeled_series(m, order).add_const(1)
+    rhs = ExpSeries.one(ZZ, order) + cal_a.pow(m) * cal_a.pow(-m).integrate()
     return cal_a.coeffs == rhs.coeffs
 
 
@@ -175,8 +167,8 @@ def mobile_counts(up_to_s: int, m) -> list:
     one = m * 0 + 1
     g, e = [None, one], [one]
     for n in range(1, up_to_s):
-        e.append(-sum(binomial(n - 1, i) * g[i + 1] * e[n - 1 - i] for i in range(n)))
-        g.append(-m * sum(binomial(n, i) * e[i] * g[n + 1 - i] for i in range(1, n + 1)))
+        e.append(-sum(comb(n - 1, i) * g[i + 1] * e[n - 1 - i] for i in range(n)))
+        g.append(-m * sum(comb(n, i) * e[i] * g[n + 1 - i] for i in range(1, n + 1)))
     return g[1:]
 
 
@@ -196,18 +188,10 @@ def mobiles_polynomial(s: int) -> PolyVar:
 
 def chain_increasing_counts(up_to_s: int, m) -> list:
     """Chain-increasing binary trees with s = 1..up_to_s chains and m
-    junction colors.
-
-    The root is a chain over the tree for s - 1 chains, or a junction of
-    one of m colors over two subtrees:
-    y_n = y_{n-1} + m sum_{i=1..n-1} C(n-1,i-1) y_i y_{n-i}.
-    """
+    junction colors, read from the ultrametric recurrence by
+    y_s(m) = a_s(m + 1); the chain recurrence is an oracle."""
     _check(up_to_s, m, least=0)
-    y = [None, m * 0 + 1]
-    for n in range(2, up_to_s + 1):
-        pairs = sum(binomial(n - 1, i - 1) * y[i] * y[n - i] for i in range(1, n))
-        y.append(y[n - 1] + m * pairs)
-    return y[1:]
+    return ultrametric_counts(up_to_s, m + 1)
 
 
 def chain_increasing_polynomial(s: int) -> PolyVar:
@@ -216,9 +200,9 @@ def chain_increasing_polynomial(s: int) -> PolyVar:
     return chain_increasing_counts(s, _M)[-1]
 
 
-def chain_increasing_count(s: int, m: Optional[int] = None) -> Union[int, PolyVar]:
-    """y_s(m); with m None the symbolic polynomial is returned."""
-    return chain_increasing_counts(s, _M if m is None else m)[-1]
+def chain_increasing_count(s: int, m: int) -> int:
+    """Chain-increasing binary trees with s chains and m junction colors."""
+    return chain_increasing_counts(s, m)[-1]
 
 
 def process_counts(up_to_s: int) -> list:

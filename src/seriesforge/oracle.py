@@ -9,20 +9,22 @@ the closed-form inversion and the root-color recurrence for P (against
 labeled.p_series and bell.bell_inverse_recursive), the series inversion
 for the mobile polynomials, the alternating Bell sums (against the labeled
 prefix recurrences) and the divisor-sum Bell recurrence for the unlabeled
-refinement (against unlabeled.refined_polys).  Production never imports
-this module.
+refinement (against unlabeled.refined_polys).  The chain recurrence, beside
+its enumerator, checks the identity y_s(m) = a_s(m + 1) that production
+uses.  Production never imports this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb, factorial
 from typing import Dict, Iterator, Tuple
 
 from .bell import bell_inverse_recursive, bell_row
 from .egf import ExpSeries
 from .labeled import POLY_M, DegreeSpec
-from .rings import PolyVar, Ring, factorial
+from .rings import PolyVar, Ring
 from .weights import WEIGHT_RING, WeightPoly
 
 MAX_LABELED_LEAVES = 8
@@ -223,6 +225,18 @@ def enum_chain_increasing(s: int, m: int) -> int:
     if not (1 <= s <= MAX_CHAINS) or not (0 <= m <= 3):
         raise ValueError("size beyond enumeration bounds")
     return sum(m ** j for j in _chain_junction_counts(frozenset(range(1, s + 1))))
+
+
+def chain_increasing_recurrence(up_to_s: int, m) -> list:
+    """y_s(m) for s = 1..up_to_s over the ring of m.  The root is a chain
+    over the tree for s - 1 chains, or a junction of one of m colors over
+    two subtrees: y_n = y_{n-1} + m sum_{i=1..n-1} C(n-1,i-1) y_i y_{n-i}.
+    """
+    y = [None, m * 0 + 1]
+    for n in range(2, up_to_s + 1):
+        pairs = sum(comb(n - 1, i - 1) * y[i] * y[n - i] for i in range(1, n))
+        y.append(y[n - 1] + m * pairs)
+    return y[1:]
 
 
 # ---------------------------------------------------------------------------

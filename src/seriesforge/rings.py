@@ -9,26 +9,9 @@ integer and rational element types.  Everything here is immutable and pure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Optional
-
-
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    if n < 0:
-        raise ValueError("factorial of negative integer")
-    return math.factorial(n)
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k); zero when k > n or k < 0."""
-    if n < 0:
-        raise ValueError("binomial with negative n")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 class PolyVar:

@@ -1,6 +1,6 @@
 """Rooted unlabeled series-reduced trees: the refined leaf/inner-vertex
 triangle, the total counts, and the multipartite and fully-colored
-specializations.
+specializations; the multipartite counts are generic over the ring of m.
 
 The refinement polynomial for s leaves has the number of trees with k
 inner vertices as its t^k coefficient.  The production route is the
@@ -52,16 +52,17 @@ def unlabeled_count(s: int) -> int:
     return unlabeled_counts(s)[-1]
 
 
-def multipartite_unlabeled_counts(up_to_s: int, m: int) -> list:
+def multipartite_unlabeled_counts(up_to_s: int, m) -> list:
     """m-partite (inner vertices colored, adjacent distinct) tree counts
-    for s = 1..up_to_s.
+    for s = 1..up_to_s, over the ring of m: an int gives the counts, the
+    PolyVar m the counts as polynomials in m.
 
     Computed as m * q(m - 1) where q is the refinement polynomial with
     one factor of t removed; this form is finite at m = 1.
     """
-    if up_to_s < 1 or m < 1:
+    if up_to_s < 1 or (isinstance(m, int) and m < 1):
         raise ValueError("need s >= 1 and m >= 1")
-    return [1] + [m * p.shift_down().eval_at(m - 1) for p in refined_polys(up_to_s)[1:]]
+    return [m * 0 + 1] + [m * p.shift_down().eval_at(m - 1) for p in refined_polys(up_to_s)[1:]]
 
 
 def multipartite_unlabeled(s: int, m: int) -> int:
@@ -71,35 +72,20 @@ def multipartite_unlabeled(s: int, m: int) -> int:
 
 def multipartite_unlabeled_polynomial(s: int) -> PolyVar:
     """The m-partite unlabeled count expanded as a polynomial in m."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if s == 1:
-        return PolyVar([1], "m")
-    q = refined_poly(s).shift_down()
-    m = PolyVar.gen("m")
-    return m * q.compose(m - 1)
+    return multipartite_unlabeled_counts(s, PolyVar.gen("m"))[-1]
 
 
 def fully_colored_unlabeled_counts(up_to_s: int, m: int) -> list:
     """Unlabeled m-partite trees with leaves colored as well, for
-    s = 1..up_to_s."""
-    if up_to_s < 1 or m < 1:
-        raise ValueError("need s >= 1 and m >= 1")
-    polys = refined_polys(up_to_s)
-    return [m] + [m * (m - 1) ** (s - 1) * p.eval_at(m - 1)
-                  for s, p in enumerate(polys[1:], start=2)]
+    s = 1..up_to_s.
+
+    A lone leaf takes any of the m colors; for s > 1 every leaf avoids the
+    color of its parent, leaving m - 1 choices per leaf.
+    """
+    counts = multipartite_unlabeled_counts(up_to_s, m)
+    return [m] + [(m - 1) ** s * c for s, c in enumerate(counts[1:], start=2)]
 
 
 def fully_colored_unlabeled(s: int, m: int) -> int:
     """Unlabeled m-partite trees with leaves colored as well."""
     return fully_colored_unlabeled_counts(s, m)[-1]
-
-
-def riordan_triangle(max_n: int) -> dict:
-    """Triangle of counts by (inner vertices k, leaves n), n = 2..max_n.
-
-    Returns {(k, n): count} for the nonzero cells, matching the layout
-    rows k = 1..max_n - 1, columns n = 2..max_n.
-    """
-    polys = refined_polys(max_n)
-    return {(k, n): p[k] for n, p in enumerate(polys[1:], start=2) for k in range(1, n) if p[k]}

@@ -32,6 +32,7 @@ from seriesforge.oracle import (
     enum_mobiles,
     enum_ultrametrics,
     enum_unlabeled_trees,
+    chain_increasing_recurrence,
     p_closed_form,
     p_series_by_color_recursion,
 )
@@ -41,7 +42,7 @@ from seriesforge.unlabeled import (
     multipartite_unlabeled,
     multipartite_unlabeled_polynomial,
     refined_poly,
-    riordan_triangle,
+    refined_polys,
     unlabeled_count,
 )
 from seriesforge.weights import WeightPoly
@@ -110,8 +111,10 @@ def test_criterion_04_triple_agreement():
 
 def test_criterion_05_chain_increasing_identity():
     shift = PolyVar([-1, 1], "m")
+    chains = chain_increasing_recurrence(10, PolyVar.gen("m"))
     for s in range(1, 11):
-        assert chain_increasing_polynomial(s).compose(shift) == a_polynomial(s)
+        assert chains[s - 1].compose(shift) == a_polynomial(s)
+        assert chain_increasing_polynomial(s) == chains[s - 1]
     assert chain_increasing_polynomial(3) == PolyVar([1, 4, 3], "m")
     for s in range(1, 9):
         assert count_processes(s) == count_ultrametrics(s, 3)
@@ -127,11 +130,11 @@ def test_criterion_06_integral_relation():
 def test_criterion_07_unlabeled_tables():
     for s, want in enumerate(reference.UNLABELED_SEQUENCE, start=1):
         assert unlabeled_count(s) == want
-    tri = riordan_triangle(10)
-    for cell, want in reference.RIORDAN_TRIANGLE.items():
-        assert tri[cell] == want
+    polys = refined_polys(10)
+    for (k, n), want in reference.RIORDAN_TRIANGLE.items():
+        assert polys[n - 1][k] == want
     for n in range(2, 11):
-        assert sum(v for (k, nn), v in tri.items() if nn == n) == unlabeled_count(n)
+        assert sum(polys[n - 1].coeffs) == unlabeled_count(n)
     for m, row in reference.MULTIPARTITE_UNLABELED_TABLE.items():
         for s, want in enumerate(row, start=1):
             assert multipartite_unlabeled(s, m) == want

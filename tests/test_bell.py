@@ -21,7 +21,7 @@ from seriesforge.oracle import (
     enum_set_partitions_min_block,
     set_partitions,
 )
-from seriesforge.rings import QQ, ZZ, factorial
+from seriesforge.rings import QQ, ZZ
 
 
 def rational_seq(values):
@@ -192,7 +192,7 @@ class TestSpecialCounts:
         for n in range(1, 10):
             total = sum(derangement_count(n, k) for k in range(n + 1))
             incl_excl = sum(
-                (-1) ** i * factorial(n) // factorial(i) for i in range(n + 1)
+                (-1) ** i * math.factorial(n) // math.factorial(i) for i in range(n + 1)
             )
             assert total == incl_excl
 

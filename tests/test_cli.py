@@ -129,6 +129,18 @@ class TestTable:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ("symbolic", "--max-m", "0"),
+        ("symbolic", "--max-m", "0", "--check-paper"),
+        ("mobiles", "--max-m", "-1"),
+        ("riordan-triangle", "--max-n", "1"),
+        ("riordan-triangle", "--max-n", "1", "--check-paper"),
+    ])
+    def test_empty_table_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "table", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "must be >=" in err
+
 
 class TestGf:
     def test_a_series(self, capsys):
@@ -145,6 +157,11 @@ class TestGf:
         # s = 2 coefficient is x_{1,2} + x_{2,2}
         s2 = data["coeffs"][2]
         assert sorted(term["monomial"][0][:2] for term in s2) == [[1, 2], [2, 2]]
+
+    def test_p_bad_m_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "gf", "P", "--m", "0", "--order", "3")
+        assert (code, out) == (1, "")
+        assert err.strip() == "error: m must be >= 1, got 0"
 
     def test_y_series(self, capsys):
         code, out, _ = run(capsys, "gf", "Y", "--m", "2", "--order", "4")
@@ -198,6 +215,14 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "unlabeled", "--bfile", str(bf))
         assert code == 1
         assert "malformed" in err
+
+    @pytest.mark.parametrize("text", ["", "# comments only\n", "0 1\n", "# c\n-1 5\n0 1\n"])
+    def test_bfile_without_entries_usage_error(self, capsys, tmp_path, text):
+        bf = tmp_path / "b.txt"
+        bf.write_text(text)
+        code, out, err = run(capsys, "verify", "unlabeled", "--bfile", str(bf))
+        assert (code, out) == (1, "")
+        assert "no entry at index >= 1" in err
 
     def test_bad_m_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "ultrametrics", "--m", "0", "--bfile", BFILE)

@@ -18,6 +18,7 @@ from seriesforge.labeled import (
     verify_integral_relation,
 )
 from seriesforge.oracle import (
+    chain_increasing_recurrence,
     mobiles_series_polynomials,
     p_closed_form,
     p_series_by_color_recursion,
@@ -99,10 +100,6 @@ class TestPSeries:
         p = p_series_by_color_recursion(DegreeSpec(2), 3)
         assert p[1] == WeightPoly.const(1)
         assert p[3] == expected_p2()[3]
-
-    def test_custom_coefficients_must_be_ints(self):
-        with pytest.raises(ValueError, match=r"\(1, 2\)"):
-            p_series(DegreeSpec(1, custom=lambda c, k: 0.5), 4)
 
     @pytest.mark.parametrize("order", [0, -2])
     def test_order_must_be_positive(self, order):
@@ -242,9 +239,12 @@ class TestChainIncreasing:
             assert chain_increasing_count(s, 0) == 1
 
     def test_shift_identity_with_tree_counts(self):
+        # production reads y_s(m) as a_s(m + 1); the chain recurrence checks it
         shift = PolyVar([-1, 1], "m")  # m - 1
+        chains = chain_increasing_recurrence(10, PolyVar.gen("m"))
         for s in range(1, 11):
-            assert chain_increasing_polynomial(s).compose(shift) == a_polynomial(s)
+            assert chains[s - 1].compose(shift) == a_polynomial(s)
+            assert chains[s - 1] == chain_increasing_polynomial(s)
 
 
 class TestProcesses:

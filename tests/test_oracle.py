@@ -1,6 +1,8 @@
 """Cross-checks between the formula-based counters and the brute-force
 enumeration oracles at sizes small enough to enumerate exhaustively."""
 
+from math import factorial
+
 import pytest
 
 from seriesforge.bell import assoc_stirling2, derangement_count
@@ -8,15 +10,18 @@ from seriesforge.labeled import (
     DegreeSpec,
     a_polynomial,
     chain_increasing_count,
+    chain_increasing_counts,
     count_mobiles,
     count_ultrametrics,
     mobile_counts,
     mobiles_polynomial,
     p_series,
+    process_counts,
     ultrametric_counts,
 )
 from seriesforge.oracle import (
     alternating_bell_poly,
+    chain_increasing_recurrence,
     enum_chain_increasing,
     enum_labeled_trees,
     enum_mobiles,
@@ -91,8 +96,9 @@ class TestUnlabeledOracle:
 class TestChainIncreasingOracle:
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_counts(self, m):
+        chains = chain_increasing_recurrence(7, m)
         for s in range(1, 8):
-            assert enum_chain_increasing(s, m) == chain_increasing_count(s, m)
+            assert enum_chain_increasing(s, m) == chains[s - 1] == chain_increasing_count(s, m)
 
     def test_example(self):
         assert enum_chain_increasing(3, 1) == 8
@@ -120,3 +126,30 @@ class TestPaperFormulaOracles:
 
     def test_refined_polys_match_bell_recurrence(self):
         assert refined_polys(14) == refined_polys_bell(14)
+
+
+class TestSympySeriesReversion:
+    """The prefix recurrences against sympy's series reversion over Q[t]:
+    the count for s is s! [t^s] of the inverse series."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_prefix_recurrences_match_reversion(self, m):
+        pytest.importorskip("sympy")
+        from sympy import QQ
+        from sympy.polys.ring_series import rs_exp, rs_log, rs_series_reversion
+        from sympy.polys.rings import ring
+
+        n = 25
+        _, t, y = ring("t,y", QQ)
+
+        def reversion_counts(f):
+            inverse = rs_series_reversion(f, t, n + 1, y)
+            return [factorial(s) * inverse.coeff(y ** s) for s in range(1, n + 1)]
+
+        trees = reversion_counts((1 - m) * t + m * rs_log(1 + t, t, n + 1))
+        assert ultrametric_counts(n, m) == trees
+        assert chain_increasing_counts(n, m - 1) == trees
+        if m == 3:
+            assert process_counts(n) == trees
+        mobiles = reversion_counts((1 - m) * t + m * (1 - rs_exp(-t, t, n + 1)))
+        assert mobile_counts(n, m) == mobiles

@@ -3,45 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from seriesforge.rings import QQ, PolyVar, binomial, factorial, poly_ring
-
-
-def pascal(n, k):
-    # independent oracle: Pascal's triangle
-    row = [1]
-    for _ in range(n):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row[k] if 0 <= k <= n else 0
-
-
-def test_factorial_values():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    acc = 1
-    for i in range(1, 11):
-        acc *= i
-    assert factorial(10) == acc == 3628800
-
-
-def test_factorial_recurrence():
-    for n in range(1, 31):
-        assert factorial(n) == n * factorial(n - 1)
-
-
-def test_factorial_negative():
-    with pytest.raises(ValueError):
-        factorial(-1)
-
-
-@pytest.mark.parametrize("n,k,expected", [(4, 2, 6), (7, 0, 1), (9, 4, 126), (3, 5, 0)])
-def test_binomial_values(n, k, expected):
-    assert binomial(n, k) == expected
-
-
-def test_binomial_matches_pascal():
-    for n in range(10):
-        for k in range(n + 2):
-            assert binomial(n, k) == pascal(n, k)
+from seriesforge.rings import QQ, PolyVar, poly_ring
 
 
 class TestPolyVar:

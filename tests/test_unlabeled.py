@@ -8,7 +8,6 @@ from seriesforge.unlabeled import (
     multipartite_unlabeled_polynomial,
     refined_poly,
     refined_polys,
-    riordan_triangle,
     unlabeled_count,
 )
 
@@ -50,15 +49,15 @@ class TestTotals:
             assert unlabeled_count(s) == want
 
     def test_triangle(self):
-        tri = riordan_triangle(10)
-        for cell, want in reference.RIORDAN_TRIANGLE.items():
-            assert tri[cell] == want, f"cell {cell}"
+        polys = refined_polys(10)
+        for (k, n), want in reference.RIORDAN_TRIANGLE.items():
+            assert polys[n - 1][k] == want, f"cell {(k, n)}"
 
     def test_triangle_rows_sum_to_sequence(self):
-        tri = riordan_triangle(10)
+        polys = refined_polys(10)
         for n in range(2, 11):
-            total = sum(v for (k, nn), v in tri.items() if nn == n)
-            assert total == unlabeled_count(n)
+            total = sum(want for (k, nn), want in reference.RIORDAN_TRIANGLE.items() if nn == n)
+            assert total == sum(polys[n - 1].coeffs) == unlabeled_count(n)
 
 
 class TestMultipartite:
