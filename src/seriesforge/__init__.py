@@ -11,7 +11,7 @@ from .bell import (
     derangement_count,
     stirling2,
 )
-from .egf import ExpSeries, make_named
+from .egf import ExpSeries
 from .labeled import (
     DegreeSpec,
     a_polynomial,
@@ -41,7 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ExpSeries", "PolyVar", "Ring", "WeightPoly", "DegreeSpec",
     "QQ", "ZZ", "WEIGHT_RING",
-    "poly_ring", "make_named",
+    "poly_ring",
     "bell_partial", "bell_product", "bell_inverse_recursive",
     "derangement_count", "assoc_stirling2", "stirling2",
     "p_series",

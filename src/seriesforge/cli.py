@@ -20,6 +20,7 @@ import sys
 import click
 
 from . import labeled, reference, unlabeled
+from .weights import WeightPoly
 
 DEFAULT_MAX_ORDER = 16
 
@@ -194,16 +195,17 @@ def cmd_table(name, max_s, max_m, max_n, check_paper, fmt, output):
 
 
 # exponential series of a count family: A labeled trees, G mobiles,
-# Y chain-increasing trees
+# Y chain-increasing trees; P is A with x_{c,k} = 1 and G with (k-1)!
 GF_FAMILIES = {"A": "ultrametrics", "G": "mobiles", "Y": "chain-increasing"}
+P_SPEC_FAMILIES = {"ones": "ultrametrics", "factorial": "mobiles"}
 
 
 @cli.command("gf")
 @click.argument("kind", type=click.Choice(["P", *GF_FAMILIES]))
 @click.option("--m", "m", type=int, required=True)
 @click.option("--order", type=int, default=8)
-@click.option("--spec", "spec_kind", type=click.Choice(["symbolic", "ones", "factorial"]),
-              default="symbolic", help="degree-coefficient assignment for P")
+@click.option("--spec", "spec_kind", type=click.Choice(["symbolic", *P_SPEC_FAMILIES]),
+              default="symbolic", help="x_{c,k} in P: symbolic, all 1 or (k-1)!")
 @click.option("-o", "--output", type=click.Path(), default=None)
 def cmd_gf(kind, m, order, spec_kind, output):
     """Emit series coefficients as exact JSON."""
@@ -213,12 +215,14 @@ def cmd_gf(kind, m, order, spec_kind, output):
     if order < 1:
         raise click.UsageError("order must be >= 1")
     if kind == "P":
-        series = _values(lambda: labeled.p_series(labeled.DegreeSpec(m, spec_kind), order))
-        payload = {
-            "kind": "P", "m": m, "order": order,
-            "coeffs": [series[n].to_jsonable() for n in range(order + 1)],
-        }
-        _emit(json.dumps(payload), output)
+        spec = _values(labeled.DegreeSpec, m)
+        if spec_kind == "symbolic":
+            series = labeled.p_series(spec, order).coeffs
+        else:
+            fn = COUNT_FAMILIES[P_SPEC_FAMILIES[spec_kind]][0]
+            series = [WeightPoly.const(v) for v in [0] + fn(order, m)]
+        coeffs = [c.to_jsonable() for c in series]
+        _emit(json.dumps({"kind": "P", "m": m, "order": order, "coeffs": coeffs}), output)
         return
     # c_s = s-th count, c_0 = 0, each as an exact rational "num/den"
     values = _values(COUNT_FAMILIES[GF_FAMILIES[kind]][0], order, m)

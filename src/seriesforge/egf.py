@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .bell import bell_inverse_recursive, bell_product
-from .rings import QQ, Ring
+from .rings import Ring
 
 
 @dataclass(frozen=True)
@@ -170,28 +170,3 @@ class ExpSeries:
             strs.append(f"{f.numerator}/{f.denominator}")
         return json.dumps({"order": self.order, "coeffs": strs})
 
-
-def make_named(name: str, order: int) -> ExpSeries:
-    """Stock rational series, used by the tests as inversion inputs.
-
-    exp_minus_one:      e^t - 1            (coefficients 1, 1, 1, ...)
-    log1p:              log(1 + t)         ((-1)^{n-1} (n-1)!)
-    neg_log_one_minus:  -log(1 - t)        ((n-1)!)
-    one_minus_exp_neg:  1 - e^{-t}         ((-1)^{n+1})
-    identity:           t
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if name == "exp_minus_one":
-        tail = [Fraction(1)] * order
-    elif name == "log1p":
-        tail = [Fraction((-1) ** (n - 1) * factorial(n - 1)) for n in range(1, order + 1)]
-    elif name == "neg_log_one_minus":
-        tail = [Fraction(factorial(n - 1)) for n in range(1, order + 1)]
-    elif name == "one_minus_exp_neg":
-        tail = [Fraction((-1) ** (n + 1)) for n in range(1, order + 1)]
-    elif name == "identity":
-        return ExpSeries.identity(QQ, order)
-    else:
-        raise ValueError(f"unknown series name: {name}")
-    return ExpSeries(QQ, [Fraction(0)] + tail)

@@ -1,8 +1,9 @@
 """Counting families for rooted multipartite labeled series-reduced trees.
 
-The weighted generating function P(m,t,x) has one route, p_series: global
-Lagrange inversion over the weight ring.  Its other routes (root-color
-recurrence, closed-form inversion) live in :mod:`seriesforge.oracle`.
+P(m,t,x) with symbolic weights x_{c,k} has one route, p_series: global
+Lagrange inversion over the weight ring; its other routes live in
+:mod:`seriesforge.oracle`.  x_{c,k} = 1 and (k-1)! turn it into the
+ultrametric and mobile counts, which have routes of their own.
 The counts come from two prefix recurrences that return the values for
 s = 1..up_to_s in one pass, over the ring of m (an int, or the PolyVar m
 for polynomials in the number of colors): mobile_counts for the mobiles,
@@ -29,28 +30,14 @@ _M = PolyVar.gen("m")
 
 @dataclass(frozen=True)
 class DegreeSpec:
-    """Assignment of the degree-function coefficients x_{c,k}.
-
-    kind "symbolic" keeps x_{c,k} as indeterminates; "ones" sets them all
-    to 1 (plain tree counting); "factorial" sets x_{c,k} = (k-1)! (mobile
-    counting).  The coefficient of t in every degree function is fixed at 1.
-    """
+    """The number of colors m >= 1 of P(m,t,x), whose weights x_{c,k} stay
+    indeterminates; the coefficient of t in every degree function is 1."""
 
     m: int
-    kind: str = "symbolic"
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.kind not in ("symbolic", "ones", "factorial"):
-            raise ValueError(f"unknown degree spec kind: {self.kind}")
-
-    def value(self, c: int, k: int) -> WeightPoly:
-        if self.kind == "symbolic":
-            return WeightPoly.gen(c, k)
-        if self.kind == "ones":
-            return WeightPoly.const(1)
-        return WeightPoly.const(factorial(k - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +51,7 @@ def p_series(spec: DegreeSpec, order: int) -> ExpSeries:
     ring = WEIGHT_RING
     f = [ring.one] + [ring.zero] * (order - 1)
     for c in range(1, spec.m + 1):
-        xc = [ring.one] + [spec.value(c, k) for k in range(2, order + 1)]
+        xc = [ring.one] + [WeightPoly.gen(c, k) for k in range(2, order + 1)]
         inv = bell_inverse_recursive(xc, ring)
         for n in range(2, order + 1):
             f[n - 1] = f[n - 1] + inv[n - 1]

@@ -3,8 +3,9 @@ objects, and the paper's formula routes that production has replaced.
 
 The enumerators count by direct construction (set partitions, exhaustive
 maps, canonical codes) with no Bell-polynomial or series machinery, so
-they can independently validate the formula modules at small sizes.  The
-last sections keep the paper's other routes as references for production:
+they can independently validate the formula modules at small sizes.
+make_named builds the stock rational series the tests invert.  The last
+sections keep the paper's other routes as references for production:
 the closed-form inversion and the root-color recurrence for P (against
 labeled.p_series and bell.bell_inverse_recursive), the series inversion
 for the mobile polynomials, the alternating Bell sums (against the labeled
@@ -24,7 +25,7 @@ from typing import Dict, Iterator, Tuple
 from .bell import bell_inverse_recursive, bell_row
 from .egf import ExpSeries
 from .labeled import POLY_M, DegreeSpec
-from .rings import PolyVar, Ring
+from .rings import QQ, PolyVar, Ring
 from .weights import WEIGHT_RING, WeightPoly
 
 MAX_LABELED_LEAVES = 8
@@ -303,6 +304,36 @@ def enum_set_partitions_min_block(n: int, k: int, min_size: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Stock rational series.
+# ---------------------------------------------------------------------------
+
+def make_named(name: str, order: int) -> ExpSeries:
+    """Stock rational series, used by the tests as inversion inputs.
+
+    exp_minus_one:      e^t - 1            (coefficients 1, 1, 1, ...)
+    log1p:              log(1 + t)         ((-1)^{n-1} (n-1)!)
+    neg_log_one_minus:  -log(1 - t)        ((n-1)!)
+    one_minus_exp_neg:  1 - e^{-t}         ((-1)^{n+1})
+    identity:           t
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if name == "exp_minus_one":
+        tail = [Fraction(1)] * order
+    elif name == "log1p":
+        tail = [Fraction((-1) ** (n - 1) * factorial(n - 1)) for n in range(1, order + 1)]
+    elif name == "neg_log_one_minus":
+        tail = [Fraction(factorial(n - 1)) for n in range(1, order + 1)]
+    elif name == "one_minus_exp_neg":
+        tail = [Fraction((-1) ** (n + 1)) for n in range(1, order + 1)]
+    elif name == "identity":
+        return ExpSeries.identity(QQ, order)
+    else:
+        raise ValueError(f"unknown series name: {name}")
+    return ExpSeries(QQ, [Fraction(0)] + tail)
+
+
+# ---------------------------------------------------------------------------
 # The paper's formula routes.
 # ---------------------------------------------------------------------------
 
@@ -393,7 +424,8 @@ def p_closed_form(spec: DegreeSpec, s: int) -> WeightPoly:
         raise ValueError("s must be >= 1")
     f = [ring.one] + [ring.zero] * (s - 1)
     for c in range(1, spec.m + 1):
-        inv = bell_inverse_closed([ring.one] + [spec.value(c, k) for k in range(2, s + 1)], ring)
+        xc = [ring.one] + [WeightPoly.gen(c, k) for k in range(2, s + 1)]
+        inv = bell_inverse_closed(xc, ring)
         for j in range(2, s + 1):
             f[j - 1] = f[j - 1] + inv[j - 1]
     return bell_inverse_closed(f, ring)[s - 1]
@@ -423,7 +455,7 @@ def p_series_by_color_recursion(spec: DegreeSpec, order: int) -> ExpSeries:
             bell_row(rows, comp, ring)
             acc = ring.zero
             for k in range(2, s + 1):
-                acc = acc + spec.value(c, k) * rows[s][k]
+                acc = acc + WeightPoly.gen(c, k) * rows[s][k]
             by_color[c].append(acc)
             level_sum = level_sum + acc
         total.append(level_sum)

@@ -20,7 +20,8 @@ class PolyVar:
     Used both as "polynomial in m" (count families) and "polynomial in t"
     (refined tree-count polynomials).  Coefficients are Python ints or
     Fractions; the trailing coefficient is nonzero unless the polynomial
-    is zero.
+    is zero.  var is only a print label: equality and hashing compare the
+    coefficients alone.
     """
 
     __slots__ = ("coeffs", "var")

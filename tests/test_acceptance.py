@@ -12,7 +12,6 @@ from fractions import Fraction
 from seriesforge import reference
 from seriesforge.bell import bell_inverse_recursive, bell_product
 from seriesforge.cli import main as cli_main
-from seriesforge.egf import make_named
 from seriesforge.labeled import (
     DegreeSpec,
     a_polynomial,
@@ -33,6 +32,7 @@ from seriesforge.oracle import (
     enum_ultrametrics,
     enum_unlabeled_trees,
     chain_increasing_recurrence,
+    make_named,
     p_closed_form,
     p_series_by_color_recursion,
 )

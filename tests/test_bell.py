@@ -13,12 +13,12 @@ from seriesforge.bell import (
     derangement_count,
     stirling2,
 )
-from seriesforge.egf import make_named
 from seriesforge.oracle import (
     bell_inverse_closed,
     bell_partial_partition_sum,
     enum_derangements,
     enum_set_partitions_min_block,
+    make_named,
     set_partitions,
 )
 from seriesforge.rings import QQ, ZZ

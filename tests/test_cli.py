@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from seriesforge.bell import derangement_count
+from seriesforge.bell import assoc_stirling2, derangement_count
 from seriesforge.cli import main, parse_bfile
+from seriesforge.labeled import mobile_counts, ultrametric_counts
 from seriesforge.oracle import alternating_bell_poly
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -158,8 +159,19 @@ class TestGf:
         s2 = data["coeffs"][2]
         assert sorted(term["monomial"][0][:2] for term in s2) == [[1, 2], [2, 2]]
 
-    def test_p_bad_m_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "gf", "P", "--m", "0", "--order", "3")
+    @pytest.mark.parametrize("spec, counts", [
+        ("ones", ultrametric_counts), ("factorial", mobile_counts),
+    ], ids=["ones", "factorial"])
+    def test_p_series_constant_weights(self, capsys, spec, counts):
+        code, out, _ = run(capsys, "gf", "P", "--m", "3", "--order", "8", "--spec", spec)
+        assert code == 0
+        assert json.loads(out)["coeffs"] == [[]] + [
+            [{"monomial": [], "coeff": v}] for v in counts(8, 3)
+        ]
+
+    @pytest.mark.parametrize("spec", ["symbolic", "ones", "factorial"])
+    def test_p_bad_m_is_usage_error(self, capsys, spec):
+        code, out, err = run(capsys, "gf", "P", "--m", "0", "--order", "3", "--spec", spec)
         assert (code, out) == (1, "")
         assert err.strip() == "error: m must be >= 1, got 0"
 
@@ -234,17 +246,24 @@ class TestVerify:
         assert code == 1
         assert "does not take --m" in err
 
-    def test_long_bfile_from_the_alternating_sum(self, capsys, tmp_path):
-        values = [alternating_bell_poly(s, derangement_count).eval_at(8) for s in range(1, 41)]
+    @pytest.mark.parametrize("family, m, seq, length, changed", [
+        ("ultrametrics", 8, derangement_count, 40, 30),
+        ("mobiles", 5, assoc_stirling2, 30, 20),
+    ], ids=["ultrametrics", "mobiles"])
+    def test_long_bfile_from_the_alternating_sum(
+        self, capsys, tmp_path, family, m, seq, length, changed
+    ):
+        values = [alternating_bell_poly(s, seq).eval_at(m) for s in range(1, length + 1)]
         bf = tmp_path / "b.txt"
+        argv = ("verify", family, "--m", str(m), "--bfile", str(bf))
         bf.write_text("".join(f"{s} {v}\n" for s, v in enumerate(values, start=1)))
-        code, out, _ = run(capsys, "verify", "ultrametrics", "--m", "8", "--bfile", str(bf))
-        assert (code, out.strip()) == (0, "OK (40 entries)")
-        values[29] += 1
+        code, out, _ = run(capsys, *argv)
+        assert (code, out.strip()) == (0, f"OK ({length} entries)")
+        values[changed - 1] += 1
         bf.write_text("".join(f"{s} {v}\n" for s, v in enumerate(values, start=1)))
-        code, out, _ = run(capsys, "verify", "ultrametrics", "--m", "8", "--bfile", str(bf))
+        code, out, _ = run(capsys, *argv)
         assert code == 2
-        assert "mismatch at index 30" in out
+        assert f"mismatch at index {changed}" in out
 
     def test_missing_bfile(self, capsys):
         code, _, _ = run(capsys, "verify", "unlabeled", "--bfile", "/no/such/file")

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seriesforge.egf import ExpSeries, make_named
+from seriesforge.egf import ExpSeries
 from seriesforge.labeled import DegreeSpec, p_series
+from seriesforge.oracle import make_named
 from seriesforge.rings import QQ, PolyVar, poly_ring
 
 small_rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)

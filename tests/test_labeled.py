@@ -106,7 +106,7 @@ class TestPSeries:
         with pytest.raises(ValueError, match="order"):
             p_series(DegreeSpec(2), order)
 
-    @pytest.mark.parametrize("args, match", [((0,), "m must be >= 1"), ((2, "bogus"), "bogus")])
+    @pytest.mark.parametrize("args, match", [((0,), "m must be >= 1")])
     def test_spec_rejects_bad_input(self, args, match):
         with pytest.raises(ValueError, match=match):
             DegreeSpec(*args)

@@ -47,6 +47,10 @@ class TestPolyVar:
         assert PolyVar([1, 0, 0]).coeffs == (1,)
         assert PolyVar([0, 0]).is_zero()
 
+    def test_equality_ignores_the_variable_name(self):
+        p, q = PolyVar([1, 1], "t"), PolyVar([1, 1], "m")
+        assert p == q and hash(p) == hash(q)
+
     @given(
         st.lists(st.integers(-9, 9), max_size=5),
         st.integers(1, 4),
