@@ -18,6 +18,7 @@ import os
 import sys
 
 import click
+from click.core import ParameterSource
 
 from . import labeled, reference, unlabeled
 from .weights import WeightPoly
@@ -83,6 +84,11 @@ def _values(fn, *args):
         raise click.UsageError(str(exc))
 
 
+def _given(ctx: click.Context, param: str) -> bool:
+    """Whether the option `param` was set on the command line."""
+    return ctx.get_parameter_source(param) is not ParameterSource.DEFAULT
+
+
 @click.group()
 def cli():
     """Exact counts of multipartite series-reduced trees and friends."""
@@ -144,16 +150,19 @@ def _render_grid(rows, fmt) -> str:
 @click.argument(
     "name", type=click.Choice(sorted(TABLE_FAMILIES) + ["riordan-triangle"])
 )
-@click.option("--max-s", type=int, default=8)
-@click.option("--max-m", type=int, default=8)
+@click.option("--max-s", type=int, default=8, help="family tables only")
+@click.option("--max-m", type=int, default=8, help="family tables only")
 @click.option("--max-n", type=int, default=10, help="riordan-triangle only")
 @click.option("--check-paper", is_flag=True, help="compare against the embedded reference values")
 @click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]), default="plain")
 @click.option("-o", "--output", type=click.Path(), default=None)
-def cmd_table(name, max_s, max_m, max_n, check_paper, fmt, output):
+@click.pass_context
+def cmd_table(ctx, name, max_s, max_m, max_n, check_paper, fmt, output):
     """Emit one of the count tables."""
     mismatches = []
     if name == "riordan-triangle":
+        if _given(ctx, "max_s") or _given(ctx, "max_m"):
+            raise click.UsageError("--max-s and --max-m apply to the family tables only")
         if max_n < 2:
             raise click.UsageError("--max-n must be >= 2")
         polys = unlabeled.refined_polys(max_n)
@@ -172,6 +181,8 @@ def cmd_table(name, max_s, max_m, max_n, check_paper, fmt, output):
                 if sums[n - 1] != ref:
                     mismatches.append((("sum", n), sums[n - 1], ref))
     else:
+        if _given(ctx, "max_n"):
+            raise click.UsageError("--max-n applies to riordan-triangle only")
         if max_m < 1:
             raise click.UsageError("--max-m must be >= 1")
         ref_table = TABLE_FAMILIES[name]
@@ -205,10 +216,13 @@ P_SPEC_FAMILIES = {"ones": "ultrametrics", "factorial": "mobiles"}
 @click.option("--m", "m", type=int, required=True)
 @click.option("--order", type=int, default=8)
 @click.option("--spec", "spec_kind", type=click.Choice(["symbolic", *P_SPEC_FAMILIES]),
-              default="symbolic", help="x_{c,k} in P: symbolic, all 1 or (k-1)!")
+              default="symbolic", help="gf P only: x_{c,k} symbolic, all 1 or (k-1)!")
 @click.option("-o", "--output", type=click.Path(), default=None)
-def cmd_gf(kind, m, order, spec_kind, output):
+@click.pass_context
+def cmd_gf(ctx, kind, m, order, spec_kind, output):
     """Emit series coefficients as exact JSON."""
+    if kind != "P" and _given(ctx, "spec_kind"):
+        raise click.UsageError("--spec applies to gf P only")
     cap = _max_order()
     if order > cap:
         raise click.UsageError(f"order {order} exceeds the cap {cap}")

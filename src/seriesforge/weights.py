@@ -1,24 +1,25 @@
 """Sparse multivariate polynomials in the indeterminates x_{c,k}
 (color c >= 1, out-degree k >= 2) with exact integer coefficients.
 
-A monomial is a sorted tuple of ((c, k), exponent) pairs; tree weights and
-the per-leaf-count coefficients of the weighted generating function live
-here.
+A monomial is the sorted tuple of its variables (c, k), each repeated as
+often as its exponent: x_{1,2}^2 x_{2,3} is ((1, 2), (1, 2), (2, 3)), so a
+product of monomials is their sorted concatenation.  Output groups the
+repeats back into [c, k, exponent] triples and orders terms by them.  Tree
+weights and the per-leaf-count coefficients of the weighted generating
+function live here.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from itertools import groupby
 from typing import Callable
 
 from .rings import Ring
 
-Monomial = tuple  # tuple of ((c, k), exp), sorted by (c, k)
-
 
 class WeightPoly:
-    """Polynomial over the x_{c,k} with int (or Fraction) coefficients."""
+    """Polynomial over the x_{c,k} with int coefficients."""
 
     __slots__ = ("terms",)
 
@@ -38,7 +39,7 @@ class WeightPoly:
         """The single indeterminate x_{color,degree}."""
         if color < 1 or degree < 2:
             raise ValueError("need color >= 1 and out-degree >= 2")
-        return cls({(((color, degree), 1),): 1})
+        return cls({((color, degree),): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -49,7 +50,7 @@ class WeightPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, WeightPoly):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if other == 0:
                 return not self.terms
             return self.terms == {(): other}
@@ -59,7 +60,7 @@ class WeightPoly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other) -> "WeightPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = WeightPoly.const(other)
         if not isinstance(other, WeightPoly):
             return NotImplemented
@@ -74,7 +75,7 @@ class WeightPoly:
         return WeightPoly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "WeightPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = WeightPoly.const(other)
         return self + (-other)
 
@@ -82,14 +83,14 @@ class WeightPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "WeightPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return WeightPoly({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, WeightPoly):
             return NotImplemented
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mul_monomials(m1, m2)
+                m = tuple(sorted(m1 + m2))
                 out[m] = out.get(m, 0) + c1 * c2
         return WeightPoly(out)
 
@@ -100,30 +101,28 @@ class WeightPoly:
         total = 0
         for mono, coeff in self.terms.items():
             val = coeff
-            for (c, k), e in mono:
-                val = val * fn(c, k) ** e
+            for c, k in mono:
+                val = val * fn(c, k)
             total = total + val
         return total
 
     def degree_mass(self) -> set:
         """Set of sum (k-1)*exp over the monomials (leaf-count balance)."""
-        return {
-            sum((k - 1) * e for (_, k), e in mono)
-            for mono in self.terms
-            if mono
-        }
+        return {sum(k - 1 for _, k in mono) for mono in self.terms if mono}
+
+    def _triples(self) -> list:
+        """(monomial as [c, k, exp] triples, coeff) per term, in output order."""
+        return sorted(
+            ([[c, k, len(list(run))] for (c, k), run in groupby(mono)], coeff)
+            for mono, coeff in self.terms.items()
+        )
 
     def to_jsonable(self):
         """Monomials as sorted [c, k, exp] triples with integer coefficient."""
-        out = []
-        for mono in sorted(self.terms):
-            coeff = self.terms[mono]
-            entry = {
-                "monomial": [[c, k, e] for (c, k), e in mono],
-                "coeff": coeff if abs(coeff) < 2 ** 53 else str(coeff),
-            }
-            out.append(entry)
-        return out
+        return [
+            {"monomial": triples, "coeff": coeff if abs(coeff) < 2 ** 53 else str(coeff)}
+            for triples, coeff in self._triples()
+        ]
 
     def to_json(self) -> str:
         return json.dumps(self.to_jsonable())
@@ -132,25 +131,15 @@ class WeightPoly:
         if not self.terms:
             return "0"
         parts = []
-        for mono in sorted(self.terms):
-            coeff = self.terms[mono]
+        for triples, coeff in self._triples():
             factors = []
-            if coeff != 1 or not mono:
+            if coeff != 1 or not triples:
                 factors.append(str(coeff))
-            for (c, k), e in mono:
+            for c, k, e in triples:
                 v = f"x[{c},{k}]"
                 factors.append(v if e == 1 else f"{v}^{e}")
             parts.append("*".join(factors))
         return " + ".join(parts)
-
-
-def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    exps: dict = {}
-    for var, e in m1:
-        exps[var] = exps.get(var, 0) + e
-    for var, e in m2:
-        exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(exps.items()))
 
 
 WEIGHT_RING = Ring("Z[x_{c,k}]", WeightPoly(), WeightPoly.const(1))

@@ -12,6 +12,21 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 BFILE = os.path.join(DATA, "b000669_prefix.txt")
 
 
+# stdout of `gf P --m 2 --order 4`: pins the JSON layout and the order of
+# the terms, sorted by their [c, k, exp] triples
+P_M2_ORDER4 = (
+    '{"kind": "P", "m": 2, "order": 4, "coeffs": [[], [{"monomial": [], "coeff": 1}], '
+    '[{"monomial": [[1, 2, 1]], "coeff": 1}, {"monomial": [[2, 2, 1]], "coeff": 1}], '
+    '[{"monomial": [[1, 2, 1], [2, 2, 1]], "coeff": 6}, {"monomial": [[1, 3, 1]], "coeff": 1}, '
+    '{"monomial": [[2, 3, 1]], "coeff": 1}], '
+    '[{"monomial": [[1, 2, 1], [2, 2, 2]], "coeff": 15}, '
+    '{"monomial": [[1, 2, 1], [2, 3, 1]], "coeff": 10}, '
+    '{"monomial": [[1, 2, 2], [2, 2, 1]], "coeff": 15}, '
+    '{"monomial": [[1, 3, 1], [2, 2, 1]], "coeff": 10}, '
+    '{"monomial": [[1, 4, 1]], "coeff": 1}, {"monomial": [[2, 4, 1]], "coeff": 1}]]}\n'
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -142,6 +157,17 @@ class TestTable:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "must be >=" in err
 
+    @pytest.mark.parametrize("argv, option", [
+        (("symbolic", "--max-n", "3"), "--max-n"),
+        (("mobiles", "--max-s", "3", "--max-n", "10", "--check-paper"), "--max-n"),
+        (("riordan-triangle", "--max-s", "1"), "--max-s"),
+        (("riordan-triangle", "--max-n", "6", "--max-m", "8"), "--max-m"),
+    ])
+    def test_option_the_table_ignores_is_usage_error(self, capsys, argv, option):
+        code, out, err = run(capsys, "table", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and option in err
+
 
 class TestGf:
     def test_a_series(self, capsys):
@@ -168,6 +194,18 @@ class TestGf:
         assert json.loads(out)["coeffs"] == [[]] + [
             [{"monomial": [], "coeff": v}] for v in counts(8, 3)
         ]
+
+    def test_p_printed_output(self, capsys):
+        code, out, _ = run(capsys, "gf", "P", "--m", "2", "--order", "4")
+        assert code == 0
+        assert out == P_M2_ORDER4
+
+    @pytest.mark.parametrize("kind", ["A", "G", "Y"])
+    @pytest.mark.parametrize("spec", ["ones", "factorial", "symbolic"])
+    def test_spec_with_a_count_series_is_usage_error(self, capsys, kind, spec):
+        code, out, err = run(capsys, "gf", kind, "--m", "2", "--order", "4", "--spec", spec)
+        assert (code, out) == (1, "")
+        assert err.strip() == "error: --spec applies to gf P only"
 
     @pytest.mark.parametrize("spec", ["symbolic", "ones", "factorial"])
     def test_p_bad_m_is_usage_error(self, capsys, spec):
