@@ -289,6 +289,9 @@ def cmd_verify(family, m, bfile):
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # counts and b-file values may pass Python's 4300-digit default
+        sys.set_int_max_str_digits(0)
     try:
         cli.main(args=argv, standalone_mode=False)
     except click.UsageError as exc:

@@ -1,15 +1,23 @@
 """Rooted unlabeled series-reduced trees: the refined leaf/inner-vertex
 triangle, the total counts, and the multipartite and fully-colored
-specializations; the multipartite counts are generic over the ring of m.
+specializations.
 
-The refinement polynomial for s leaves has the number of trees with k
-inner vertices as its t^k coefficient.  The production route is the
-integer Euler transform of A = x + t(MSET(A) - 1 - A), with an
-integrality check at every exact division; the paper's divisor-sum Bell
-recurrence over Q[t] is kept as a test oracle (oracle.refined_polys_bell).
+The refinement polynomial a_s(t) for s leaves has the number of trees
+with k inner vertices as its t^k coefficient; it comes from the integer
+Euler transform of A = x + t(MSET(A) - 1 - A), with an integrality check
+at every exact division.  The counts are a_s at integer points:
+unlabeled(s) = a_s(1) and multipartite(s, m) = m r_s(m - 1) with
+r_s = a_s / t.  For an int m they come from a table of integer levels
+(_reduced_values), O(S^2) big-int operations, which never builds a
+polynomial; refined_polys serves the Riordan triangle and the
+multipartite counts as polynomials in m.  Evaluating refined_polys at the
+point, and the paper's divisor-sum Bell recurrence over Q[t]
+(oracle.refined_polys_bell), are kept as test oracles.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .rings import PolyVar
 
@@ -42,9 +50,45 @@ def refined_poly(s: int) -> PolyVar:
     return refined_polys(s)[-1]
 
 
+def _reduced_values(up_to_s: int, t0: int) -> list:
+    """[r_2(t0), ..., r_S(t0)] with r_n = a_n / t, the Euler transform of
+    refined_polys run over the integers at t = t0.
+
+    The divisor sum c_n = sum_{d | n} d a_d(t^{n/d}) needs a_d only at
+    powers of t0, so level j holds a_n(t0^j) for n <= S // j.  The levels
+    are filled from j = S down to 1, level j reading level j n / d at
+    index d: about 1.6 S^2 big-int products in all.  For t0 in {0, 1}
+    every power of t0 is t0, so one level serves them all.
+    """
+    proper_divisors = [[] for _ in range(up_to_s + 1)]
+    for d in range(1, up_to_s // 2 + 1):
+        for n in range(2 * d, up_to_s + 1, d):
+            proper_divisors[n].append(d)
+    one_level = t0 in (0, 1)
+    levels = [None] * (up_to_s + 1)     # levels[j][n] = a_n(t0^j)
+    for j in range(1 if one_level else up_to_s, 0, -1):
+        x, a, b, c, r = t0 ** j, [0, 1], [1, 1], [0, 1], []
+        levels[j] = a
+        if one_level:
+            levels = [a] * (up_to_s + 1)
+        for n in range(2, up_to_s // j + 1):
+            c_short = sum(d * levels[j * n // d][d] for d in proper_divisors[n])
+            q, rem = divmod(c_short + sum(map(mul, c[1:n], b[n - 1:0:-1])), n)
+            if rem:
+                raise ArithmeticError(f"Euler transform not integral at n={n}")
+            a.append(x * q)
+            b.append(a[n] + q)
+            c.append(c_short + n * a[n])
+            r.append(q)
+    return r
+
+
 def unlabeled_counts(up_to_s: int) -> list:
-    """Total rooted unlabeled series-reduced trees with s = 1..up_to_s leaves."""
-    return [p.eval_at(1) for p in refined_polys(up_to_s)]
+    """Total rooted unlabeled series-reduced trees with s = 1..up_to_s
+    leaves: a_s(1), which is r_s(1) beyond one leaf."""
+    if up_to_s < 1:
+        raise ValueError("s must be >= 1")
+    return [1] + _reduced_values(up_to_s, 1)
 
 
 def unlabeled_count(s: int) -> int:
@@ -57,11 +101,13 @@ def multipartite_unlabeled_counts(up_to_s: int, m) -> list:
     for s = 1..up_to_s, over the ring of m: an int gives the counts, the
     PolyVar m the counts as polynomials in m.
 
-    Computed as m * q(m - 1) where q is the refinement polynomial with
-    one factor of t removed; this form is finite at m = 1.
+    Computed as m * r_s(m - 1), where r_s is the refinement polynomial
+    with one factor of t removed; this form is finite at m = 1.
     """
     if up_to_s < 1 or (isinstance(m, int) and m < 1):
         raise ValueError("need s >= 1 and m >= 1")
+    if isinstance(m, int):
+        return [1] + [m * r for r in _reduced_values(up_to_s, m - 1)]
     return [m * 0 + 1] + [m * p.shift_down().eval_at(m - 1) for p in refined_polys(up_to_s)[1:]]
 
 

@@ -1,12 +1,14 @@
 import json
 import os
+import sys
 
 import pytest
 
 from seriesforge.bell import assoc_stirling2, derangement_count
 from seriesforge.cli import main, parse_bfile
-from seriesforge.labeled import mobile_counts, ultrametric_counts
+from seriesforge.labeled import fully_colored_labeled_counts, mobile_counts, ultrametric_counts
 from seriesforge.oracle import alternating_bell_poly
+from seriesforge.unlabeled import multipartite_unlabeled_counts, refined_polys, unlabeled_counts
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 BFILE = os.path.join(DATA, "b000669_prefix.txt")
@@ -27,10 +29,50 @@ P_M2_ORDER4 = (
 )
 
 
+@pytest.fixture(autouse=True)
+def default_digit_limit():
+    """Each test starts under Python's default int/str digit limit, as a
+    fresh CLI process does."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def decimal(v: int) -> str:
+    """str(v), past the default digit limit too."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(v)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(v)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def check_long_bfile(capsys, tmp_path, family, m, values, changed):
+    """verify accepts a b-file of `values`, and reports index `changed`
+    once that value is off by one."""
+    bf = tmp_path / "b.txt"
+    argv = ("verify", family, *(() if m is None else ("--m", str(m))), "--bfile", str(bf))
+    bf.write_text("".join(f"{s} {v}\n" for s, v in enumerate(values, start=1)))
+    code, out, _ = run(capsys, *argv)
+    assert (code, out.strip()) == (0, f"OK ({len(values)} entries)")
+    values[changed - 1] += 1
+    bf.write_text("".join(f"{s} {v}\n" for s, v in enumerate(values, start=1)))
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert f"mismatch at index {changed}" in out
 
 
 class TestCount:
@@ -90,6 +132,22 @@ class TestCount:
         assert code == 0
         assert out == ""
         assert target.read_text().strip() == "2312"
+
+    def test_value_over_the_digit_limit(self, capsys):
+        m = 10 ** 20
+        code, out, err = run(capsys, "count", "fully-colored-labeled", "--s", "200", "--m", str(m))
+        assert (code, err) == (0, "")
+        assert out.strip() == decimal(fully_colored_labeled_counts(200, m)[-1])
+
+    @pytest.mark.parametrize("family, m, counts", [
+        ("unlabeled", None, unlabeled_counts),
+        ("multipartite-unlabeled", 3, lambda s: multipartite_unlabeled_counts(s, 3)),
+    ], ids=["unlabeled", "multipartite-unlabeled"])
+    def test_unlabeled_family_at_400_leaves(self, capsys, family, m, counts):
+        argv = ["count", family, "--s", "400"] + ([] if m is None else ["--m", str(m)])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.strip() == str(counts(400)[-1])
 
     def test_deterministic(self, capsys):
         runs = {
@@ -292,16 +350,38 @@ class TestVerify:
         self, capsys, tmp_path, family, m, seq, length, changed
     ):
         values = [alternating_bell_poly(s, seq).eval_at(m) for s in range(1, length + 1)]
+        check_long_bfile(capsys, tmp_path, family, m, values, changed)
+
+    @pytest.mark.parametrize("family, m, changed", [
+        ("unlabeled", None, 45),
+        ("multipartite-unlabeled", 5, 37),
+    ], ids=["unlabeled", "multipartite-unlabeled"])
+    def test_long_bfile_from_the_refinement_polynomials(
+        self, capsys, tmp_path, family, m, changed
+    ):
+        polys = refined_polys(60)
+        if m is None:
+            values = [p.eval_at(1) for p in polys]
+        else:
+            values = [1] + [m * p.shift_down().eval_at(m - 1) for p in polys[1:]]
+        check_long_bfile(capsys, tmp_path, family, m, values, changed)
+
+    def test_one_line_bfile_at_400_leaves(self, capsys, tmp_path):
         bf = tmp_path / "b.txt"
-        argv = ("verify", family, "--m", str(m), "--bfile", str(bf))
-        bf.write_text("".join(f"{s} {v}\n" for s, v in enumerate(values, start=1)))
-        code, out, _ = run(capsys, *argv)
-        assert (code, out.strip()) == (0, f"OK ({length} entries)")
-        values[changed - 1] += 1
-        bf.write_text("".join(f"{s} {v}\n" for s, v in enumerate(values, start=1)))
-        code, out, _ = run(capsys, *argv)
-        assert code == 2
-        assert f"mismatch at index {changed}" in out
+        bf.write_text(f"400 {unlabeled_counts(400)[-1]}\n")
+        code, out, _ = run(capsys, "verify", "unlabeled", "--bfile", str(bf))
+        assert (code, out.strip()) == (0, "OK (1 entries)")
+
+    def test_value_over_the_digit_limit(self, capsys, tmp_path):
+        m = 10 ** 20
+        value = decimal(fully_colored_labeled_counts(200, m)[-1])
+        assert len(value) > 4300
+        bf = tmp_path / "b.txt"
+        bf.write_text(f"200 {value}\n")
+        code, out, _ = run(
+            capsys, "verify", "fully-colored-labeled", "--m", str(m), "--bfile", str(bf)
+        )
+        assert (code, out.strip()) == (0, "OK (1 entries)")
 
     def test_missing_bfile(self, capsys):
         code, _, _ = run(capsys, "verify", "unlabeled", "--bfile", "/no/such/file")

@@ -4,6 +4,8 @@ enumeration oracles at sizes small enough to enumerate exhaustively."""
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seriesforge.bell import assoc_stirling2, derangement_count
 from seriesforge.labeled import (
@@ -30,7 +32,14 @@ from seriesforge.oracle import (
     refined_polys_bell,
     set_partitions,
 )
-from seriesforge.unlabeled import refined_poly, refined_polys, unlabeled_count
+from seriesforge.unlabeled import (
+    multipartite_unlabeled_counts,
+    multipartite_unlabeled_polynomial,
+    refined_poly,
+    refined_polys,
+    unlabeled_count,
+    unlabeled_counts,
+)
 
 
 def test_set_partitions_counts_are_bell_numbers():
@@ -91,6 +100,27 @@ class TestUnlabeledOracle:
             for k in range(0, s + 1):
                 assert by_inner.get(k, 0) == poly[k], f"s={s} k={k}"
             assert sum(by_inner.values()) == unlabeled_count(s)
+
+
+class TestUnlabeledLevelTable:
+    """The integer level table behind the unlabeled counts against the
+    refinement polynomials evaluated at the same point."""
+
+    def test_unlabeled_counts_match_refined_polys(self):
+        assert unlabeled_counts(60) == [p.eval_at(1) for p in refined_polys(60)]
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_multipartite_counts_match_refined_polys(self, m):
+        polys = refined_polys(40)
+        want = [1] + [m * p.shift_down().eval_at(m - 1) for p in polys[1:]]
+        assert multipartite_unlabeled_counts(40, m) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 25), st.integers(9, 10 ** 6))
+    def test_many_colors_match_polynomial_in_m(self, s, m):
+        # large m makes the deep levels a_n(t0^j) big
+        want = multipartite_unlabeled_polynomial(s).eval_at(m)
+        assert multipartite_unlabeled_counts(s, m)[-1] == want
 
 
 class TestChainIncreasingOracle:
