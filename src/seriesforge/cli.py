@@ -47,9 +47,12 @@ def _json_int(v: int):
 def _emit(text: str, output):
     if output is None:
         click.echo(text)
-    else:
+        return
+    try:
         with open(output, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {output}: {exc.strerror}")
 
 
 COUNT_FAMILIES = {

@@ -9,10 +9,11 @@ sections keep the paper's other routes as references for production:
 the closed-form inversion and the root-color recurrence for P (against
 labeled.p_series and bell.bell_inverse_recursive), the series inversion
 for the mobile polynomials, the alternating Bell sums (against the labeled
-prefix recurrences) and the divisor-sum Bell recurrence for the unlabeled
-refinement (against unlabeled.refined_polys).  The chain recurrence, beside
-its enumerator, checks the identity y_s(m) = a_s(m + 1) that production
-uses.  Production never imports this module.
+prefix recurrences), and the divisor-sum Bell recurrence and the Euler
+transform over Z[t] with t -> t^d substitution for the unlabeled
+refinement (against the level table of unlabeled.py).  The chain
+recurrence, beside its enumerator, checks the identity y_s(m) =
+a_s(m + 1) that production uses.  Production never imports this module.
 """
 
 from __future__ import annotations
@@ -372,6 +373,29 @@ def refined_polys_bell(up_to_s: int) -> list:
         acc = sum(rows[s][1:], ring.zero)
         levels.append((PolyVar.gen("t") * acc).scale_exact(1, factorial(s)))
     return levels
+
+
+def refined_polys_substituted(up_to_s: int) -> list:
+    """Refinement polynomials a_1..a_S (integer coefficients in t).
+
+    With B = MSET(A) = sum b_n x^n and c_n = sum_{d | n} d a_d(t^{n/d}),
+    n b_n = sum_{j=1..n} c_j b_{n-j} (Euler transform).  The j = n term
+    holds n a_n, so r_n = b_n - a_n, the multisets of two or more trees,
+    needs only smaller levels; then a_n = t r_n and b_n = a_n + r_n.
+    """
+    if up_to_s < 1:
+        raise ValueError("s must be >= 1")
+    t = PolyVar.gen("t")
+    one = PolyVar([1], "t")
+    a, b, c = [None, one], [one, one], [None, one]
+    for n in range(2, up_to_s + 1):
+        # c_n without its d = n term n a_n, which is not known yet
+        c_short = sum(d * a[d].substitute(n // d) for d in range(1, n) if n % d == 0)
+        r = (c_short + sum(c[j] * b[n - j] for j in range(1, n))).scale_exact(1, n)
+        a.append(t * r)
+        b.append(a[n] + r)
+        c.append(c_short + n * a[n])
+    return a[1:]
 
 
 def mobiles_series_polynomials(up_to_s: int) -> list:

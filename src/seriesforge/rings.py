@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Any, Callable, Optional
 
 
@@ -76,8 +77,8 @@ class PolyVar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyVar([self[i] + other[i] for i in range(n)], self.var)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return PolyVar([a + b for a, b in pairs], self.var)
 
     __radd__ = __add__
 
@@ -98,12 +99,13 @@ class PolyVar:
             return PolyVar([c * other for c in self.coeffs], self.var)
         if not isinstance(other, PolyVar):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return PolyVar([], self.var)
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        # skip zero coefficients: a polynomial in v^j has j - 1 in every j
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            if a:
+                for j, b in terms:
+                    out[i + j] += a * b
         return PolyVar(out, self.var)
 
     __rmul__ = __mul__
@@ -123,6 +125,11 @@ class PolyVar:
                 raise ArithmeticError(f"non-integral coefficient {Fraction(c * num, den)}")
             out.append(int(q))
         return PolyVar(out, self.var)
+
+    def __divmod__(self, n: int):
+        """Coefficient-wise quotient and remainder by an int."""
+        pairs = [divmod(c, n) for c in self.coeffs]
+        return PolyVar([q for q, _ in pairs], self.var), PolyVar([r for _, r in pairs], self.var)
 
     def substitute(self, power: int) -> "PolyVar":
         """Map the variable v to v**power (power >= 1)."""

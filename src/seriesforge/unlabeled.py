@@ -3,46 +3,29 @@ triangle, the total counts, and the multipartite and fully-colored
 specializations.
 
 The refinement polynomial a_s(t) for s leaves has the number of trees
-with k inner vertices as its t^k coefficient; it comes from the integer
-Euler transform of A = x + t(MSET(A) - 1 - A), with an integrality check
-at every exact division.  The counts are a_s at integer points:
-unlabeled(s) = a_s(1) and multipartite(s, m) = m r_s(m - 1) with
-r_s = a_s / t.  For an int m they come from a table of integer levels
-(_reduced_values), O(S^2) big-int operations, which never builds a
-polynomial; refined_polys serves the Riordan triangle and the
-multipartite counts as polynomials in m.  Evaluating refined_polys at the
-point, and the paper's divisor-sum Bell recurrence over Q[t]
-(oracle.refined_polys_bell), are kept as test oracles.
+with k inner vertices as its t^k coefficient.  One Euler transform of
+A = x + t(MSET(A) - 1 - A), generic over the ring of its point t0
+(_reduced_values), gives a_s(t) at t0 = t, unlabeled(s) = a_s(1), and
+multipartite(s, m) = m r_s(m - 1) with r_s = a_s / t, for an int m or
+as a polynomial in m.  The substitution transform over Z[t] and the
+paper's Bell recurrence over Q[t] are test oracles in oracle.py.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from operator import mul
 
 from .rings import PolyVar
 
 
 def refined_polys(up_to_s: int) -> list:
-    """Refinement polynomials a_1..a_S (integer coefficients in t).
-
-    With B = MSET(A) = sum b_n x^n and c_n = sum_{d | n} d a_d(t^{n/d}),
-    n b_n = sum_{j=1..n} c_j b_{n-j} (Euler transform).  The j = n term
-    holds n a_n, so r_n = b_n - a_n, the multisets of two or more trees,
-    needs only smaller levels; then a_n = t r_n and b_n = a_n + r_n.
-    """
+    """Refinement polynomials a_1..a_S (integer coefficients in t): the
+    level table run over Z[t], a_1 = 1 and a_n = t r_n."""
     if up_to_s < 1:
         raise ValueError("s must be >= 1")
     t = PolyVar.gen("t")
-    one = PolyVar([1], "t")
-    a, b, c = [None, one], [one, one], [None, one]
-    for n in range(2, up_to_s + 1):
-        # c_n without its d = n term n a_n, which is not known yet
-        c_short = sum(d * a[d].substitute(n // d) for d in range(1, n) if n % d == 0)
-        r = (c_short + sum(c[j] * b[n - j] for j in range(1, n))).scale_exact(1, n)
-        a.append(t * r)
-        b.append(a[n] + r)
-        c.append(c_short + n * a[n])
-    return a[1:]
+    return [t * 0 + 1] + [t * r for r in _reduced_values(up_to_s, t)]
 
 
 def refined_poly(s: int) -> PolyVar:
@@ -50,24 +33,32 @@ def refined_poly(s: int) -> PolyVar:
     return refined_polys(s)[-1]
 
 
-def _reduced_values(up_to_s: int, t0: int) -> list:
-    """[r_2(t0), ..., r_S(t0)] with r_n = a_n / t, the Euler transform of
-    refined_polys run over the integers at t = t0.
+def _reduced_values(up_to_s: int, t0) -> list:
+    """[r_2(t0), ..., r_S(t0)] with r_n = a_n / t, over the ring of t0: an
+    int gives the values, the PolyVar t the polynomials r_n(t), the
+    PolyVar m - 1 the r_n(m - 1) as polynomials in m.
 
-    The divisor sum c_n = sum_{d | n} d a_d(t^{n/d}) needs a_d only at
-    powers of t0, so level j holds a_n(t0^j) for n <= S // j.  The levels
-    are filled from j = S down to 1, level j reading level j n / d at
-    index d: about 1.6 S^2 big-int products in all.  For t0 in {0, 1}
-    every power of t0 is t0, so one level serves them all.
+    With B = MSET(A) = sum b_n x^n and c_n = sum_{d | n} d a_d(t^{n/d}),
+    n b_n = sum_{j=1..n} c_j b_{n-j} (Euler transform).  The j = n term
+    holds n a_n, so r_n = b_n - a_n, the multisets of two or more trees,
+    needs only smaller sizes; then a_n = t r_n and b_n = a_n + r_n.
+
+    The divisor sum needs a_d only at powers of t0, so level j holds
+    a_n(t0^j) for n <= S // j.  The levels are filled from j = S down to
+    1, level j reading level j n / d at index d: about 1.6 S^2 ring
+    products in all.  For t0 in {0, 1} every power of t0 is t0, so one
+    level serves them all.
     """
     proper_divisors = [[] for _ in range(up_to_s + 1)]
     for d in range(1, up_to_s // 2 + 1):
         for n in range(2 * d, up_to_s + 1, d):
             proper_divisors[n].append(d)
+    one = t0 * 0 + 1
+    powers = list(accumulate(repeat(t0, up_to_s), mul))     # t0^1 .. t0^S
     one_level = t0 in (0, 1)
     levels = [None] * (up_to_s + 1)     # levels[j][n] = a_n(t0^j)
     for j in range(1 if one_level else up_to_s, 0, -1):
-        x, a, b, c, r = t0 ** j, [0, 1], [1, 1], [0, 1], []
+        x, a, b, c, r = powers[j - 1], [0, one], [one, one], [0, one], []
         levels[j] = a
         if one_level:
             levels = [a] * (up_to_s + 1)
@@ -106,9 +97,7 @@ def multipartite_unlabeled_counts(up_to_s: int, m) -> list:
     """
     if up_to_s < 1 or (isinstance(m, int) and m < 1):
         raise ValueError("need s >= 1 and m >= 1")
-    if isinstance(m, int):
-        return [1] + [m * r for r in _reduced_values(up_to_s, m - 1)]
-    return [m * 0 + 1] + [m * p.shift_down().eval_at(m - 1) for p in refined_polys(up_to_s)[1:]]
+    return [m * 0 + 1] + [m * r for r in _reduced_values(up_to_s, m - 1)]
 
 
 def multipartite_unlabeled(s: int, m: int) -> int:

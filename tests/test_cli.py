@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -7,11 +8,12 @@ import pytest
 from seriesforge.bell import assoc_stirling2, derangement_count
 from seriesforge.cli import main, parse_bfile
 from seriesforge.labeled import fully_colored_labeled_counts, mobile_counts, ultrametric_counts
-from seriesforge.oracle import alternating_bell_poly
-from seriesforge.unlabeled import multipartite_unlabeled_counts, refined_polys, unlabeled_counts
+from seriesforge.oracle import alternating_bell_poly, refined_polys_substituted
+from seriesforge.unlabeled import multipartite_unlabeled_counts, unlabeled_counts
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 BFILE = os.path.join(DATA, "b000669_prefix.txt")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 # stdout of `gf P --m 2 --order 4`: pins the JSON layout and the order of
@@ -359,7 +361,7 @@ class TestVerify:
     def test_long_bfile_from_the_refinement_polynomials(
         self, capsys, tmp_path, family, m, changed
     ):
-        polys = refined_polys(60)
+        polys = refined_polys_substituted(60)
         if m is None:
             values = [p.eval_at(1) for p in polys]
         else:
@@ -386,6 +388,29 @@ class TestVerify:
     def test_missing_bfile(self, capsys):
         code, _, _ = run(capsys, "verify", "unlabeled", "--bfile", "/no/such/file")
         assert code == 1
+
+
+class TestOutputPath:
+    """-o to a path that cannot be written is a usage error, not a
+    traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "unlabeled", "--s", "5"),
+        ("table", "mobiles", "--max-s", "3", "--max-m", "2"),
+        ("gf", "A", "--m", "2", "--order", "3"),
+    ], ids=["count", "table", "gf"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_output(self, tmp_path, argv, where):
+        target = tmp_path / "no" / "such" / "x" if where == "missing-directory" else tmp_path
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "seriesforge.cli", *argv, "-o", str(target)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and str(target) in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestParseBfile:

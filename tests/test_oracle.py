@@ -1,6 +1,7 @@
 """Cross-checks between the formula-based counters and the brute-force
 enumeration oracles at sizes small enough to enumerate exhaustively."""
 
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -30,11 +31,12 @@ from seriesforge.oracle import (
     enum_ultrametrics,
     enum_unlabeled_trees,
     refined_polys_bell,
+    refined_polys_substituted,
     set_partitions,
 )
+from seriesforge.rings import PolyVar
 from seriesforge.unlabeled import (
     multipartite_unlabeled_counts,
-    multipartite_unlabeled_polynomial,
     refined_poly,
     refined_polys,
     unlabeled_count,
@@ -102,24 +104,38 @@ class TestUnlabeledOracle:
             assert sum(by_inner.values()) == unlabeled_count(s)
 
 
+def substituted_multipartite(up_to_s, m):
+    """m r_s(m - 1) from the substitution route, r_s = a_s / t."""
+    polys = refined_polys_substituted(up_to_s)
+    return [m * 0 + 1] + [m * p.shift_down().eval_at(m - 1) for p in polys[1:]]
+
+
+@lru_cache(maxsize=None)
+def substituted_polynomials_in_m(up_to_s):
+    return substituted_multipartite(up_to_s, PolyVar.gen("m"))
+
+
 class TestUnlabeledLevelTable:
-    """The integer level table behind the unlabeled counts against the
-    refinement polynomials evaluated at the same point."""
+    """The level table behind the unlabeled families, over the integers and
+    over Z[m], against the substitution route to the refinement
+    polynomials evaluated at the same point."""
 
     def test_unlabeled_counts_match_refined_polys(self):
-        assert unlabeled_counts(60) == [p.eval_at(1) for p in refined_polys(60)]
+        assert unlabeled_counts(60) == [p.eval_at(1) for p in refined_polys_substituted(60)]
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_multipartite_counts_match_refined_polys(self, m):
-        polys = refined_polys(40)
-        want = [1] + [m * p.shift_down().eval_at(m - 1) for p in polys[1:]]
-        assert multipartite_unlabeled_counts(40, m) == want
+        assert multipartite_unlabeled_counts(40, m) == substituted_multipartite(40, m)
+
+    def test_polynomials_in_m_match_refined_polys(self):
+        m = PolyVar.gen("m")
+        assert multipartite_unlabeled_counts(30, m) == substituted_multipartite(30, m)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 25), st.integers(9, 10 ** 6))
     def test_many_colors_match_polynomial_in_m(self, s, m):
         # large m makes the deep levels a_n(t0^j) big
-        want = multipartite_unlabeled_polynomial(s).eval_at(m)
+        want = substituted_polynomials_in_m(25)[s - 1].eval_at(m)
         assert multipartite_unlabeled_counts(s, m)[-1] == want
 
 
@@ -153,6 +169,15 @@ class TestPaperFormulaOracles:
     def test_polynomial_prefix_matches_alternating_sum(self, poly, seq):
         for s in range(1, 13):
             assert poly(s) == alternating_bell_poly(s, seq), f"s={s}"
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 20), st.integers(9, 10 ** 6))
+    def test_many_colors_match_paper_routes(self, s, m):
+        for counts, seq in ((ultrametric_counts, derangement_count),
+                            (mobile_counts, assoc_stirling2)):
+            want = [alternating_bell_poly(k, seq).eval_at(m) for k in range(1, s + 1)]
+            assert counts(s, m) == want
+        assert chain_increasing_counts(s, m) == chain_increasing_recurrence(s, m)
 
     def test_refined_polys_match_bell_recurrence(self):
         assert refined_polys(14) == refined_polys_bell(14)

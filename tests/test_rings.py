@@ -39,6 +39,10 @@ class TestPolyVar:
         with pytest.raises(ArithmeticError, match="1/2"):
             PolyVar([2, 1], "t").scale_exact(1, 2)
 
+    def test_divmod_by_an_int(self):
+        assert divmod(PolyVar([3, 4, 5], "t"), 2) == (PolyVar([1, 2, 2], "t"), PolyVar([1, 0, 1], "t"))
+        assert divmod(PolyVar([], "t"), 3) == (PolyVar([], "t"), PolyVar([], "t"))
+
     def test_degree_of_product(self):
         p, q = PolyVar([1, 2, 3]), PolyVar([0, 5, 0, 7])
         assert (p * q).degree == p.degree + q.degree
@@ -50,6 +54,24 @@ class TestPolyVar:
     def test_equality_ignores_the_variable_name(self):
         p, q = PolyVar([1, 1], "t"), PolyVar([1, 1], "m")
         assert p == q and hash(p) == hash(q)
+
+    def test_product_with_interior_zeros(self):
+        t = PolyVar.gen("t")
+        t3, t2_plus_1 = PolyVar([0, 0, 0, 1], "t"), PolyVar([1, 0, 1], "t")
+        assert t3 * t2_plus_1 == PolyVar([0, 0, 0, 1, 0, 1], "t")
+        assert t2_plus_1 * t3 == t * t * t * t * t + t * t * t
+        assert (PolyVar([], "t") * t3).is_zero() and (t3 * PolyVar([], "t")).is_zero()
+
+    @given(
+        st.lists(st.sampled_from([0, 0, 0, 0, -3, 1, 2, 7]), min_size=1, max_size=12),
+        st.lists(st.sampled_from([0, 0, 0, 0, -1, 1, 5, Fraction(1, 3)]), min_size=1, max_size=12),
+    )
+    def test_product_of_sparse_polynomials(self, a, b):
+        # mostly zero coefficients, as in a polynomial in t^j
+        p, q = PolyVar(a + [1], "t"), PolyVar(b + [-2], "t")
+        for x in (-3, -1, 0, 1, 2, 5):
+            assert (p * q).eval_at(x) == p.eval_at(x) * q.eval_at(x)
+        assert (p * q).degree == p.degree + q.degree
 
     @given(
         st.lists(st.integers(-9, 9), max_size=5),
