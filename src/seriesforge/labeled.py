@@ -75,12 +75,18 @@ def ultrametric_counts(up_to_s: int, m) -> list:
     to the m-partite labeled series-reduced trees with s leaves.
 
     P inverts (1-m)t + m log(1+t), so (1 + (1-m)P) P' = 1 + P and
-    p_{n+1} = p_n - (1-m) sum_{i=1..n} C(n,i) p_i p_{n+1-i}.
+    p_{n+1} = p_n - (1-m) sum_{i=1..n} C(n,i) p_i p_{n+1-i}.  The terms i
+    and n+1-i pair up by C(n,i) + C(n,n+1-i) = C(n+1,i), so the sum runs
+    over i <= n/2 only, plus C(n,j-1) p_j^2 for the unpaired middle term
+    i = j when n + 1 = 2j.
     """
     _check(up_to_s, m)
     p = [None, m * 0 + 1]               # p_1 = 1 in the ring of m
     for n in range(1, up_to_s):
-        acc = sum(comb(n, i) * p[i] * p[n + 1 - i] for i in range(1, n + 1))
+        acc = sum(comb(n + 1, i) * p[i] * p[n + 1 - i] for i in range(1, n // 2 + 1))
+        if n % 2:
+            j = (n + 1) // 2
+            acc = acc + comb(n, j - 1) * p[j] * p[j]
         p.append(p[n] - (1 - m) * acc)
     return p[1:]
 

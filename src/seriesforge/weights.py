@@ -1,45 +1,81 @@
 """Sparse multivariate polynomials in the indeterminates x_{c,k}
 (color c >= 1, out-degree k >= 2) with exact integer coefficients.
 
-A monomial is the sorted tuple of its variables (c, k), each repeated as
-often as its exponent: x_{1,2}^2 x_{2,3} is ((1, 2), (1, 2), (2, 3)), so a
-product of monomials is their sorted concatenation.  Output groups the
-repeats back into [c, k, exponent] triples and orders terms by them.  Tree
-weights and the per-leaf-count coefficients of the weighted generating
-function live here.
+A monomial is one int of packed exponents: the first time ``gen(c, k)``
+sees x_{c,k} it gives that variable the next free field of _WIDTH bits,
+and the exponent of x_{c,k} sits in that field.  A product of monomials is
+then the sum of their ints.  The top bit of every field is a guard: a
+product whose exponent reaches it raises OverflowError rather than carry
+into the next field.  Output decodes the fields into [c, k, exponent]
+triples and orders terms by them, so it does not depend on the order in
+which the variables were first seen.  Tree weights and the per-leaf-count
+coefficients of the weighted generating function live here.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import groupby
+import sys
+from functools import reduce
+from operator import or_
 from typing import Callable
 
 from .rings import Ring
 
+_WIDTH = 16                              # bits per exponent field: one "H" item
+_GUARD_BIT = 1 << (_WIDTH - 1)
+
+_FIELDS: dict = {}                       # (c, k) -> field index
+_VARIABLES: list = []                    # field index -> (c, k)
+_guards = 0                              # guard bit of every field in use
+
+
+def _field_of(color: int, degree: int) -> int:
+    """Field index of x_{color,degree}, taking the next free one if new."""
+    global _guards
+    key = (color, degree)
+    if key not in _FIELDS:
+        _FIELDS[key] = len(_VARIABLES)
+        _VARIABLES.append(key)
+        _guards |= _GUARD_BIT << (_WIDTH * _FIELDS[key])
+    return _FIELDS[key]
+
+
+def _decode(mono: int) -> list:
+    """A packed monomial as sorted [c, k, exponent] triples."""
+    raw = mono.to_bytes(-(-mono.bit_length() // _WIDTH) * (_WIDTH // 8), sys.byteorder)
+    exps = memoryview(raw).cast("H").tolist()
+    if sys.byteorder == "big":
+        exps.reverse()
+    return sorted([c, k, e] for (c, k), e in zip(_VARIABLES, exps) if e)
+
 
 class WeightPoly:
-    """Polynomial over the x_{c,k} with int coefficients."""
+    """Polynomial over the x_{c,k} with int coefficients; ``terms`` maps
+    each packed monomial to its nonzero coefficient."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        cleaned = {}
-        for mono, coeff in (terms or {}).items():
-            if coeff != 0:
-                cleaned[mono] = coeff
-        self.terms = cleaned
+        self.terms = {mono: coeff for mono, coeff in (terms or {}).items() if coeff != 0}
+
+    @classmethod
+    def _of(cls, terms: dict) -> "WeightPoly":
+        """Wrap a dict that already holds no zero coefficient."""
+        poly = object.__new__(cls)
+        poly.terms = terms
+        return poly
 
     @classmethod
     def const(cls, c) -> "WeightPoly":
-        return cls({(): c})
+        return cls({0: c})
 
     @classmethod
     def gen(cls, color: int, degree: int) -> "WeightPoly":
         """The single indeterminate x_{color,degree}."""
         if color < 1 or degree < 2:
             raise ValueError("need color >= 1 and out-degree >= 2")
-        return cls({((color, degree),): 1})
+        return cls._of({1 << (_WIDTH * _field_of(color, degree)): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -53,7 +89,7 @@ class WeightPoly:
         if isinstance(other, int):
             if other == 0:
                 return not self.terms
-            return self.terms == {(): other}
+            return self.terms == {0: other}
         return NotImplemented
 
     def __hash__(self):
@@ -64,15 +100,22 @@ class WeightPoly:
             other = WeightPoly.const(other)
         if not isinstance(other, WeightPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, 0) + coeff
-        return WeightPoly(out)
+        big, small = self.terms, other.terms
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        for mono, coeff in small.items():
+            coeff += out.get(mono, 0)
+            if coeff:
+                out[mono] = coeff
+            else:
+                del out[mono]
+        return WeightPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "WeightPoly":
-        return WeightPoly({m: -c for m, c in self.terms.items()})
+        return WeightPoly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "WeightPoly":
         if isinstance(other, int):
@@ -84,15 +127,23 @@ class WeightPoly:
 
     def __mul__(self, other) -> "WeightPoly":
         if isinstance(other, int):
-            return WeightPoly({m: c * other for m, c in self.terms.items()})
+            if other == 0:
+                return WeightPoly()
+            return WeightPoly._of({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, WeightPoly):
             return NotImplemented
         out: dict = {}
+        get = out.get
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2))
-                out[m] = out.get(m, 0) + c1 * c2
-        return WeightPoly(out)
+            for m2, c2 in right:
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        if reduce(or_, out, 0) & _guards:
+            raise OverflowError(f"an exponent of a product reached 2^{_WIDTH - 1}")
+        if 0 in out.values():
+            out = {m: c for m, c in out.items() if c}
+        return WeightPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -101,21 +152,18 @@ class WeightPoly:
         total = 0
         for mono, coeff in self.terms.items():
             val = coeff
-            for c, k in mono:
-                val = val * fn(c, k)
+            for c, k, e in _decode(mono):
+                val = val * fn(c, k) ** e
             total = total + val
         return total
 
     def degree_mass(self) -> set:
         """Set of sum (k-1)*exp over the monomials (leaf-count balance)."""
-        return {sum(k - 1 for _, k in mono) for mono in self.terms if mono}
+        return {sum((k - 1) * e for _, k, e in _decode(mono)) for mono in self.terms if mono}
 
     def _triples(self) -> list:
         """(monomial as [c, k, exp] triples, coeff) per term, in output order."""
-        return sorted(
-            ([[c, k, len(list(run))] for (c, k), run in groupby(mono)], coeff)
-            for mono, coeff in self.terms.items()
-        )
+        return sorted((_decode(mono), coeff) for mono, coeff in self.terms.items())
 
     def to_jsonable(self):
         """Monomials as sorted [c, k, exp] triples with integer coefficient."""

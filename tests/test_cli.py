@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -29,6 +30,15 @@ P_M2_ORDER4 = (
     '{"monomial": [[1, 3, 1], [2, 2, 1]], "coeff": 10}, '
     '{"monomial": [[1, 4, 1]], "coeff": 1}, {"monomial": [[2, 4, 1]], "coeff": 1}]]}\n'
 )
+
+# sha256 of the stdout of `gf P --spec symbolic --m M --order N`, recorded
+# from the release whose monomials were sorted variable tuples
+P_SYMBOLIC_SHA256 = {
+    (1, 16): "7e7a746cce5e1c173c1d1a1d334aa4a9bc513aa729c92518ef5e202cf621baff",
+    (2, 12): "c2dcdce742cea03c1b659d916b87b801a7be3c1b0ce7ce32988db89d1c77dc08",
+    (3, 10): "69cf9c0d61fe5f1d70df01832f8d09a339f3f5e1d84b2deb71eb156750f57f70",
+    (5, 8): "87c8f2d1c171c15485796c799b322b732e45a4753edf6138cedf4f15bcd96390",
+}
 
 
 @pytest.fixture(autouse=True)
@@ -259,6 +269,13 @@ class TestGf:
         code, out, _ = run(capsys, "gf", "P", "--m", "2", "--order", "4")
         assert code == 0
         assert out == P_M2_ORDER4
+
+    @pytest.mark.parametrize("m, order", sorted(P_SYMBOLIC_SHA256))
+    def test_p_symbolic_bytes_are_pinned(self, capsys, m, order):
+        code, out, _ = run(capsys, "gf", "P", "--spec", "symbolic", "--m", str(m),
+                           "--order", str(order))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == P_SYMBOLIC_SHA256[(m, order)]
 
     @pytest.mark.parametrize("kind", ["A", "G", "Y"])
     @pytest.mark.parametrize("spec", ["ones", "factorial", "symbolic"])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -14,6 +15,7 @@ from seriesforge.labeled import (
     count_ultrametrics,
     mobiles_polynomial,
     p_series,
+    ultrametric_counts,
     ultrametric_series_polynomials,
     verify_integral_relation,
 )
@@ -163,6 +165,18 @@ class TestUltrametrics:
         polys = ultrametric_series_polynomials(8)
         for s in range(1, 9):
             assert polys[s - 1] == a_polynomial(s)
+
+    @pytest.mark.parametrize("m, up_to_s", [
+        (1, 150), (2, 150), (3, 150), (8, 150), (PolyVar.gen("m"), 30),
+    ], ids=["1", "2", "3", "8", "m"])
+    def test_folded_sum_matches_the_full_sum(self, m, up_to_s):
+        # the unfolded recurrence over i = 1..n; the prefix covers odd n,
+        # where the middle term p_j^2 stands alone, and even n alike
+        p = [None, m * 0 + 1]
+        for n in range(1, up_to_s):
+            acc = sum(comb(n, i) * p[i] * p[n + 1 - i] for i in range(1, n + 1))
+            p.append(p[n] - (1 - m) * acc)
+        assert ultrametric_counts(up_to_s, m) == p[1:]
 
     def test_one_color_row_all_ones(self):
         assert all(count_ultrametrics(s, 1) == 1 for s in range(1, 12))

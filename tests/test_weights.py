@@ -1,10 +1,13 @@
+from collections import Counter
 from functools import reduce
 from operator import mul
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seriesforge import weights
 from seriesforge.labeled import DegreeSpec, p_series
 from seriesforge.weights import WeightPoly
 
@@ -69,3 +72,86 @@ class TestPrintedOrder:
             "15*x[1,2]*x[2,2]^2 + 10*x[1,2]*x[2,3] + 15*x[1,2]^2*x[2,2]"
             " + 10*x[1,3]*x[2,2] + x[1,4] + x[2,4]"
         )
+
+
+def fresh_registry():
+    """A context in which no variable has a field yet, so the next gen
+    calls hand out the fields in the order they are made."""
+    return mock.patch.multiple(weights, _FIELDS={}, _VARIABLES=[], _guards=0)
+
+
+def as_counters(poly: WeightPoly) -> dict:
+    """{frozenset of ((c, k), exp): coeff}, read from the JSON form."""
+    return {
+        frozenset(((c, k), e) for c, k, e in term["monomial"]): term["coeff"]
+        for term in poly.to_jsonable()
+    }
+
+
+# a pool of variables, with c up to 6 and k up to 20
+pools = st.lists(st.tuples(st.integers(1, 6), st.integers(2, 20)), min_size=1, max_size=6,
+                 unique=True)
+
+
+class TestPackedMonomials:
+    @settings(max_examples=80, deadline=None)
+    @given(pools, st.data())
+    def test_sums_and_products_match_counter_reference(self, pool, data):
+        order = data.draw(st.permutations(pool))
+        monos = st.dictionaries(st.sampled_from(pool), st.integers(1, 6), max_size=3)
+        spec = st.lists(st.tuples(st.integers(-4, 4), monos), max_size=5)
+        a_spec, b_spec = data.draw(spec), data.draw(spec)
+
+        def reference(terms) -> dict:
+            out = Counter()
+            for coeff, mono in terms:
+                out[frozenset(Counter(mono).items())] += coeff
+            return {m: c for m, c in out.items() if c}
+
+        def build_poly(terms) -> WeightPoly:
+            total = WeightPoly()
+            for coeff, mono in terms:
+                term = WeightPoly.const(coeff)
+                for (c, k), e in mono.items():
+                    for _ in range(e):
+                        term = term * WeightPoly.gen(c, k)
+                total = total + term
+            return total
+
+        product = [(c1 * c2, Counter(m1) + Counter(m2))
+                   for c1, m1 in a_spec for c2, m2 in b_spec]
+        with fresh_registry():
+            for c, k in order:
+                WeightPoly.gen(c, k)
+            a, b = build_poly(a_spec), build_poly(b_spec)
+            assert as_counters(a + b) == reference(a_spec + b_spec)
+            assert as_counters(a * b) == reference(product)
+            assert as_counters(a - b) == reference(a_spec + [(-c, m) for c, m in b_spec])
+
+    @pytest.mark.parametrize("color, degree", [(1, 2), (6, 20)])
+    def test_exponent_past_the_field_raises(self, color, degree):
+        # x^(2^i) for i = 0..14: their product is x^(2^15 - 1), the largest
+        # exponent a field holds; one more factor of x reaches the guard bit
+        powers = [WeightPoly.gen(color, degree)]
+        for _ in range(14):
+            powers.append(powers[-1] * powers[-1])
+        assert repr(powers[-1]) == f"x[{color},{degree}]^16384"
+        top = reduce(mul, powers)
+        assert top.to_jsonable() == [{"monomial": [[color, degree, 2 ** 15 - 1]], "coeff": 1}]
+        with pytest.raises(OverflowError):
+            powers[-1] * powers[-1]
+        with pytest.raises(OverflowError):
+            top * WeightPoly.gen(color, degree)
+
+    def test_output_does_not_depend_on_the_field_order(self):
+        def render(order):
+            with fresh_registry():
+                for c, k in order:
+                    WeightPoly.gen(c, k)
+                poly = p_series(DegreeSpec(2), 5)[5] * WeightPoly.gen(6, 20) - 3
+                return repr(poly), poly.to_jsonable()
+
+        variables = [(6, 20)] + [(c, k) for c in (1, 2) for k in range(2, 6)]
+        first, second = render(variables), render(variables[::-1])
+        assert first == second
+        assert first[0].startswith("-3 + ")
