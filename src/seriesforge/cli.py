@@ -112,11 +112,8 @@ def cmd_count(family, s, m, fmt, output):
     elif fmt == "json":
         _emit(json.dumps({"family": family, "s": s, "m": m, "value": _json_int(value)}), output)
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["family", "s", "m", "value"])
-        w.writerow([family, s, "" if m is None else m, value])
-        _emit(buf.getvalue().rstrip("\n"), output)
+        rows = [["family", "s", "m", "value"], [family, s, "" if m is None else m, value]]
+        _emit(_render_grid(rows, fmt), output)
 
 
 # table name -> reference values by m; each table is the count family of
@@ -234,7 +231,7 @@ def cmd_gf(ctx, kind, m, order, spec_kind, output):
     if kind == "P":
         spec = _values(labeled.DegreeSpec, m)
         if spec_kind == "symbolic":
-            series = labeled.p_series(spec, order).coeffs
+            series = labeled.p_series(spec, order)
         else:
             fn = COUNT_FAMILIES[P_SPEC_FAMILIES[spec_kind]][0]
             series = [WeightPoly.const(v) for v in [0] + fn(order, m)]

@@ -1,9 +1,13 @@
-"""Truncated exponential generating functions.
+"""Truncated exponential generating functions, for the tests and the
+oracles only: nothing the CLI imports reaches this module.
 
 An ExpSeries stores c_0..c_N of sum c_n t^n/n!.  Composition and
 compositional inversion act on its tail c_1..c_N, a coefficient sequence
-of the group in :mod:`seriesforge.bell`; multiplication, powers and formal
-integration are the standard exponential-convolution operations.
+of the group in :mod:`seriesforge.bell`; bell_product, the group product,
+lives here beside compose, its one caller.  Multiplication, powers and
+formal integration are the standard exponential-convolution operations.
+The module keeps this path because the benchmark's tracer wraps the
+methods of seriesforge.egf.ExpSeries, so it moves with the benchmark.
 """
 
 from __future__ import annotations
@@ -13,8 +17,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .bell import bell_inverse_recursive, bell_product
+from .bell import bell_inverse_recursive, bell_row
 from .rings import Ring
+
+
+def bell_product(x, y, ring: Ring) -> tuple:
+    """Coordinates of the group product: (x o y)_n = sum_k x_k B_{n,k}(y)."""
+    order = min(len(x), len(y))
+    rows = [[ring.one]]
+    out = []
+    for n in range(1, order + 1):
+        bell_row(rows, y, ring)
+        acc = ring.zero
+        for k in range(1, n + 1):
+            xk = x[k - 1]
+            if xk == ring.zero:
+                continue
+            acc = acc + xk * rows[n][k]
+        out.append(acc)
+    return tuple(out)
 
 
 @dataclass(frozen=True)

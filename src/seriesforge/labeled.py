@@ -1,9 +1,10 @@
 """Counting families for rooted multipartite labeled series-reduced trees.
 
 P(m,t,x) with symbolic weights x_{c,k} has one route, p_series: global
-Lagrange inversion over the weight ring; its other routes live in
-:mod:`seriesforge.oracle`.  x_{c,k} = 1 and (k-1)! turn it into the
-ultrametric and mobile counts, which have routes of their own.
+Lagrange inversion over the weight ring by the Bell-table kernel of
+:mod:`seriesforge.bell`, returned as the coefficient tuple; its other
+routes live in :mod:`seriesforge.oracle`.  x_{c,k} = 1 and (k-1)! turn it
+into the ultrametric and mobile counts, which have routes of their own.
 The counts come from two prefix recurrences that return the values for
 s = 1..up_to_s in one pass, over the ring of m (an int, or the PolyVar m
 for polynomials in the number of colors): mobile_counts for the mobiles,
@@ -11,7 +12,8 @@ ultrametric_counts for the ultrametrics, fully-colored trees, processes
 (m = 3) and chain-increasing trees (y_s(m) = a_s(m + 1)).  They are checked
 against ultrametric_series_polynomials (Lagrange inversion over Z[m], kept
 here because the benchmark builds its b-files with it) and the oracle
-module's mobile series inversion, chain recurrence and alternating sums.
+module's mobile series inversion, chain recurrence, alternating sums and
+integral relation.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .bell import bell_inverse_recursive
-from .egf import ExpSeries
-from .rings import ZZ, PolyVar, poly_ring
+from .rings import PolyVar, poly_ring
 from .weights import WEIGHT_RING, WeightPoly
 
 POLY_M = poly_ring("m")
@@ -44,8 +45,9 @@ class DegreeSpec:
 # The weighted generating function.
 # ---------------------------------------------------------------------------
 
-def p_series(spec: DegreeSpec, order: int) -> ExpSeries:
-    """P(m,t,x) as the inverse of t + sum_c (inverse degree function - t)."""
+def p_series(spec: DegreeSpec, order: int) -> tuple:
+    """The coefficients (P_0, ..., P_order) of P(m,t,x), P_0 = 0, as the
+    inverse of t + sum_c (inverse degree function - t)."""
     if order < 1:
         raise ValueError("order must be >= 1")
     ring = WEIGHT_RING
@@ -55,10 +57,10 @@ def p_series(spec: DegreeSpec, order: int) -> ExpSeries:
         inv = bell_inverse_recursive(xc, ring)
         for n in range(2, order + 1):
             f[n - 1] = f[n - 1] + inv[n - 1]
-    return ExpSeries.from_tail(ring, bell_inverse_recursive(f, ring))
+    return (ring.zero,) + bell_inverse_recursive(f, ring)
 
 
-def _check(s: int, m, least: int = 1) -> None:
+def _check(s: int, m=None, least: int = 1) -> None:
     """ValueError unless s >= 1 and an int m is at least `least`."""
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -129,20 +131,6 @@ def fully_colored_labeled_counts(up_to_s: int, m: int) -> list:
 def count_fully_colored_labeled(s: int, m: int) -> int:
     """Labeled m-partite series-reduced trees with colored leaves too."""
     return fully_colored_labeled_counts(s, m)[-1]
-
-
-def labeled_series(m: int, order: int) -> ExpSeries:
-    """A(m,t): exponential series of the labeled m-partite tree counts."""
-    return ExpSeries(ZZ, [0] + ultrametric_counts(order, m))
-
-
-def verify_integral_relation(m: int, order: int) -> bool:
-    """Check 1 + A = 1 + (1 + A)^m * integral of (1 + A)^{-m}, to order."""
-    if m < 1 or order < 2:
-        raise ValueError("need m >= 1 and order >= 2")
-    cal_a = labeled_series(m, order).add_const(1)
-    rhs = ExpSeries.one(ZZ, order) + cal_a.pow(m) * cal_a.pow(-m).integrate()
-    return cal_a.coeffs == rhs.coeffs
 
 
 # ---------------------------------------------------------------------------

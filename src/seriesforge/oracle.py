@@ -4,16 +4,21 @@ objects, and the paper's formula routes that production has replaced.
 The enumerators count by direct construction (set partitions, exhaustive
 maps, canonical codes) with no Bell-polynomial or series machinery, so
 they can independently validate the formula modules at small sizes.
-make_named builds the stock rational series the tests invert.  The last
-sections keep the paper's other routes as references for production:
-the closed-form inversion and the root-color recurrence for P (against
-labeled.p_series and bell.bell_inverse_recursive), the series inversion
-for the mobile polynomials, the alternating Bell sums (against the labeled
-prefix recurrences), and the divisor-sum Bell recurrence and the Euler
-transform over Z[t] with t -> t^d substitution for the unlabeled
-refinement (against the level table of unlabeled.py).  The chain
-recurrence, beside its enumerator, checks the identity y_s(m) =
-a_s(m + 1) that production uses.  Production never imports this module.
+bell_partial computes one B_{n,k} by a band table of O(k (n-k)^2) ring
+products (tested against the definitional partition sum) and gives the
+special sequences, derangement counts and associated and plain Stirling
+numbers of the second kind, that the paper's alternating sums read.  make_named
+builds the stock rational series the tests invert.  The last sections keep
+the paper's other routes as references for production: the closed-form
+inversion and the root-color recurrence for P (against labeled.p_series
+and bell.bell_inverse_recursive), the series inversion for the mobile
+polynomials, the alternating Bell sums and the integral relation of the
+counting series (against the labeled prefix recurrences), and the
+divisor-sum Bell recurrence and the Euler transform over Z[t] with
+t -> t^d substitution for the unlabeled refinement (against the level
+table of unlabeled.py).  The chain recurrence, beside its enumerator,
+checks the identity y_s(m) = a_s(m + 1) that production uses.  Production
+never imports this module.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from typing import Dict, Iterator, Tuple
 
 from .bell import bell_inverse_recursive, bell_row
 from .egf import ExpSeries
-from .labeled import POLY_M, DegreeSpec
-from .rings import QQ, PolyVar, Ring
+from .labeled import POLY_M, DegreeSpec, ultrametric_counts
+from .rings import QQ, ZZ, PolyVar, Ring
 from .weights import WEIGHT_RING, WeightPoly
 
 MAX_LABELED_LEAVES = 8
@@ -242,6 +247,65 @@ def chain_increasing_recurrence(up_to_s: int, m) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Partial Bell polynomials by the band table, and the special sequences.
+# ---------------------------------------------------------------------------
+
+def bell_partial(n: int, k: int, x, ring: Ring):
+    """Partial Bell polynomial B_{n,k}(x_1, ..., x_{n-k+1}).
+
+    Computed column by column over the band n' - k' <= n - k only, by the
+    binomial recurrence B_{n,k} = sum_i C(n-1, i-1) x_i B_{n-i,k-1},
+    B_{0,0} = 1, B_{n,0} = 0 for n > 0.  Out-of-range arguments give the
+    ring zero.
+    """
+    if k < 0 or n < k:
+        return ring.zero
+    width = n - k
+    x = list(x[: width + 1]) + [ring.zero] * (width + 1 - len(x))
+    col = [ring.one] + [ring.zero] * width     # col[d] = B_{j+d,j}, here j = 0
+    for j in range(1, k + 1):
+        nxt = []
+        for d in range(width + 1):
+            acc = ring.zero
+            for i in range(1, d + 2):
+                xi = x[i - 1]
+                if xi == ring.zero:
+                    continue
+                acc = acc + comb(j + d - 1, i - 1) * xi * col[d + 1 - i]
+            nxt.append(acc)
+        col = nxt
+    return col[width]
+
+
+def derangement_count(n: int, k: int) -> int:
+    """Fixed-point-free permutations of n elements with exactly k cycles.
+
+    Equals B_{n,k} at x_1 = 0, x_i = (i-1)! (associated Stirling numbers
+    of the first kind).
+    """
+    if n < 0 or k < 0:
+        raise ValueError("arguments must be nonnegative")
+    seq = [0] + [factorial(i - 1) for i in range(2, n - k + 2)]
+    return bell_partial(n, k, seq, ZZ)
+
+
+def assoc_stirling2(n: int, k: int) -> int:
+    """Set partitions of n elements into k blocks, every block of size >= 2.
+
+    Equals B_{n,k} at x_1 = 0, x_i = 1.
+    """
+    if n < 0 or k < 0:
+        raise ValueError("arguments must be nonnegative")
+    seq = [0] + [1] * max(0, n - k)
+    return bell_partial(n, k, seq, ZZ)
+
+
+def stirling2(n: int, k: int) -> int:
+    """Stirling numbers of the second kind: B_{n,k} at all-ones."""
+    return bell_partial(n, k, [1] * max(1, n - k + 1), ZZ)
+
+
+# ---------------------------------------------------------------------------
 # Definitional partial Bell polynomial (partition-sum form).
 # ---------------------------------------------------------------------------
 
@@ -342,8 +406,8 @@ def alternating_bell_poly(s: int, seq) -> PolyVar:
     """The paper's count for s leaves as a polynomial in m:
     (-1)^{s-1} sum_{k=0..s} (-m)^k seq(s+k-1, k).
 
-    seq = bell.derangement_count gives the ultrametric (labeled tree)
-    counts, seq = bell.assoc_stirling2 the mobile counts; evaluate at an
+    seq = derangement_count gives the ultrametric (labeled tree) counts,
+    seq = assoc_stirling2 the mobile counts; evaluate at an
     integer m for a single count.
     """
     sign = (-1) ** (s - 1)
@@ -403,6 +467,24 @@ def mobiles_series_polynomials(up_to_s: int) -> list:
     Z[m], the series route to labeled.mobile_counts."""
     tail = [POLY_M.one] + [(-1) ** (n + 1) * PolyVar.gen("m") for n in range(2, up_to_s + 1)]
     return list(bell_inverse_recursive(tail, POLY_M))
+
+
+# ---------------------------------------------------------------------------
+# The integral relation of the labeled counting series.
+# ---------------------------------------------------------------------------
+
+def labeled_series(m: int, order: int) -> ExpSeries:
+    """A(m,t): exponential series of the labeled m-partite tree counts."""
+    return ExpSeries(ZZ, [0] + ultrametric_counts(order, m))
+
+
+def verify_integral_relation(m: int, order: int) -> bool:
+    """Check 1 + A = 1 + (1 + A)^m * integral of (1 + A)^{-m}, to order."""
+    if m < 1 or order < 2:
+        raise ValueError("need m >= 1 and order >= 2")
+    cal_a = labeled_series(m, order).add_const(1)
+    rhs = ExpSeries.one(ZZ, order) + cal_a.pow(m) * cal_a.pow(-m).integrate()
+    return cal_a.coeffs == rhs.coeffs
 
 
 # ---------------------------------------------------------------------------

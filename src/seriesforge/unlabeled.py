@@ -16,14 +16,14 @@ from __future__ import annotations
 from itertools import accumulate, repeat
 from operator import mul
 
+from .labeled import _check
 from .rings import PolyVar
 
 
 def refined_polys(up_to_s: int) -> list:
     """Refinement polynomials a_1..a_S (integer coefficients in t): the
     level table run over Z[t], a_1 = 1 and a_n = t r_n."""
-    if up_to_s < 1:
-        raise ValueError("s must be >= 1")
+    _check(up_to_s)
     t = PolyVar.gen("t")
     return [t * 0 + 1] + [t * r for r in _reduced_values(up_to_s, t)]
 
@@ -77,8 +77,7 @@ def _reduced_values(up_to_s: int, t0) -> list:
 def unlabeled_counts(up_to_s: int) -> list:
     """Total rooted unlabeled series-reduced trees with s = 1..up_to_s
     leaves: a_s(1), which is r_s(1) beyond one leaf."""
-    if up_to_s < 1:
-        raise ValueError("s must be >= 1")
+    _check(up_to_s)
     return [1] + _reduced_values(up_to_s, 1)
 
 
@@ -95,8 +94,7 @@ def multipartite_unlabeled_counts(up_to_s: int, m) -> list:
     Computed as m * r_s(m - 1), where r_s is the refinement polynomial
     with one factor of t removed; this form is finite at m = 1.
     """
-    if up_to_s < 1 or (isinstance(m, int) and m < 1):
-        raise ValueError("need s >= 1 and m >= 1")
+    _check(up_to_s, m)
     return [m * 0 + 1] + [m * r for r in _reduced_values(up_to_s, m - 1)]
 
 

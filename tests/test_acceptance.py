@@ -10,8 +10,9 @@ import time
 from fractions import Fraction
 
 from seriesforge import reference
-from seriesforge.bell import bell_inverse_recursive, bell_product
+from seriesforge.bell import bell_inverse_recursive
 from seriesforge.cli import main as cli_main
+from seriesforge.egf import bell_product
 from seriesforge.labeled import (
     DegreeSpec,
     a_polynomial,
@@ -22,7 +23,6 @@ from seriesforge.labeled import (
     count_processes,
     count_ultrametrics,
     p_series,
-    verify_integral_relation,
 )
 from seriesforge.oracle import (
     bell_inverse_closed,
@@ -35,6 +35,7 @@ from seriesforge.oracle import (
     make_named,
     p_closed_form,
     p_series_by_color_recursion,
+    verify_integral_relation,
 )
 from seriesforge.rings import QQ, PolyVar
 from seriesforge.unlabeled import (

@@ -4,22 +4,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seriesforge.bell import (
-    assoc_stirling2,
-    bell_inverse_recursive,
-    bell_partial,
-    bell_product,
-    bell_row,
-    derangement_count,
-    stirling2,
-)
+from seriesforge.bell import bell_inverse_recursive, bell_row
+from seriesforge.egf import bell_product
 from seriesforge.oracle import (
+    assoc_stirling2,
     bell_inverse_closed,
+    bell_partial,
     bell_partial_partition_sum,
+    derangement_count,
     enum_derangements,
     enum_set_partitions_min_block,
     make_named,
     set_partitions,
+    stirling2,
 )
 from seriesforge.rings import QQ, ZZ
 

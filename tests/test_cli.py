@@ -6,10 +6,14 @@ import sys
 
 import pytest
 
-from seriesforge.bell import assoc_stirling2, derangement_count
-from seriesforge.cli import main, parse_bfile
+from seriesforge.cli import COUNT_FAMILIES, main, parse_bfile
 from seriesforge.labeled import fully_colored_labeled_counts, mobile_counts, ultrametric_counts
-from seriesforge.oracle import alternating_bell_poly, refined_polys_substituted
+from seriesforge.oracle import (
+    alternating_bell_poly,
+    assoc_stirling2,
+    derangement_count,
+    refined_polys_substituted,
+)
 from seriesforge.unlabeled import multipartite_unlabeled_counts, unlabeled_counts
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -110,6 +114,14 @@ class TestCount:
         lines = out.strip().splitlines()
         assert lines[0] == "family,s,m,value"
         assert lines[1] == "processes,5,,3933"
+        # recorded from the release whose count command wrote its own CSV
+        assert out == "family,s,m,value\r\nprocesses,5,,3933\r\n"
+
+    def test_csv_keeps_m_zero(self, capsys):
+        code, out, _ = run(
+            capsys, "count", "chain-increasing", "--s", "4", "--m", "0", "--format", "csv"
+        )
+        assert (code, out) == (0, "family,s,m,value\r\nchain-increasing,4,0,1\r\n")
 
     def test_huge_value_as_string_in_json(self, capsys):
         code, out, _ = run(
@@ -135,6 +147,13 @@ class TestCount:
     def test_bad_s(self, capsys):
         code, _, _ = run(capsys, "count", "unlabeled", "--s", "0")
         assert code == 1
+
+    @pytest.mark.parametrize("family", sorted(f for f, (_, needs_m) in COUNT_FAMILIES.items()
+                                              if needs_m))
+    def test_bad_m_has_one_wording(self, capsys, family):
+        least = 0 if family == "chain-increasing" else 1
+        code, out, err = run(capsys, "count", family, "--s", "3", "--m", str(least - 1))
+        assert (code, out, err) == (1, "", f"error: m must be >= {least}\n")
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.txt"

@@ -8,6 +8,7 @@ from seriesforge.egf import ExpSeries
 from seriesforge.labeled import DegreeSpec, p_series
 from seriesforge.oracle import make_named
 from seriesforge.rings import QQ, PolyVar, poly_ring
+from seriesforge.weights import WEIGHT_RING
 
 small_rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -161,7 +162,7 @@ def test_json_serialization():
 
 
 @pytest.mark.parametrize("series", [
-    lambda: p_series(DegreeSpec(1), 2),
+    lambda: ExpSeries(WEIGHT_RING, p_series(DegreeSpec(1), 2)),
     lambda: ExpSeries.identity(poly_ring("m"), 3),
 ])
 def test_json_rejects_non_rational_rings(series):

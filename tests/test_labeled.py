@@ -17,13 +17,13 @@ from seriesforge.labeled import (
     p_series,
     ultrametric_counts,
     ultrametric_series_polynomials,
-    verify_integral_relation,
 )
 from seriesforge.oracle import (
     chain_increasing_recurrence,
     mobiles_series_polynomials,
     p_closed_form,
     p_series_by_color_recursion,
+    verify_integral_relation,
 )
 from seriesforge.rings import PolyVar
 from seriesforge.weights import WeightPoly
@@ -229,7 +229,7 @@ class TestIntegralRelation:
         assert verify_integral_relation(m, 10)
 
     def test_one_color_is_exponential(self):
-        from seriesforge.labeled import labeled_series
+        from seriesforge.oracle import labeled_series
 
         series = labeled_series(1, 8)
         assert all(series[n] == Fraction(1) for n in range(1, 9))

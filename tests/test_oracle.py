@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seriesforge.bell import assoc_stirling2, derangement_count
 from seriesforge.labeled import (
     DegreeSpec,
     a_polynomial,
@@ -24,7 +23,9 @@ from seriesforge.labeled import (
 )
 from seriesforge.oracle import (
     alternating_bell_poly,
+    assoc_stirling2,
     chain_increasing_recurrence,
+    derangement_count,
     enum_chain_increasing,
     enum_labeled_trees,
     enum_mobiles,
