@@ -4,16 +4,14 @@ P(m,t,x) with symbolic weights x_{c,k} has one route, p_series: global
 Lagrange inversion over the weight ring by the Bell-table kernel of
 :mod:`seriesforge.bell`, returned as the coefficient tuple; its other
 routes live in :mod:`seriesforge.oracle`.  x_{c,k} = 1 and (k-1)! turn it
-into the ultrametric and mobile counts, which have routes of their own.
-The counts come from two prefix recurrences that return the values for
-s = 1..up_to_s in one pass, over the ring of m (an int, or the PolyVar m
-for polynomials in the number of colors): mobile_counts for the mobiles,
-ultrametric_counts for the ultrametrics, fully-colored trees, processes
-(m = 3) and chain-increasing trees (y_s(m) = a_s(m + 1)).  They are checked
-against ultrametric_series_polynomials (Lagrange inversion over Z[m], kept
-here because the benchmark builds its b-files with it) and the oracle
-module's mobile series inversion, chain recurrence, alternating sums and
-integral relation.
+into the ultrametric and mobile counts, which read one prefix recurrence
+of their own, _reduced, for r_s = a_s(m)/m over the ring of its point (an
+int, or the PolyVar m for polynomials in the number of colors): at m for
+the ultrametrics, fully-colored trees and processes (m = 3), at m + 1 for
+the chain-increasing trees and at 1 - m for the mobiles.  It is checked
+against ultrametric_series_polynomials (Lagrange inversion over Z[m],
+which the benchmark imports) and the oracle module's mobile series
+inversion, chain recurrence, alternating sums and integral relation.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ class DegreeSpec:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+            raise ValueError("m must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -72,25 +70,31 @@ def _check(s: int, m=None, least: int = 1) -> None:
 # Ultrametrics / plain multipartite labeled trees.
 # ---------------------------------------------------------------------------
 
-def ultrametric_counts(up_to_s: int, m) -> list:
-    """Symbolic ultrametrics on s = 1..up_to_s points with m symbols, equal
-    to the m-partite labeled series-reduced trees with s leaves.
+def _reduced(up_to_s: int, m) -> list:
+    """[r_2, ..., r_up_to_s] over the ring of m, where a_s(m) = m r_s(m)
+    is the ultrametric count for s >= 2.
 
-    P inverts (1-m)t + m log(1+t), so (1 + (1-m)P) P' = 1 + P and
-    p_{n+1} = p_n - (1-m) sum_{i=1..n} C(n,i) p_i p_{n+1-i}.  The terms i
-    and n+1-i pair up by C(n,i) + C(n,n+1-i) = C(n+1,i), so the sum runs
-    over i <= n/2 only, plus C(n,j-1) p_j^2 for the unpaired middle term
-    i = j when n + 1 = 2j.
+    P inverts (1-m)t + m log(1+t), so (1 + (1-m)P) P' = 1 + P, and p_1 = 1,
+    p_s = m r_s give r_2 = 1 and, free of division, r_{n+1} = r_n - (1-m)
+    ((n+1) r_n + m sum_{i=2..n-1} C(n,i) r_i r_{n+1-i}).  Terms i and n+1-i
+    pair up by C(n,i) + C(n,n+1-i) = C(n+1,i), so the sum runs over i <= n/2,
+    plus C(n,j-1) r_j^2 for the unpaired middle term i = j when n + 1 = 2j.
     """
-    _check(up_to_s, m)
-    p = [None, m * 0 + 1]               # p_1 = 1 in the ring of m
-    for n in range(1, up_to_s):
-        acc = sum(comb(n + 1, i) * p[i] * p[n + 1 - i] for i in range(1, n // 2 + 1))
+    r = [None, None, m * 0 + 1]         # r_2 = 1 in the ring of m
+    for n in range(2, up_to_s):
+        acc = sum(comb(n + 1, i) * r[i] * r[n + 1 - i] for i in range(2, n // 2 + 1))
         if n % 2:
             j = (n + 1) // 2
-            acc = acc + comb(n, j - 1) * p[j] * p[j]
-        p.append(p[n] - (1 - m) * acc)
-    return p[1:]
+            acc = acc + comb(n, j - 1) * r[j] * r[j]
+        r.append(r[n] - (1 - m) * ((n + 1) * r[n] + m * acc))
+    return r[2:up_to_s + 1]
+
+
+def ultrametric_counts(up_to_s: int, m) -> list:
+    """Symbolic ultrametrics on s = 1..up_to_s points with m symbols, equal
+    to the m-partite labeled series-reduced trees with s leaves."""
+    _check(up_to_s, m)
+    return [m * 0 + 1] + [m * r for r in _reduced(up_to_s, m)]
 
 
 def count_ultrametrics(s: int, m: int) -> int:
@@ -140,17 +144,13 @@ def count_fully_colored_labeled(s: int, m: int) -> int:
 def mobile_counts(up_to_s: int, m) -> list:
     """Labeled m-partite series-reduced mobiles with s = 1..up_to_s leaves.
 
-    G inverts (1-m)t + m(1 - e^{-t}); with E = e^{-G}, ((1-m) + mE) G' = 1
-    and E' = -G'E give g_{n+1} = -m sum_{i=1..n} C(n,i) e_i g_{n+1-i} and
-    e_n = -sum_{i=0..n-1} C(n-1,i) g_{i+1} e_{n-1-i}.
+    G inverts (1-m)t + m(1 - e^{-t}).  H = 1 - e^{-G} has H'(1 - mH) = 1 - H
+    and G = (t - mH)/(1 - m), so U(t) = -H(-t) solves the ultrametric ODE
+    at 1 - m and g_s = (-1)^s m r_s(1 - m) for s >= 2, m = 1 included.
     """
     _check(up_to_s, m)
-    one = m * 0 + 1
-    g, e = [None, one], [one]
-    for n in range(1, up_to_s):
-        e.append(-sum(comb(n - 1, i) * g[i + 1] * e[n - 1 - i] for i in range(n)))
-        g.append(-m * sum(comb(n, i) * e[i] * g[n + 1 - i] for i in range(1, n + 1)))
-    return g[1:]
+    reduced = _reduced(up_to_s, 1 - m)
+    return [m * 0 + 1] + [(-1) ** s * m * r for s, r in enumerate(reduced, start=2)]
 
 
 def count_mobiles(s: int, m: int) -> int:

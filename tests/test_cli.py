@@ -303,11 +303,23 @@ class TestGf:
         assert (code, out) == (1, "")
         assert err.strip() == "error: --spec applies to gf P only"
 
-    @pytest.mark.parametrize("spec", ["symbolic", "ones", "factorial"])
-    def test_p_bad_m_is_usage_error(self, capsys, spec):
-        code, out, err = run(capsys, "gf", "P", "--m", "0", "--order", "3", "--spec", spec)
+    @pytest.mark.parametrize(
+        "argv, least",
+        [
+            pytest.param(("P", "--m", "0", "--spec", spec), 1, id=spec)
+            for spec in ("symbolic", "ones", "factorial")
+        ]
+        + [
+            pytest.param(("A", "--m", "0"), 1, id="A"),
+            pytest.param(("G", "--m", "0"), 1, id="G"),
+            pytest.param(("Y", "--m", "-1"), 0, id="Y"),
+        ],
+    )
+    def test_p_bad_m_is_usage_error(self, capsys, argv, least):
+        # every gf kind words a bad m as the count families do
+        code, out, err = run(capsys, "gf", *argv, "--order", "3")
         assert (code, out) == (1, "")
-        assert err.strip() == "error: m must be >= 1, got 0"
+        assert err.strip() == f"error: m must be >= {least}"
 
     def test_y_series(self, capsys):
         code, out, _ = run(capsys, "gf", "Y", "--m", "2", "--order", "4")

@@ -13,6 +13,7 @@ from seriesforge.labeled import (
     count_mobiles,
     count_processes,
     count_ultrametrics,
+    mobile_counts,
     mobiles_polynomial,
     p_series,
     ultrametric_counts,
@@ -214,13 +215,18 @@ class TestMobiles:
 
         for s in range(1, 9):
             assert count_mobiles(s, 1) == math.factorial(s - 1)
+        # m = 1 reads the reduced recurrence at the point 1 - m = 0
+        assert mobile_counts(300, 1) == [math.factorial(s - 1) for s in range(1, 301)]
 
     def test_series_inversion_route_agrees(self):
-        polys = mobiles_series_polynomials(8)
-        for s in range(1, 9):
+        polys = mobiles_series_polynomials(60)
+        for s in range(1, 31):
             assert polys[s - 1] == mobiles_polynomial(s)
+        for s in range(1, 9):
             for m in range(1, 9):
                 assert polys[s - 1].eval_at(m) == count_mobiles(s, m)
+        for m in (1, 2, 3, 8, 10**6):
+            assert mobile_counts(60, m) == [p.eval_at(m) for p in polys]
 
 
 class TestIntegralRelation:

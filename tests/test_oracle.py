@@ -185,8 +185,9 @@ class TestPaperFormulaOracles:
 
 
 class TestSympySeriesReversion:
-    """The prefix recurrences against sympy's series reversion over Q[t]:
-    the count for s is s! [t^s] of the inverse series."""
+    """The labeled prefix recurrence, read at m and at 1 - m, against
+    sympy's series reversion over Q[t]: the count for s is s! [t^s] of the
+    inverse series."""
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_prefix_recurrences_match_reversion(self, m):
