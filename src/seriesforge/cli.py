@@ -116,14 +116,16 @@ def cmd_count(family, s, m, fmt, output):
         _emit(_render_grid(rows, fmt), output)
 
 
-# table name -> reference values by m; each table is the count family of
-# the same name, except "symbolic", which is the ultrametrics family
+# table name -> (prefix function, reference values by m)
 TABLE_FAMILIES = {
-    "symbolic": reference.ULTRAMETRIC_TABLE,
-    "fully-colored-labeled": reference.FULLY_COLORED_LABELED_TABLE,
-    "mobiles": reference.MOBILES_TABLE,
-    "multipartite-unlabeled": reference.MULTIPARTITE_UNLABELED_TABLE,
-    "fully-colored-unlabeled": reference.FULLY_COLORED_UNLABELED_TABLE,
+    "symbolic": (labeled.ultrametric_counts, reference.ULTRAMETRIC_TABLE),
+    "fully-colored-labeled": (labeled.fully_colored_labeled_counts,
+                              reference.FULLY_COLORED_LABELED_TABLE),
+    "mobiles": (labeled.mobile_counts, reference.MOBILES_TABLE),
+    "multipartite-unlabeled": (unlabeled.multipartite_unlabeled_counts,
+                               reference.MULTIPARTITE_UNLABELED_TABLE),
+    "fully-colored-unlabeled": (unlabeled.fully_colored_unlabeled_counts,
+                                reference.FULLY_COLORED_UNLABELED_TABLE),
 }
 
 
@@ -185,8 +187,7 @@ def cmd_table(ctx, name, max_s, max_m, max_n, check_paper, fmt, output):
             raise click.UsageError("--max-n applies to riordan-triangle only")
         if max_m < 1:
             raise click.UsageError("--max-m must be >= 1")
-        ref_table = TABLE_FAMILIES[name]
-        fn, _ = COUNT_FAMILIES["ultrametrics" if name == "symbolic" else name]
+        fn, ref_table = TABLE_FAMILIES[name]
         header = ["m\\s"] + list(range(1, max_s + 1))
         rows = [header]
         for m in range(1, max_m + 1):

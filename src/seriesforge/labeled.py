@@ -4,11 +4,13 @@ P(m,t,x) with symbolic weights x_{c,k} has one route, p_series: global
 Lagrange inversion over the weight ring by the Bell-table kernel of
 :mod:`seriesforge.bell`, returned as the coefficient tuple; its other
 routes live in :mod:`seriesforge.oracle`.  x_{c,k} = 1 and (k-1)! turn it
-into the ultrametric and mobile counts, which read one prefix recurrence
-of their own, _reduced, for r_s = a_s(m)/m over the ring of its point (an
-int, or the PolyVar m for polynomials in the number of colors): at m for
-the ultrametrics, fully-colored trees and processes (m = 3), at m + 1 for
-the chain-increasing trees and at 1 - m for the mobiles.  It is checked
+into the ultrametric and mobile counts.  Each counting family has one
+function, its prefix for s = 1..up_to_s: an int m gives the counts, and
+the PolyVar m gives the ultrametric, mobile and chain-increasing counts as
+polynomials in the number of colors.  All read one prefix recurrence,
+_reduced, for r_s = a_s(m)/m: at m for the ultrametrics, fully-colored
+trees and processes (m = 3), at m + 1 for the chain-increasing trees and
+at 1 - m for the mobiles.  It is checked
 against ultrametric_series_polynomials (Lagrange inversion over Z[m],
 which the benchmark imports) and the oracle module's mobile series
 inversion, chain recurrence, alternating sums and integral relation.
@@ -27,6 +29,14 @@ POLY_M = poly_ring("m")
 _M = PolyVar.gen("m")
 
 
+def _check(s: int, m=None, least: int = 1) -> None:
+    """ValueError unless s >= 1 and an int m is at least `least`."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    if isinstance(m, int) and m < least:
+        raise ValueError(f"m must be >= {least}")
+
+
 @dataclass(frozen=True)
 class DegreeSpec:
     """The number of colors m >= 1 of P(m,t,x), whose weights x_{c,k} stay
@@ -35,8 +45,7 @@ class DegreeSpec:
     m: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        _check(1, self.m)
 
 
 # ---------------------------------------------------------------------------
@@ -56,14 +65,6 @@ def p_series(spec: DegreeSpec, order: int) -> tuple:
         for n in range(2, order + 1):
             f[n - 1] = f[n - 1] + inv[n - 1]
     return (ring.zero,) + bell_inverse_recursive(f, ring)
-
-
-def _check(s: int, m=None, least: int = 1) -> None:
-    """ValueError unless s >= 1 and an int m is at least `least`."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if isinstance(m, int) and m < least:
-        raise ValueError(f"m must be >= {least}")
 
 
 # ---------------------------------------------------------------------------
@@ -97,21 +98,12 @@ def ultrametric_counts(up_to_s: int, m) -> list:
     return [m * 0 + 1] + [m * r for r in _reduced(up_to_s, m)]
 
 
-def count_ultrametrics(s: int, m: int) -> int:
-    """Number of symbolic ultrametrics on s points with m symbols."""
-    return ultrametric_counts(s, m)[-1]
-
-
-def a_polynomial(s: int) -> PolyVar:
-    """The tree count for s leaves as a polynomial in the color count m."""
-    return ultrametric_counts(s, _M)[-1]
-
-
 def ultrametric_series_polynomials(up_to_s: int) -> list:
     """a_s(m) for s = 1..up_to_s via one symbolic series inversion.
 
     Inverts t(1-m) + m*log(1+t) over the polynomial ring in m; an
-    independent route to the same polynomials as a_polynomial.
+    independent route to the polynomials ultrametric_counts gives at the
+    PolyVar m.
     """
     ring = POLY_M
     tail = [ring.one] + [
@@ -128,13 +120,13 @@ def fully_colored_labeled_counts(up_to_s: int, m: int) -> list:
     colors; for s > 1 every leaf has exactly one parent, leaving m - 1
     color choices per leaf.
     """
-    counts = ultrametric_counts(up_to_s, m)
-    return [m] + [(m - 1) ** s * a for s, a in enumerate(counts[1:], start=2)]
+    return _color_leaves(ultrametric_counts(up_to_s, m), m)
 
 
-def count_fully_colored_labeled(s: int, m: int) -> int:
-    """Labeled m-partite series-reduced trees with colored leaves too."""
-    return fully_colored_labeled_counts(s, m)[-1]
+def _color_leaves(counts: list, m: int) -> list:
+    """The fully-colored counts from the m-partite ones: m for s = 1, and
+    (m - 1)^s times the count beyond, one color choice per leaf."""
+    return [m] + [(m - 1) ** s * c for s, c in enumerate(counts[1:], start=2)]
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +145,6 @@ def mobile_counts(up_to_s: int, m) -> list:
     return [m * 0 + 1] + [(-1) ** s * m * r for s, r in enumerate(reduced, start=2)]
 
 
-def count_mobiles(s: int, m: int) -> int:
-    """Labeled m-partite series-reduced mobiles with s leaves."""
-    return mobile_counts(s, m)[-1]
-
-
-def mobiles_polynomial(s: int) -> PolyVar:
-    """The mobile count for s leaves as a polynomial in m."""
-    return mobile_counts(s, _M)[-1]
-
-
 # ---------------------------------------------------------------------------
 # Chain-increasing binary trees and parallel processes.
 # ---------------------------------------------------------------------------
@@ -175,23 +157,7 @@ def chain_increasing_counts(up_to_s: int, m) -> list:
     return ultrametric_counts(up_to_s, m + 1)
 
 
-def chain_increasing_polynomial(s: int) -> PolyVar:
-    """Number of chain-increasing binary trees with s chains, as a
-    polynomial in the junction color count."""
-    return chain_increasing_counts(s, _M)[-1]
-
-
-def chain_increasing_count(s: int, m: int) -> int:
-    """Chain-increasing binary trees with s chains and m junction colors."""
-    return chain_increasing_counts(s, m)[-1]
-
-
 def process_counts(up_to_s: int) -> list:
     """Increasingly labeled parallel processes with s = 1..up_to_s actions:
     the 2-colored chain-increasing and the 3-partite labeled tree counts."""
     return ultrametric_counts(up_to_s, 3)
-
-
-def count_processes(s: int) -> int:
-    """Increasingly labeled parallel processes with s actions."""
-    return process_counts(s)[-1]

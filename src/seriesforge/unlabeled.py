@@ -1,14 +1,15 @@
 """Rooted unlabeled series-reduced trees: the refined leaf/inner-vertex
 triangle, the total counts, and the multipartite and fully-colored
-specializations.
+specializations, each as its prefix for s = 1..up_to_s.
 
 The refinement polynomial a_s(t) for s leaves has the number of trees
 with k inner vertices as its t^k coefficient.  One Euler transform of
 A = x + t(MSET(A) - 1 - A), generic over the ring of its point t0
 (_reduced_values), gives a_s(t) at t0 = t, unlabeled(s) = a_s(1), and
-multipartite(s, m) = m r_s(m - 1) with r_s = a_s / t, for an int m or
-as a polynomial in m.  The substitution transform over Z[t] and the
-paper's Bell recurrence over Q[t] are test oracles in oracle.py.
+multipartite(s, m) = m r_s(m - 1) with r_s = a_s / t, for an int m or,
+at the PolyVar m, as a polynomial in m.  The substitution transform over
+Z[t] and the paper's Bell recurrence over Q[t] are test oracles in
+oracle.py.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from itertools import accumulate, repeat
 from operator import mul
 
-from .labeled import _check
+from .labeled import _check, _color_leaves
 from .rings import PolyVar
 
 
@@ -26,11 +27,6 @@ def refined_polys(up_to_s: int) -> list:
     _check(up_to_s)
     t = PolyVar.gen("t")
     return [t * 0 + 1] + [t * r for r in _reduced_values(up_to_s, t)]
-
-
-def refined_poly(s: int) -> PolyVar:
-    """Refinement polynomial for a single leaf count."""
-    return refined_polys(s)[-1]
 
 
 def _reduced_values(up_to_s: int, t0) -> list:
@@ -81,11 +77,6 @@ def unlabeled_counts(up_to_s: int) -> list:
     return [1] + _reduced_values(up_to_s, 1)
 
 
-def unlabeled_count(s: int) -> int:
-    """Total rooted unlabeled series-reduced trees with s leaves."""
-    return unlabeled_counts(s)[-1]
-
-
 def multipartite_unlabeled_counts(up_to_s: int, m) -> list:
     """m-partite (inner vertices colored, adjacent distinct) tree counts
     for s = 1..up_to_s, over the ring of m: an int gives the counts, the
@@ -98,16 +89,6 @@ def multipartite_unlabeled_counts(up_to_s: int, m) -> list:
     return [m * 0 + 1] + [m * r for r in _reduced_values(up_to_s, m - 1)]
 
 
-def multipartite_unlabeled(s: int, m: int) -> int:
-    """m-partite (inner vertices colored, adjacent distinct) tree count."""
-    return multipartite_unlabeled_counts(s, m)[-1]
-
-
-def multipartite_unlabeled_polynomial(s: int) -> PolyVar:
-    """The m-partite unlabeled count expanded as a polynomial in m."""
-    return multipartite_unlabeled_counts(s, PolyVar.gen("m"))[-1]
-
-
 def fully_colored_unlabeled_counts(up_to_s: int, m: int) -> list:
     """Unlabeled m-partite trees with leaves colored as well, for
     s = 1..up_to_s.
@@ -115,10 +96,4 @@ def fully_colored_unlabeled_counts(up_to_s: int, m: int) -> list:
     A lone leaf takes any of the m colors; for s > 1 every leaf avoids the
     color of its parent, leaving m - 1 choices per leaf.
     """
-    counts = multipartite_unlabeled_counts(up_to_s, m)
-    return [m] + [(m - 1) ** s * c for s, c in enumerate(counts[1:], start=2)]
-
-
-def fully_colored_unlabeled(s: int, m: int) -> int:
-    """Unlabeled m-partite trees with leaves colored as well."""
-    return fully_colored_unlabeled_counts(s, m)[-1]
+    return _color_leaves(multipartite_unlabeled_counts(up_to_s, m), m)

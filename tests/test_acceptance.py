@@ -15,14 +15,12 @@ from seriesforge.cli import main as cli_main
 from seriesforge.egf import bell_product
 from seriesforge.labeled import (
     DegreeSpec,
-    a_polynomial,
-    chain_increasing_count,
-    chain_increasing_polynomial,
-    count_fully_colored_labeled,
-    count_mobiles,
-    count_processes,
-    count_ultrametrics,
+    chain_increasing_counts,
+    fully_colored_labeled_counts,
+    mobile_counts,
     p_series,
+    process_counts,
+    ultrametric_counts,
 )
 from seriesforge.oracle import (
     bell_inverse_closed,
@@ -39,16 +37,16 @@ from seriesforge.oracle import (
 )
 from seriesforge.rings import QQ, PolyVar
 from seriesforge.unlabeled import (
-    fully_colored_unlabeled,
-    multipartite_unlabeled,
-    multipartite_unlabeled_polynomial,
-    refined_poly,
+    fully_colored_unlabeled_counts,
+    multipartite_unlabeled_counts,
     refined_polys,
-    unlabeled_count,
+    unlabeled_counts,
 )
 from seriesforge.weights import WeightPoly
 
 from test_labeled import expected_p2, expected_p3
+
+M = PolyVar.gen("m")
 
 
 def report(num, desc, elapsed=None, bound=None):
@@ -61,29 +59,27 @@ def report(num, desc, elapsed=None, bound=None):
 def test_criterion_01_symbolic_table():
     start = time.monotonic()
     for m, row in reference.ULTRAMETRIC_TABLE.items():
-        for s, want in enumerate(row, start=1):
-            assert count_ultrametrics(s, m) == want, f"(s={s}, m={m})"
-    assert count_ultrametrics(8, 8) == 167347010944
+        assert ultrametric_counts(len(row), m) == row, f"m={m}"
+    assert ultrametric_counts(8, 8)[-1] == 167347010944
     elapsed = time.monotonic() - start
     assert elapsed < 10
     report(1, "symbolic tree table, all 64 cells for s,m <= 8", elapsed, 10)
 
 
 def test_criterion_02_count_polynomials():
+    polys = ultrametric_counts(7, M)
     for s, coeffs in reference.A_POLYNOMIALS.items():
-        assert a_polynomial(s) == PolyVar(coeffs, "m"), f"s={s}"
-    assert a_polynomial(7).coeffs[-1] == 10395
+        assert polys[s - 1] == PolyVar(coeffs, "m"), f"s={s}"
+    assert polys[6].coeffs[-1] == 10395
     report(2, "count polynomials in m match for s <= 7 (leading 10395 at s=7)")
 
 
 def test_criterion_03_colored_and_mobile_tables():
     for m, row in reference.FULLY_COLORED_LABELED_TABLE.items():
-        for s, want in enumerate(row, start=1):
-            assert count_fully_colored_labeled(s, m) == want
+        assert fully_colored_labeled_counts(len(row), m) == row, f"m={m}"
     for m, row in reference.MOBILES_TABLE.items():
-        for s, want in enumerate(row, start=1):
-            assert count_mobiles(s, m) == want
-    assert count_mobiles(8, 8) == 218563826824
+        assert mobile_counts(len(row), m) == row, f"m={m}"
+    assert mobile_counts(8, 8)[-1] == 218563826824
     report(3, "fully-colored-labeled and mobile tables match exactly")
 
 
@@ -112,13 +108,11 @@ def test_criterion_04_triple_agreement():
 
 def test_criterion_05_chain_increasing_identity():
     shift = PolyVar([-1, 1], "m")
-    chains = chain_increasing_recurrence(10, PolyVar.gen("m"))
-    for s in range(1, 11):
-        assert chains[s - 1].compose(shift) == a_polynomial(s)
-        assert chain_increasing_polynomial(s) == chains[s - 1]
-    assert chain_increasing_polynomial(3) == PolyVar([1, 4, 3], "m")
-    for s in range(1, 9):
-        assert count_processes(s) == count_ultrametrics(s, 3)
+    chains = chain_increasing_recurrence(10, M)
+    assert [y.compose(shift) for y in chains] == ultrametric_counts(10, M)
+    assert chain_increasing_counts(10, M) == chains
+    assert chains[2] == PolyVar([1, 4, 3], "m")
+    assert process_counts(8) == ultrametric_counts(8, 3)
     report(5, "shifted chain-increasing counts equal tree counts; processes match")
 
 
@@ -129,21 +123,20 @@ def test_criterion_06_integral_relation():
 
 
 def test_criterion_07_unlabeled_tables():
-    for s, want in enumerate(reference.UNLABELED_SEQUENCE, start=1):
-        assert unlabeled_count(s) == want
+    counts = unlabeled_counts(10)
+    assert counts == reference.UNLABELED_SEQUENCE
     polys = refined_polys(10)
     for (k, n), want in reference.RIORDAN_TRIANGLE.items():
         assert polys[n - 1][k] == want
     for n in range(2, 11):
-        assert sum(polys[n - 1].coeffs) == unlabeled_count(n)
+        assert sum(polys[n - 1].coeffs) == counts[n - 1]
     for m, row in reference.MULTIPARTITE_UNLABELED_TABLE.items():
-        for s, want in enumerate(row, start=1):
-            assert multipartite_unlabeled(s, m) == want
+        assert multipartite_unlabeled_counts(len(row), m) == row, f"m={m}"
     for m, row in reference.FULLY_COLORED_UNLABELED_TABLE.items():
-        for s, want in enumerate(row, start=1):
-            assert fully_colored_unlabeled(s, m) == want
+        assert fully_colored_unlabeled_counts(len(row), m) == row, f"m={m}"
+    in_m = multipartite_unlabeled_counts(max(reference.UNLABELED_POLYNOMIALS), M)
     for s, coeffs in reference.UNLABELED_POLYNOMIALS.items():
-        assert multipartite_unlabeled_polynomial(s) == PolyVar(coeffs, "m")
+        assert in_m[s - 1] == PolyVar(coeffs, "m")
     report(7, "unlabeled sequence, triangle, both tables, eight polynomials")
 
 
@@ -151,22 +144,21 @@ def test_criterion_08_oracle_equivalence():
     start = time.monotonic()
     for m in (1, 2, 3):
         p = p_series(DegreeSpec(m), 6)
+        counts = ultrametric_counts(6, m)
         for s in range(1, 7):
             count, weight = enum_labeled_trees(s, m)
-            assert weight == p[s] and count == count_ultrametrics(s, m)
+            assert weight == p[s] and count == counts[s - 1]
     for m in (1, 2, 3):
-        for s in range(1, 6):
-            assert enum_ultrametrics(s, m) == count_ultrametrics(s, m)
+        assert [enum_ultrametrics(s, m) for s in range(1, 6)] == ultrametric_counts(5, m)
     assert enum_ultrametrics(4, 2) == 52  # 52 of the 64 pair assignments
+    polys = refined_polys(8)
     for s in range(1, 9):
         by_inner = enum_unlabeled_trees(s)
-        poly = refined_poly(s)
-        assert all(by_inner.get(k, 0) == poly[k] for k in range(s + 1))
+        assert all(by_inner.get(k, 0) == polys[s - 1][k] for k in range(s + 1))
     for m in (1, 2, 3):
-        for s in range(1, 8):
-            assert enum_chain_increasing(s, m) == chain_increasing_count(s, m)
-        for s in range(1, 7):
-            assert enum_mobiles(s, m) == count_mobiles(s, m)
+        chains = [enum_chain_increasing(s, m) for s in range(1, 8)]
+        assert chains == chain_increasing_counts(7, m)
+        assert [enum_mobiles(s, m) for s in range(1, 7)] == mobile_counts(6, m)
     elapsed = time.monotonic() - start
     assert elapsed < 300
     report(8, "all five enumeration oracles agree with the formulas", elapsed, 300)

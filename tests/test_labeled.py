@@ -6,16 +6,11 @@ import pytest
 from seriesforge import reference
 from seriesforge.labeled import (
     DegreeSpec,
-    a_polynomial,
-    chain_increasing_count,
-    chain_increasing_polynomial,
-    count_fully_colored_labeled,
-    count_mobiles,
-    count_processes,
-    count_ultrametrics,
+    chain_increasing_counts,
+    fully_colored_labeled_counts,
     mobile_counts,
-    mobiles_polynomial,
     p_series,
+    process_counts,
     ultrametric_counts,
     ultrametric_series_polynomials,
 )
@@ -30,6 +25,7 @@ from seriesforge.rings import PolyVar
 from seriesforge.weights import WeightPoly
 
 x = WeightPoly.gen
+M = PolyVar.gen("m")
 
 
 def expected_p2():
@@ -134,38 +130,37 @@ class TestPSeries:
 
     def test_specialize_ones_gives_tree_counts(self):
         p = p_series(DegreeSpec(3), 6)
+        counts = ultrametric_counts(6, 3)
         for s in range(1, 7):
-            assert p[s].substitute(lambda c, k: 1) == count_ultrametrics(s, 3)
+            assert p[s].substitute(lambda c, k: 1) == counts[s - 1]
 
     def test_specialize_factorials_gives_mobiles(self):
         import math
 
         p = p_series(DegreeSpec(2), 6)
+        counts = mobile_counts(6, 2)
         for s in range(1, 7):
             got = p[s].substitute(lambda c, k: math.factorial(k - 1))
-            assert got == count_mobiles(s, 2)
+            assert got == counts[s - 1]
 
 
 class TestUltrametrics:
     def test_table_values(self):
         for m, row in reference.ULTRAMETRIC_TABLE.items():
-            for s, want in enumerate(row, start=1):
-                assert count_ultrametrics(s, m) == want
+            assert ultrametric_counts(len(row), m) == row, f"m={m}"
 
     def test_polynomials_match_reference(self):
+        polys = ultrametric_counts(max(reference.A_POLYNOMIALS), M)
         for s, coeffs in reference.A_POLYNOMIALS.items():
-            assert a_polynomial(s) == PolyVar(coeffs, "m")
+            assert polys[s - 1] == PolyVar(coeffs, "m")
 
     def test_polynomial_evaluation_consistent(self):
-        for s in range(1, 9):
-            p = a_polynomial(s)
-            for m in range(1, 9):
-                assert p.eval_at(m) == count_ultrametrics(s, m)
+        polys = ultrametric_counts(8, M)
+        for m in range(1, 9):
+            assert [p.eval_at(m) for p in polys] == ultrametric_counts(8, m)
 
     def test_series_inversion_route_agrees(self):
-        polys = ultrametric_series_polynomials(8)
-        for s in range(1, 9):
-            assert polys[s - 1] == a_polynomial(s)
+        assert ultrametric_series_polynomials(8) == ultrametric_counts(8, M)
 
     @pytest.mark.parametrize("m, up_to_s", [
         (1, 150), (2, 150), (3, 150), (8, 150), (PolyVar.gen("m"), 30),
@@ -180,51 +175,45 @@ class TestUltrametrics:
         assert ultrametric_counts(up_to_s, m) == p[1:]
 
     def test_one_color_row_all_ones(self):
-        assert all(count_ultrametrics(s, 1) == 1 for s in range(1, 12))
+        assert ultrametric_counts(11, 1) == [1] * 11
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            count_ultrametrics(0, 2)
+            ultrametric_counts(0, 2)
         with pytest.raises(ValueError):
-            count_ultrametrics(3, 0)
+            ultrametric_counts(3, 0)
 
 
 class TestFullyColored:
     def test_table_values(self):
         for m, row in reference.FULLY_COLORED_LABELED_TABLE.items():
-            for s, want in enumerate(row, start=1):
-                assert count_fully_colored_labeled(s, m) == want
+            assert fully_colored_labeled_counts(len(row), m) == row, f"m={m}"
 
     def test_single_leaf_takes_any_color(self):
         for m in range(1, 7):
-            assert count_fully_colored_labeled(1, m) == m
+            assert fully_colored_labeled_counts(1, m) == [m]
 
     def test_one_color_vanishes_beyond_one_leaf(self):
-        for s in range(2, 8):
-            assert count_fully_colored_labeled(s, 1) == 0
+        assert fully_colored_labeled_counts(7, 1)[1:] == [0] * 6
 
 
 class TestMobiles:
     def test_table_values(self):
         for m, row in reference.MOBILES_TABLE.items():
-            for s, want in enumerate(row, start=1):
-                assert count_mobiles(s, m) == want
+            assert mobile_counts(len(row), m) == row, f"m={m}"
 
     def test_one_color_gives_factorials(self):
         import math
 
-        for s in range(1, 9):
-            assert count_mobiles(s, 1) == math.factorial(s - 1)
+        assert mobile_counts(8, 1) == [math.factorial(s - 1) for s in range(1, 9)]
         # m = 1 reads the reduced recurrence at the point 1 - m = 0
         assert mobile_counts(300, 1) == [math.factorial(s - 1) for s in range(1, 301)]
 
     def test_series_inversion_route_agrees(self):
         polys = mobiles_series_polynomials(60)
-        for s in range(1, 31):
-            assert polys[s - 1] == mobiles_polynomial(s)
-        for s in range(1, 9):
-            for m in range(1, 9):
-                assert polys[s - 1].eval_at(m) == count_mobiles(s, m)
+        assert mobile_counts(30, M) == polys[:30]
+        for m in range(1, 9):
+            assert mobile_counts(8, m) == [p.eval_at(m) for p in polys[:8]]
         for m in (1, 2, 3, 8, 10**6):
             assert mobile_counts(60, m) == [p.eval_at(m) for p in polys]
 
@@ -247,33 +236,29 @@ class TestIntegralRelation:
 
 class TestChainIncreasing:
     def test_three_chains_polynomial(self):
-        assert chain_increasing_polynomial(3) == PolyVar([1, 4, 3], "m")
+        assert chain_increasing_counts(3, M)[-1] == PolyVar([1, 4, 3], "m")
 
     def test_values(self):
-        assert chain_increasing_count(3, 1) == 8
-        assert chain_increasing_count(4, 2) == 243
-        assert chain_increasing_count(1, 5) == 1
+        assert chain_increasing_counts(3, 1)[-1] == 8
+        assert chain_increasing_counts(4, 2)[-1] == 243
+        assert chain_increasing_counts(1, 5) == [1]
 
     def test_zero_colors_only_the_chain(self):
-        for s in range(1, 8):
-            assert chain_increasing_count(s, 0) == 1
+        assert chain_increasing_counts(7, 0) == [1] * 7
 
     def test_shift_identity_with_tree_counts(self):
         # production reads y_s(m) as a_s(m + 1); the chain recurrence checks it
         shift = PolyVar([-1, 1], "m")  # m - 1
-        chains = chain_increasing_recurrence(10, PolyVar.gen("m"))
-        for s in range(1, 11):
-            assert chains[s - 1].compose(shift) == a_polynomial(s)
-            assert chains[s - 1] == chain_increasing_polynomial(s)
+        chains = chain_increasing_recurrence(10, M)
+        assert [y.compose(shift) for y in chains] == ultrametric_counts(10, M)
+        assert chains == chain_increasing_counts(10, M)
 
 
 class TestProcesses:
     def test_examples(self):
-        assert count_processes(1) == 1
-        assert count_processes(3) == 21
-        assert count_processes(5) == 3933
+        counts = process_counts(5)
+        assert (counts[0], counts[2], counts[4]) == (1, 21, 3933)
 
     def test_equals_three_symbol_counts(self):
-        for s in range(1, 9):
-            assert count_processes(s) == count_ultrametrics(s, 3)
-            assert count_processes(s) == chain_increasing_count(s, 2)
+        assert process_counts(8) == ultrametric_counts(8, 3)
+        assert process_counts(8) == chain_increasing_counts(8, 2)

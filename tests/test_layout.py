@@ -2,7 +2,8 @@
 
 The oracles and the test-support series type live beside production but
 outside it, so a CLI run must not load them, and the package must not
-export anything they define.
+export anything they define.  Each counting family has one public
+function, its prefix over the ring of m, which the CLI runs too.
 """
 
 import inspect
@@ -11,7 +12,8 @@ import os
 import subprocess
 import sys
 
-from seriesforge import bell, labeled
+import seriesforge
+from seriesforge import bell, cli, labeled, unlabeled
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
@@ -55,12 +57,34 @@ def test_cli_run_stays_inside_production():
         assert module not in ("seriesforge.egf", "seriesforge.oracle"), name
 
 
+def _public_functions(mod):
+    return {fn for name, fn in inspect.getmembers(mod, inspect.isfunction)
+            if not name.startswith("_") and fn.__module__ == mod.__name__}
+
+
 def test_bell_is_the_inversion_kernel_only():
-    public = {name for name, fn in inspect.getmembers(bell, inspect.isfunction)
-              if not name.startswith("_") and fn.__module__ == bell.__name__}
-    assert public == {"bell_row", "bell_inverse_recursive"}
+    assert _public_functions(bell) == {bell.bell_row, bell.bell_inverse_recursive}
 
 
 def test_labeled_builds_no_series_object():
     assert not hasattr(labeled, "ExpSeries")
     assert isinstance(labeled.p_series(labeled.DegreeSpec(1), 3), tuple)
+
+
+FAMILY_PREFIXES = {fn for fn, _ in cli.COUNT_FAMILIES.values()}
+SERIES_API = {"refined_polys", "p_series", "DegreeSpec", "PolyVar", "WeightPoly"}
+
+
+def test_exports_are_the_family_prefixes_and_the_series_api():
+    assert len(seriesforge.__all__) == len(set(seriesforge.__all__))
+    assert set(seriesforge.__all__) == {fn.__name__ for fn in FAMILY_PREFIXES} | SERIES_API
+    for fn in FAMILY_PREFIXES:
+        assert getattr(seriesforge, fn.__name__) is fn
+
+
+def test_one_public_function_per_family():
+    exported = {getattr(seriesforge, name) for name in seriesforge.__all__}
+    public = _public_functions(labeled) | _public_functions(unlabeled)
+    # the benchmark runner imports the Z[m] inversion as its check of the
+    # ultrametric polynomials, so it stays public without an export
+    assert public - exported == {labeled.ultrametric_series_polynomials}

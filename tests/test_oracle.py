@@ -10,13 +10,8 @@ from hypothesis import strategies as st
 
 from seriesforge.labeled import (
     DegreeSpec,
-    a_polynomial,
-    chain_increasing_count,
     chain_increasing_counts,
-    count_mobiles,
-    count_ultrametrics,
     mobile_counts,
-    mobiles_polynomial,
     p_series,
     process_counts,
     ultrametric_counts,
@@ -38,9 +33,7 @@ from seriesforge.oracle import (
 from seriesforge.rings import PolyVar
 from seriesforge.unlabeled import (
     multipartite_unlabeled_counts,
-    refined_poly,
     refined_polys,
-    unlabeled_count,
     unlabeled_counts,
 )
 
@@ -54,9 +47,8 @@ def test_set_partitions_counts_are_bell_numbers():
 class TestLabeledTreeOracle:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_counts(self, m):
-        for s in range(1, 7):
-            count, _ = enum_labeled_trees(s, m)
-            assert count == count_ultrametrics(s, m)
+        counts = [enum_labeled_trees(s, m)[0] for s in range(1, 7)]
+        assert counts == ultrametric_counts(6, m)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_weights_match_series_coefficients(self, m):
@@ -73,8 +65,8 @@ class TestLabeledTreeOracle:
 class TestUltrametricOracle:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_counts(self, m):
-        for s in range(1, 6):
-            assert enum_ultrametrics(s, m) == count_ultrametrics(s, m)
+        counts = [enum_ultrametrics(s, m) for s in range(1, 6)]
+        assert counts == ultrametric_counts(5, m)
 
     def test_examples(self):
         # 3 points, 2 symbols: all 8 assignments of the 3 pairs qualify
@@ -86,8 +78,7 @@ class TestUltrametricOracle:
 class TestMobileOracle:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_counts(self, m):
-        for s in range(1, 7):
-            assert enum_mobiles(s, m) == count_mobiles(s, m)
+        assert [enum_mobiles(s, m) for s in range(1, 7)] == mobile_counts(6, m)
 
     def test_one_color_cyclic_orders(self):
         # mobiles on one color reduce to (s-1)! cyclic arrangements
@@ -97,12 +88,12 @@ class TestMobileOracle:
 
 class TestUnlabeledOracle:
     def test_refined_counts(self):
+        polys, counts = refined_polys(8), unlabeled_counts(8)
         for s in range(1, 9):
             by_inner = enum_unlabeled_trees(s)
-            poly = refined_poly(s)
             for k in range(0, s + 1):
-                assert by_inner.get(k, 0) == poly[k], f"s={s} k={k}"
-            assert sum(by_inner.values()) == unlabeled_count(s)
+                assert by_inner.get(k, 0) == polys[s - 1][k], f"s={s} k={k}"
+            assert sum(by_inner.values()) == counts[s - 1]
 
 
 def substituted_multipartite(up_to_s, m):
@@ -144,8 +135,8 @@ class TestChainIncreasingOracle:
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_counts(self, m):
         chains = chain_increasing_recurrence(7, m)
-        for s in range(1, 8):
-            assert enum_chain_increasing(s, m) == chains[s - 1] == chain_increasing_count(s, m)
+        assert [enum_chain_increasing(s, m) for s in range(1, 8)] == chains
+        assert chain_increasing_counts(7, m) == chains
 
     def test_example(self):
         assert enum_chain_increasing(3, 1) == 8
@@ -163,13 +154,14 @@ class TestPaperFormulaOracles:
         for m in range(1, 9):
             assert counts(20, m) == [p.eval_at(m) for p in polys], f"m={m}"
 
-    @pytest.mark.parametrize("poly, seq", [
-        (a_polynomial, derangement_count),
-        (mobiles_polynomial, assoc_stirling2),
+    @pytest.mark.parametrize("counts, seq", [
+        (ultrametric_counts, derangement_count),
+        (mobile_counts, assoc_stirling2),
     ])
-    def test_polynomial_prefix_matches_alternating_sum(self, poly, seq):
+    def test_polynomial_prefix_matches_alternating_sum(self, counts, seq):
+        polys = counts(12, PolyVar.gen("m"))
         for s in range(1, 13):
-            assert poly(s) == alternating_bell_poly(s, seq), f"s={s}"
+            assert polys[s - 1] == alternating_bell_poly(s, seq), f"s={s}"
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 20), st.integers(9, 10 ** 6))

@@ -3,29 +3,29 @@ import pytest
 from seriesforge import reference
 from seriesforge.rings import PolyVar
 from seriesforge.unlabeled import (
-    fully_colored_unlabeled,
-    multipartite_unlabeled,
-    multipartite_unlabeled_polynomial,
-    refined_poly,
+    fully_colored_unlabeled_counts,
+    multipartite_unlabeled_counts,
     refined_polys,
-    unlabeled_count,
+    unlabeled_counts,
 )
+
+M = PolyVar.gen("m")
 
 
 class TestRefinedPolys:
     def test_small_examples(self):
-        assert refined_poly(1) == PolyVar([1], "t")
-        assert refined_poly(2) == PolyVar([0, 1], "t")
-        assert refined_poly(3) == PolyVar([0, 1, 1], "t")
-        assert refined_poly(4) == PolyVar([0, 1, 2, 2], "t")
+        assert refined_polys(4) == [
+            PolyVar([1], "t"), PolyVar([0, 1], "t"),
+            PolyVar([0, 1, 1], "t"), PolyVar([0, 1, 2, 2], "t"),
+        ]
 
     def test_reference_polynomials(self):
+        polys = multipartite_unlabeled_counts(max(reference.UNLABELED_POLYNOMIALS), M)
         for s, coeffs in reference.UNLABELED_POLYNOMIALS.items():
-            assert multipartite_unlabeled_polynomial(s) == PolyVar(coeffs, "m")
+            assert polys[s - 1] == PolyVar(coeffs, "m")
 
     def test_divisible_by_t_beyond_one_leaf(self):
-        for s in range(2, 11):
-            assert refined_poly(s)[0] == 0
+        assert all(p[0] == 0 for p in refined_polys(10)[1:])
 
     def test_nonnegative_integer_coefficients(self):
         for p in refined_polys(10):
@@ -33,20 +33,18 @@ class TestRefinedPolys:
 
     def test_degree_bound(self):
         # at most s - 1 inner vertices in a series-reduced tree
-        for s in range(2, 11):
-            assert refined_poly(s).degree <= s - 1
+        for s, p in enumerate(refined_polys(10)[1:], start=2):
+            assert p.degree <= s - 1
 
     def test_bad_args(self):
-        with pytest.raises(ValueError):
-            refined_poly(0)
         with pytest.raises(ValueError):
             refined_polys(0)
 
 
 class TestTotals:
     def test_sequence(self):
-        for s, want in enumerate(reference.UNLABELED_SEQUENCE, start=1):
-            assert unlabeled_count(s) == want
+        seq = reference.UNLABELED_SEQUENCE
+        assert unlabeled_counts(len(seq)) == seq
 
     def test_triangle(self):
         polys = refined_polys(10)
@@ -55,43 +53,40 @@ class TestTotals:
 
     def test_triangle_rows_sum_to_sequence(self):
         polys = refined_polys(10)
+        counts = unlabeled_counts(10)
         for n in range(2, 11):
             total = sum(want for (k, nn), want in reference.RIORDAN_TRIANGLE.items() if nn == n)
-            assert total == sum(polys[n - 1].coeffs) == unlabeled_count(n)
+            assert total == sum(polys[n - 1].coeffs) == counts[n - 1]
 
 
 class TestMultipartite:
     def test_table_values(self):
         for m, row in reference.MULTIPARTITE_UNLABELED_TABLE.items():
-            for s, want in enumerate(row, start=1):
-                assert multipartite_unlabeled(s, m) == want
+            assert multipartite_unlabeled_counts(len(row), m) == row, f"m={m}"
 
     def test_one_color_row(self):
-        assert all(multipartite_unlabeled(s, 1) == 1 for s in range(1, 12))
+        assert multipartite_unlabeled_counts(11, 1) == [1] * 11
 
     def test_polynomial_matches_values(self):
-        for s in range(1, 10):
-            p = multipartite_unlabeled_polynomial(s)
-            for m in range(1, 9):
-                assert p.eval_at(m) == multipartite_unlabeled(s, m)
+        polys = multipartite_unlabeled_counts(9, M)
+        for m in range(1, 9):
+            assert [p.eval_at(m) for p in polys] == multipartite_unlabeled_counts(9, m)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            multipartite_unlabeled(0, 2)
+            multipartite_unlabeled_counts(0, 2)
         with pytest.raises(ValueError):
-            multipartite_unlabeled(3, 0)
+            multipartite_unlabeled_counts(3, 0)
 
 
 class TestFullyColored:
     def test_table_values(self):
         for m, row in reference.FULLY_COLORED_UNLABELED_TABLE.items():
-            for s, want in enumerate(row, start=1):
-                assert fully_colored_unlabeled(s, m) == want
+            assert fully_colored_unlabeled_counts(len(row), m) == row, f"m={m}"
 
     def test_single_leaf_takes_any_color(self):
         for m in range(1, 7):
-            assert fully_colored_unlabeled(1, m) == m
+            assert fully_colored_unlabeled_counts(1, m) == [m]
 
     def test_one_color_vanishes_beyond_one_leaf(self):
-        for s in range(2, 8):
-            assert fully_colored_unlabeled(s, 1) == 0
+        assert fully_colored_unlabeled_counts(7, 1)[1:] == [0] * 6
