@@ -1,13 +1,13 @@
 """Exact enumeration of multipartite series-reduced trees, symbolic
 ultrametrics, mobiles, chain-increasing binary trees and parallel
-processes, by integer recurrences and one Bell-table inversion.
+processes, by integer recurrences and one Bell-table recurrence for the
+symbolic weight series.
 
 __all__ is the documented API: each family's prefix for s = 1..S (an int
-m gives counts; the ultrametric, mobile, chain-increasing and multipartite
-unlabeled prefixes take PolyVar.gen("m") for polynomials in m), the
-unlabeled refinement polynomials, p_series with DegreeSpec, PolyVar and
-WeightPoly.  Everything else, the oracles and the test-support ExpSeries
-included, is imported from its module.
+m gives counts; every prefix with an m also takes PolyVar.gen("m") for
+polynomials in m), the unlabeled refinement polynomials, p_series with
+DegreeSpec, PolyVar and WeightPoly.  Everything else, the oracles and the
+test-support ExpSeries included, is imported from its module.
 """
 
 from .labeled import (

@@ -1,6 +1,8 @@
-"""The Bell-table inversion that production runs, generic over any ring
-from :mod:`seriesforge.rings`: labeled.p_series inverts over the weight
-ring and labeled.ultrametric_series_polynomials over Z[m].
+"""The Bell table and inversion that production runs, generic over any
+ring from :mod:`seriesforge.rings`: labeled.p_series builds one table over
+the weight ring and labeled.ultrametric_series_polynomials inverts over
+Z[m].  Each table entry is one Ring.dot, a sum of products that the weight
+ring accumulates into one dict and every other ring sums term by term.
 
 A coefficient sequence is a tuple (v_1, v_2, ..., v_N) over an explicit
 ring; it stands for the exponential series sum v_n t^n/n!, and its
@@ -32,13 +34,10 @@ def bell_row(rows: list, y, ring: Ring) -> None:
     n = len(rows)
     row = [ring.zero, y[n - 1] if n <= len(y) else ring.zero]
     for k in range(2, n + 1):
-        acc = ring.zero
-        for i in range(1, min(n - k + 1, len(y)) + 1):
-            yi = y[i - 1]
-            if yi == ring.zero:
-                continue
-            acc = acc + comb(n - 1, i - 1) * yi * rows[n - i][k - 1]
-        row.append(acc)
+        row.append(ring.dot(
+            (comb(n - 1, i - 1), y[i - 1], rows[n - i][k - 1])
+            for i in range(1, min(n - k + 1, len(y)) + 1) if y[i - 1] != ring.zero
+        ))
     rows.append(row)
 
 

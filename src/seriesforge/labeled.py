@@ -1,16 +1,17 @@
 """Counting families for rooted multipartite labeled series-reduced trees.
 
-P(m,t,x) with symbolic weights x_{c,k} has one route, p_series: global
-Lagrange inversion over the weight ring by the Bell-table kernel of
-:mod:`seriesforge.bell`, returned as the coefficient tuple; its other
-routes live in :mod:`seriesforge.oracle`.  x_{c,k} = 1 and (k-1)! turn it
-into the ultrametric and mobile counts.  Each counting family has one
-function, its prefix for s = 1..up_to_s: an int m gives the counts, and
-the PolyVar m gives the ultrametric, mobile and chain-increasing counts as
-polynomials in the number of colors.  All read one prefix recurrence,
-_reduced, for r_s = a_s(m)/m: at m for the ultrametrics, fully-colored
-trees and processes (m = 3), at m + 1 for the chain-increasing trees and
-at 1 - m for the mobiles.  It is checked
+P(m,t,x) with symbolic weights x_{c,k} has one route, p_series: the
+root-color recurrence, with one Bell table (:mod:`seriesforge.bell`) for
+the trees whose root has color 1 and a color swap for every other root
+color, returned as the coefficient tuple; the global inversion and the
+other routes live in :mod:`seriesforge.oracle`.  x_{c,k} = 1 and (k-1)!
+turn it into the ultrametric and mobile counts.  Each counting family has
+one function, its prefix for s = 1..up_to_s: an int m gives the counts,
+and the PolyVar m gives the ultrametric, fully-colored, mobile and
+chain-increasing counts as polynomials in the number of colors.  All read
+one prefix recurrence, _reduced, for r_s = a_s(m)/m: at m for the
+ultrametrics, fully-colored trees and processes (m = 3), at m + 1 for the
+chain-increasing trees and at 1 - m for the mobiles.  It is checked
 against ultrametric_series_polynomials (Lagrange inversion over Z[m],
 which the benchmark imports) and the oracle module's mobile series
 inversion, chain recurrence, alternating sums and integral relation.
@@ -21,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .bell import bell_inverse_recursive
+from .bell import bell_inverse_recursive, bell_row
 from .rings import PolyVar, poly_ring
-from .weights import WEIGHT_RING, WeightPoly
+from .weights import WEIGHT_RING, WeightPoly, color_swap
 
 POLY_M = poly_ring("m")
 _M = PolyVar.gen("m")
@@ -45,6 +46,8 @@ class DegreeSpec:
     m: int
 
     def __post_init__(self):
+        if not isinstance(self.m, int):
+            raise TypeError(f"m must be an int, not {type(self.m).__name__}")
         _check(1, self.m)
 
 
@@ -53,18 +56,33 @@ class DegreeSpec:
 # ---------------------------------------------------------------------------
 
 def p_series(spec: DegreeSpec, order: int) -> tuple:
-    """The coefficients (P_0, ..., P_order) of P(m,t,x), P_0 = 0, as the
-    inverse of t + sum_c (inverse degree function - t)."""
+    """The coefficients (P_0, ..., P_order) of P(m,t,x), P_0 = 0, P_1 = 1.
+
+    T_c, the trees whose root has color c, is sum_k x_{c,k} u_c^k/k! with
+    u_c = t + sum_{c' != c} T_{c'}.  The colors are exchangeable, so only
+    T_1 is built, from one Bell table over u_1; T_c is T_1 with colors 1
+    and c swapped, P_n = sum_c T_{c,n} and u_{1,n} = P_n - T_{1,n}.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
     ring = WEIGHT_RING
-    f = [ring.one] + [ring.zero] * (order - 1)
-    for c in range(1, spec.m + 1):
-        xc = [ring.one] + [WeightPoly.gen(c, k) for k in range(2, order + 1)]
-        inv = bell_inverse_recursive(xc, ring)
-        for n in range(2, order + 1):
-            f[n - 1] = f[n - 1] + inv[n - 1]
-    return (ring.zero,) + bell_inverse_recursive(f, ring)
+    x1 = [None, None] + [WeightPoly.gen(1, k) for k in range(2, order + 1)]
+    for c in range(2, spec.m + 1):      # every field exists before a swap is built
+        for k in range(2, order + 1):
+            WeightPoly.gen(c, k)
+    swaps = [color_swap(1, c) for c in range(2, spec.m + 1)]
+    total = [ring.zero, ring.one]
+    u = [ring.one]                      # u_1 = t, then u_{1,n} = P_n - T_{1,n}
+    rows = [[ring.one], [ring.zero, ring.one]]
+    for n in range(2, order + 1):
+        bell_row(rows, u, ring)
+        row = rows[n]
+        t1 = ring.dot((1, x1[k], row[k]) for k in range(2, n + 1))
+        rest = sum((swap(t1) for swap in swaps), ring.zero)
+        total.append(t1 + rest)
+        u.append(rest)
+        row[1] = rest
+    return tuple(total)
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +130,9 @@ def ultrametric_series_polynomials(up_to_s: int) -> list:
     return list(bell_inverse_recursive(tail, ring))
 
 
-def fully_colored_labeled_counts(up_to_s: int, m: int) -> list:
+def fully_colored_labeled_counts(up_to_s: int, m) -> list:
     """Labeled m-partite series-reduced trees with colored leaves too,
-    for s = 1..up_to_s.
+    for s = 1..up_to_s, over the ring of m.
 
     A lone vertex (s = 1) has no neighbor, so it takes any of the m
     colors; for s > 1 every leaf has exactly one parent, leaving m - 1
@@ -123,7 +141,7 @@ def fully_colored_labeled_counts(up_to_s: int, m: int) -> list:
     return _color_leaves(ultrametric_counts(up_to_s, m), m)
 
 
-def _color_leaves(counts: list, m: int) -> list:
+def _color_leaves(counts: list, m) -> list:
     """The fully-colored counts from the m-partite ones: m for s = 1, and
     (m - 1)^s times the count beyond, one color choice per leaf."""
     return [m] + [(m - 1) ** s * c for s, c in enumerate(counts[1:], start=2)]

@@ -9,8 +9,9 @@ products (tested against the definitional partition sum) and gives the
 special sequences, derangement counts and associated and plain Stirling
 numbers of the second kind, that the paper's alternating sums read.  make_named
 builds the stock rational series the tests invert.  The last sections keep
-the paper's other routes as references for production: the closed-form
-inversion and the root-color recurrence for P (against labeled.p_series
+the paper's other routes as references for production: the global
+inversion, the closed-form inversion and the root-color recurrence with
+one Bell table per color and no color swap for P (against labeled.p_series
 and bell.bell_inverse_recursive), the series inversion for the mobile
 polynomials, the alternating Bell sums and the integral relation of the
 counting series (against the labeled prefix recurrences), and the
@@ -535,6 +536,22 @@ def p_closed_form(spec: DegreeSpec, s: int) -> WeightPoly:
         for j in range(2, s + 1):
             f[j - 1] = f[j - 1] + inv[j - 1]
     return bell_inverse_closed(f, ring)[s - 1]
+
+
+def p_series_by_inversion(spec: DegreeSpec, order: int) -> tuple:
+    """(P_0, ..., P_order) by global Lagrange inversion: invert every
+    degree function, then t + sum_c (inverse degree function - t), with
+    the Bell-table kernel over the weight ring."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    ring = WEIGHT_RING
+    f = [ring.one] + [ring.zero] * (order - 1)
+    for c in range(1, spec.m + 1):
+        xc = [ring.one] + [WeightPoly.gen(c, k) for k in range(2, order + 1)]
+        inv = bell_inverse_recursive(xc, ring)
+        for n in range(2, order + 1):
+            f[n - 1] = f[n - 1] + inv[n - 1]
+    return (ring.zero,) + bell_inverse_recursive(f, ring)
 
 
 def p_series_by_color_recursion(spec: DegreeSpec, order: int) -> ExpSeries:

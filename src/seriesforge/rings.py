@@ -110,6 +110,21 @@ class PolyVar:
 
     __rmul__ = __mul__
 
+    def __pow__(self, e: int) -> "PolyVar":
+        """Power by an int exponent e >= 0, by repeated squaring."""
+        if not isinstance(e, int):
+            return NotImplemented
+        if e < 0:
+            raise ValueError("exponent must be >= 0")
+        out, base = PolyVar.const(1, self.var), self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
+        return out
+
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -185,14 +200,24 @@ class Ring:
     """Commutative-ring contract.
 
     Elements are plain Python values supporting +, -, * and ==; the ring
-    object supplies the constants and exact inversion of units when
-    available.
+    object supplies the constants, exact inversion of units when available
+    and, optionally, a faster sum of products for the Bell recurrence.
     """
 
     name: str
     zero: Any
     one: Any
     inv: Optional[Callable[[Any], Any]] = field(default=None)
+    sum_of_products: Optional[Callable[[Any], Any]] = field(default=None)
+
+    def dot(self, terms):
+        """sum b * y * z over the (int b, y, z) triples of an iterable."""
+        if self.sum_of_products is not None:
+            return self.sum_of_products(terms)
+        acc = self.zero
+        for b, y, z in terms:
+            acc = acc + b * y * z
+        return acc
 
     def is_one(self, x) -> bool:
         return x == self.one

@@ -7,7 +7,7 @@ with k inner vertices as its t^k coefficient.  One Euler transform of
 A = x + t(MSET(A) - 1 - A), generic over the ring of its point t0
 (_reduced_values), gives a_s(t) at t0 = t, unlabeled(s) = a_s(1), and
 multipartite(s, m) = m r_s(m - 1) with r_s = a_s / t, for an int m or,
-at the PolyVar m, as a polynomial in m.  The substitution transform over
+at the PolyVar m, as a polynomial in m, and so the fully-colored counts.  The substitution transform over
 Z[t] and the paper's Bell recurrence over Q[t] are test oracles in
 oracle.py.
 """
@@ -89,9 +89,9 @@ def multipartite_unlabeled_counts(up_to_s: int, m) -> list:
     return [m * 0 + 1] + [m * r for r in _reduced_values(up_to_s, m - 1)]
 
 
-def fully_colored_unlabeled_counts(up_to_s: int, m: int) -> list:
+def fully_colored_unlabeled_counts(up_to_s: int, m) -> list:
     """Unlabeled m-partite trees with leaves colored as well, for
-    s = 1..up_to_s.
+    s = 1..up_to_s, over the ring of m.
 
     A lone leaf takes any of the m colors; for s > 1 every leaf avoids the
     color of its parent, leaving m - 1 choices per leaf.

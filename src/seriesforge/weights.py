@@ -9,13 +9,16 @@ product whose exponent reaches it raises OverflowError rather than carry
 into the next field.  Output decodes the fields into [c, k, exponent]
 triples and orders terms by them, so it does not depend on the order in
 which the variables were first seen.  Tree weights and the per-leaf-count
-coefficients of the weighted generating function live here.
+coefficients of the weighted generating function live here, with the two
+kernels of labeled.p_series: sum_of_products, the weight ring's Ring.dot,
+adds a whole Bell-table entry into one dict (sparse accumulation as in
+Monagan and Pearce, 2011), and color_swap exchanges two colors of a
+polynomial by masks and shifts of its packed monomials.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from functools import reduce
 from operator import or_
 from typing import Callable
@@ -42,12 +45,17 @@ def _field_of(color: int, degree: int) -> int:
 
 
 def _decode(mono: int) -> list:
-    """A packed monomial as sorted [c, k, exponent] triples."""
-    raw = mono.to_bytes(-(-mono.bit_length() // _WIDTH) * (_WIDTH // 8), sys.byteorder)
-    exps = memoryview(raw).cast("H").tolist()
-    if sys.byteorder == "big":
-        exps.reverse()
-    return sorted([c, k, e] for (c, k), e in zip(_VARIABLES, exps) if e)
+    """A packed monomial as sorted [c, k, exponent] triples, read from its
+    highest nonzero field down."""
+    triples = []
+    while mono:
+        shift = (mono.bit_length() - 1) // _WIDTH * _WIDTH
+        e = mono >> shift
+        mono ^= e << shift
+        c, k = _VARIABLES[shift // _WIDTH]
+        triples.append([c, k, e])
+    triples.sort()
+    return triples
 
 
 class WeightPoly:
@@ -132,18 +140,7 @@ class WeightPoly:
             return WeightPoly._of({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, WeightPoly):
             return NotImplemented
-        out: dict = {}
-        get = out.get
-        right = other.terms.items()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in right:
-                m = m1 + m2
-                out[m] = get(m, 0) + c1 * c2
-        if reduce(or_, out, 0) & _guards:
-            raise OverflowError(f"an exponent of a product reached 2^{_WIDTH - 1}")
-        if 0 in out.values():
-            out = {m: c for m, c in out.items() if c}
-        return WeightPoly._of(out)
+        return sum_of_products(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -190,4 +187,60 @@ class WeightPoly:
         return " + ".join(parts)
 
 
-WEIGHT_RING = Ring("Z[x_{c,k}]", WeightPoly(), WeightPoly.const(1))
+def sum_of_products(terms) -> WeightPoly:
+    """sum b * y * z over the (int b, WeightPoly y, WeightPoly z) triples,
+    every product accumulated into one dict: the guard bits are checked
+    and the zero coefficients dropped once, for the whole sum."""
+    out: dict = {}
+    get = out.get
+    for b, y, z in terms:
+        right = z.terms.items()
+        for m1, c1 in y.terms.items():
+            c1 *= b
+            for m2, c2 in right:
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+    if reduce(or_, out, 0) & _guards:
+        raise OverflowError(f"an exponent of a product reached 2^{_WIDTH - 1}")
+    if 0 in out.values():
+        out = {m: c for m, c in out.items() if c}
+    return WeightPoly._of(out)
+
+
+def color_swap(a: int, b: int) -> Callable[[WeightPoly], WeightPoly]:
+    """The map exchanging colors a and b in every x_{c,k} of colors a and
+    b registered now; a partner x_{b,k} of a registered x_{a,k} (and back)
+    is registered first, and every other field stays where it is.
+
+    Fields that move by the same distance share one mask, so a monomial
+    is a few masks and shifts: three when the fields of each color are
+    contiguous, more when the registry was filled in another order.
+    """
+    for c, k in list(_VARIABLES):
+        if c in (a, b):
+            _field_of(a + b - c, k)
+    runs: dict = {}                      # shift in bits -> mask of the fields it moves
+    for field, (c, k) in enumerate(_VARIABLES):
+        shift = (_FIELDS[(a + b - c, k)] - field) * _WIDTH if c in (a, b) else 0
+        if shift:
+            runs[shift] = runs.get(shift, 0) | ((1 << _WIDTH) - 1) << (_WIDTH * field)
+    keep = ~reduce(or_, runs.values(), 0)  # also the fields registered later
+    left = [(mask, shift) for shift, mask in runs.items() if shift > 0]
+    right = [(mask, -shift) for shift, mask in runs.items() if shift < 0]
+
+    def swap(poly: WeightPoly) -> WeightPoly:
+        out = {}
+        for mono, coeff in poly.terms.items():
+            moved = mono & keep
+            for mask, shift in left:
+                moved |= (mono & mask) << shift
+            for mask, shift in right:
+                moved |= (mono & mask) >> shift
+            out[moved] = coeff
+        return WeightPoly._of(out)
+
+    return swap
+
+
+WEIGHT_RING = Ring("Z[x_{c,k}]", WeightPoly(), WeightPoly.const(1),
+                   sum_of_products=sum_of_products)

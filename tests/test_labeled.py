@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 
-from seriesforge import reference
+from seriesforge import reference, weights
 from seriesforge.labeled import (
     DegreeSpec,
     chain_increasing_counts,
@@ -19,6 +21,7 @@ from seriesforge.oracle import (
     mobiles_series_polynomials,
     p_closed_form,
     p_series_by_color_recursion,
+    p_series_by_inversion,
     verify_integral_relation,
 )
 from seriesforge.rings import PolyVar
@@ -110,6 +113,11 @@ class TestPSeries:
         with pytest.raises(ValueError, match=match):
             DegreeSpec(*args)
 
+    @pytest.mark.parametrize("m", [0.5, 1.5, 2.0, "2", None])
+    def test_spec_rejects_a_color_count_that_is_not_an_int(self, m):
+        with pytest.raises(TypeError, match="m must be an int"):
+            DegreeSpec(m)
+
     def test_closed_form_base(self):
         assert p_closed_form(DegreeSpec(4), 1) == WeightPoly.const(1)
 
@@ -121,6 +129,32 @@ class TestPSeries:
         for s in range(1, order + 1):
             assert p1[s] == p2[s]
             assert p1[s] == p_closed_form(DegreeSpec(m), s)
+
+    @pytest.mark.parametrize("m, order", [(1, 10), (2, 10), (3, 10), (4, 9)])
+    def test_matches_the_inversion_and_the_per_color_tables(self, m, order):
+        p = p_series(DegreeSpec(m), order)
+        assert p == p_series_by_inversion(DegreeSpec(m), order)
+        per_color = p_series_by_color_recursion(DegreeSpec(m), order)
+        assert list(p) == [per_color[s] for s in range(order + 1)]
+
+    @pytest.mark.parametrize("m, order", [(2, 9), (3, 9), (4, 8)])
+    def test_any_registry_layout(self, m, order):
+        # the color swap must not rely on the fields of a color being
+        # contiguous: fill the registry in shuffled order, or let a smaller
+        # call take the first fields, and compare with both oracle routes
+        variables = [(c, k) for c in range(1, m + 1) for k in range(2, order + 1)]
+        random.Random(m).shuffle(variables)
+        layouts = {
+            "shuffled": lambda: [WeightPoly.gen(c, k) for c, k in variables],
+            "smaller call first": lambda: p_series(DegreeSpec(m), order // 2),
+        }
+        for name, fill in layouts.items():
+            with mock.patch.multiple(weights, _FIELDS={}, _VARIABLES=[], _guards=0):
+                fill()
+                p = p_series(DegreeSpec(m), order)
+                assert p == p_series_by_inversion(DegreeSpec(m), order), name
+                per_color = p_series_by_color_recursion(DegreeSpec(m), order)
+                assert list(p) == [per_color[s] for s in range(order + 1)], name
 
     def test_degree_mass_invariant(self):
         # every monomial of the s-leaf coefficient carries total mass s - 1
@@ -195,6 +229,12 @@ class TestFullyColored:
 
     def test_one_color_vanishes_beyond_one_leaf(self):
         assert fully_colored_labeled_counts(7, 1)[1:] == [0] * 6
+
+    def test_polynomials_in_m_match_the_counts(self):
+        polys = fully_colored_labeled_counts(10, M)
+        assert polys[0] == M
+        for m in range(1, 7):
+            assert [p.eval_at(m) for p in polys] == fully_colored_labeled_counts(10, m)
 
 
 class TestMobiles:

@@ -29,6 +29,16 @@ class TestPolyVar:
         q = PolyVar([-1, 1], "m")    # m - 1
         assert p.compose(q) == PolyVar([1, -2, 1], "m")
 
+    def test_pow_examples(self):
+        m = PolyVar.gen("m")
+        assert (m - 1) ** 2 == PolyVar([1, -2, 1], "m")
+        assert m ** 0 == PolyVar.const(1) and (m ** 0).var == "m"
+        assert PolyVar([]) ** 3 == PolyVar([])
+        with pytest.raises(ValueError):
+            m ** -1
+        with pytest.raises(TypeError):
+            m ** 0.5
+
     def test_shift_down(self):
         assert PolyVar([0, 1, 2], "t").shift_down() == PolyVar([1, 2], "t")
         with pytest.raises(ArithmeticError):
@@ -109,6 +119,22 @@ def test_poly_ring_axioms(a, b, c):
     assert a + ring.zero == a
     assert a * ring.one == a
     assert a * b == b * a
+
+
+@given(small_poly, st.integers(0, 9), st.integers(-4, 4))
+def test_pow_is_repeated_product(a, e, point):
+    power = PolyVar.const(1)
+    for _ in range(e):
+        power = power * a
+    assert a ** e == power
+    assert (a ** e).eval_at(point) == a.eval_at(point) ** e
+
+
+def test_ring_dot_defaults_to_the_term_by_term_sum():
+    ring = poly_ring("m")
+    m = PolyVar.gen("m")
+    assert ring.dot([]) == ring.zero
+    assert ring.dot([(2, m, m + 1), (-3, ring.one, m)]) == 2 * m * (m + 1) - 3 * m
 
 
 def test_ring_invert():

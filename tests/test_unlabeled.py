@@ -90,3 +90,9 @@ class TestFullyColored:
 
     def test_one_color_vanishes_beyond_one_leaf(self):
         assert fully_colored_unlabeled_counts(7, 1)[1:] == [0] * 6
+
+    def test_polynomials_in_m_match_the_counts(self):
+        polys = fully_colored_unlabeled_counts(10, M)
+        assert polys[0] == M
+        for m in range(1, 7):
+            assert [p.eval_at(m) for p in polys] == fully_colored_unlabeled_counts(10, m)

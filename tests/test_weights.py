@@ -155,3 +155,74 @@ class TestPackedMonomials:
         first, second = render(variables), render(variables[::-1])
         assert first == second
         assert first[0].startswith("-3 + ")
+
+
+class TestSumOfProducts:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), polys, polys), max_size=4))
+    def test_matches_the_term_by_term_sum(self, terms):
+        naive = WeightPoly()
+        for b, y, z in terms:
+            naive = naive + b * y * z
+        got = weights.sum_of_products(terms)
+        assert got == naive
+        assert 0 not in got.terms.values()
+
+    def test_is_the_weight_ring_dot(self):
+        x12, x23 = WeightPoly.gen(1, 2), WeightPoly.gen(2, 3)
+        assert weights.WEIGHT_RING.dot([(2, x12, x23), (-2, x23, x12)]) == 0
+
+    def test_exponent_past_the_field_raises(self):
+        # x^(2^14) times x^(2^14 - 1) is the largest exponent a field holds;
+        # x^(2^14) squared reaches the guard bit
+        powers = [WeightPoly.gen(1, 2)]
+        for _ in range(14):
+            powers.append(powers[-1] * powers[-1])
+        top = weights.sum_of_products([(1, powers[-1], reduce(mul, powers[:-1]))])
+        assert top.to_jsonable() == [{"monomial": [[1, 2, 2 ** 15 - 1]], "coeff": 1}]
+        with pytest.raises(OverflowError):
+            weights.sum_of_products([(1, powers[-1], powers[-1])])
+        # the guard holds also where the overflowing terms cancel
+        with pytest.raises(OverflowError):
+            weights.sum_of_products([(1, powers[-1], powers[-1]), (-1, powers[-1], powers[-1])])
+
+
+def swapped_counters(poly: WeightPoly, a: int, b: int) -> dict:
+    """as_counters of poly with colors a and b exchanged."""
+    other = {a: b, b: a}
+    return {
+        frozenset(((other.get(c, c), k), e) for (c, k), e in mono): coeff
+        for mono, coeff in as_counters(poly).items()
+    }
+
+
+class TestColorSwap:
+    @settings(max_examples=60, deadline=None)
+    @given(pools, st.data())
+    def test_exchanges_two_colors_for_any_field_order(self, pool, data):
+        order = data.draw(st.permutations(pool))
+        a, b = data.draw(st.sampled_from([(1, 2), (1, 3), (2, 5)]))
+        mono = st.dictionaries(st.sampled_from(pool), st.integers(1, 6), max_size=3)
+        spec = data.draw(st.lists(st.tuples(st.integers(-4, 4), mono), max_size=5))
+        with fresh_registry():
+            for c, k in order:
+                WeightPoly.gen(c, k)
+            poly = build([(coeff, [(c, k, e) for (c, k), e in factors.items()])
+                          for coeff, factors in spec])
+            swap = weights.color_swap(a, b)
+            assert as_counters(swap(poly)) == swapped_counters(poly, a, b)
+            assert swap(swap(poly)) == poly
+
+    def test_registers_the_partner_of_a_variable(self):
+        with fresh_registry():
+            x = WeightPoly.gen(1, 7)
+            swap = weights.color_swap(1, 4)
+            assert swap(x) == WeightPoly.gen(4, 7)
+            assert swap(3 * x * x + 1) == 3 * WeightPoly.gen(4, 7) * WeightPoly.gen(4, 7) + 1
+
+    def test_keeps_a_field_registered_after_it_was_built(self):
+        with fresh_registry():
+            x12 = WeightPoly.gen(1, 2)
+            swap = weights.color_swap(1, 2)
+            x32 = WeightPoly.gen(3, 2)
+            assert swap(x12 * x32) == WeightPoly.gen(2, 2) * x32
