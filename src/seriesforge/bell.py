@@ -1,8 +1,9 @@
 """The Bell table and inversion that production runs, generic over any
 ring from :mod:`seriesforge.rings`: labeled.p_series builds one table over
 the weight ring and labeled.ultrametric_series_polynomials inverts over
-Z[m].  Each table entry is one Ring.dot, a sum of products that the weight
-ring accumulates into one dict and every other ring sums term by term.
+Z[m].  Each table entry and each inverse coordinate is one Ring.dot, a
+sum of products that skips the zero terms and that the weight ring
+accumulates into one dict, every other ring term by term.
 
 A coefficient sequence is a tuple (v_1, v_2, ..., v_N) over an explicit
 ring; it stands for the exponential series sum v_n t^n/n!, and its
@@ -36,7 +37,7 @@ def bell_row(rows: list, y, ring: Ring) -> None:
     for k in range(2, n + 1):
         row.append(ring.dot(
             (comb(n - 1, i - 1), y[i - 1], rows[n - i][k - 1])
-            for i in range(1, min(n - k + 1, len(y)) + 1) if y[i - 1] != ring.zero
+            for i in range(1, min(n - k + 1, len(y)) + 1)
         ))
     rows.append(row)
 
@@ -55,12 +56,6 @@ def bell_inverse_recursive(x, ring: Ring) -> tuple:
     rows = [[ring.one], [ring.zero, inv1]]
     for n in range(2, len(x) + 1):
         bell_row(rows, inv, ring)
-        acc = ring.zero
-        for k in range(2, n + 1):
-            xk = x[k - 1]
-            if xk == ring.zero:
-                continue
-            acc = acc + xk * rows[n][k]
-        inv.append(-inv1 * acc)
+        inv.append(-inv1 * ring.dot((1, x[k - 1], rows[n][k]) for k in range(2, n + 1)))
         rows[n][1] = inv[-1]
     return tuple(inv)

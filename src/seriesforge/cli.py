@@ -21,7 +21,7 @@ import click
 from click.core import ParameterSource
 
 from . import labeled, reference, unlabeled
-from .weights import WeightPoly
+from .weights import WeightPoly, _json_int
 
 DEFAULT_MAX_ORDER = 16
 
@@ -38,10 +38,6 @@ def _max_order() -> int:
         return int(raw)
     except ValueError:
         raise click.UsageError(f"SERIESFORGE_MAX_ORDER is not an integer: {raw!r}")
-
-
-def _json_int(v: int):
-    return v if abs(v) < 2 ** 53 else str(v)
 
 
 def _emit(text: str, output):

@@ -5,7 +5,8 @@ An ExpSeries stores c_0..c_N of sum c_n t^n/n!.  Composition and
 compositional inversion act on its tail c_1..c_N, a coefficient sequence
 of the group in :mod:`seriesforge.bell`; bell_product, the group product,
 lives here beside compose, its one caller.  Multiplication, powers and
-formal integration are the standard exponential-convolution operations.
+formal integration are the standard exponential-convolution operations;
+every convolution sum, like every Bell-table sum, is one Ring.dot.
 The module keeps this path because the benchmark's tracer wraps the
 methods of seriesforge.egf.ExpSeries, so it moves with the benchmark.
 """
@@ -28,13 +29,7 @@ def bell_product(x, y, ring: Ring) -> tuple:
     out = []
     for n in range(1, order + 1):
         bell_row(rows, y, ring)
-        acc = ring.zero
-        for k in range(1, n + 1):
-            xk = x[k - 1]
-            if xk == ring.zero:
-                continue
-            acc = acc + xk * rows[n][k]
-        out.append(acc)
+        out.append(ring.dot((1, x[k - 1], rows[n][k]) for k in range(1, n + 1)))
     return tuple(out)
 
 
@@ -114,16 +109,10 @@ class ExpSeries:
 
     def mul(self, other: "ExpSeries") -> "ExpSeries":
         n = min(self.order, other.order)
-        out = []
-        for s in range(n + 1):
-            acc = self.ring.zero
-            for i in range(s + 1):
-                a, b = self[i], other[s - i]
-                if a == self.ring.zero or b == self.ring.zero:
-                    continue
-                acc = acc + comb(s, i) * a * b
-            out.append(acc)
-        return ExpSeries(self.ring, out)
+        return ExpSeries(self.ring, [
+            self.ring.dot((comb(s, i), self[i], other[s - i]) for i in range(s + 1))
+            for s in range(n + 1)
+        ])
 
     __mul__ = mul
 
@@ -132,13 +121,8 @@ class ExpSeries:
         inv0 = self.ring.invert(self.coeffs[0])
         out = [inv0]
         for n in range(1, self.order + 1):
-            acc = self.ring.zero
-            for i in range(1, n + 1):
-                a = self[i]
-                if a == self.ring.zero:
-                    continue
-                acc = acc + comb(n, i) * a * out[n - i]
-            out.append(-inv0 * acc)
+            out.append(-inv0 * self.ring.dot((comb(n, i), self[i], out[n - i])
+                                             for i in range(1, n + 1)))
         return ExpSeries(self.ring, out)
 
     def pow(self, k: int) -> "ExpSeries":

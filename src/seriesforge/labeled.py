@@ -67,9 +67,6 @@ def p_series(spec: DegreeSpec, order: int) -> tuple:
         raise ValueError("order must be >= 1")
     ring = WEIGHT_RING
     x1 = [None, None] + [WeightPoly.gen(1, k) for k in range(2, order + 1)]
-    for c in range(2, spec.m + 1):      # every field exists before a swap is built
-        for k in range(2, order + 1):
-            WeightPoly.gen(c, k)
     swaps = [color_swap(1, c) for c in range(2, spec.m + 1)]
     total = [ring.zero, ring.one]
     u = [ring.one]                      # u_1 = t, then u_{1,n} = P_n - T_{1,n}

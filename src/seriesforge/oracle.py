@@ -32,7 +32,7 @@ from typing import Dict, Iterator, Tuple
 from .bell import bell_inverse_recursive, bell_row
 from .egf import ExpSeries
 from .labeled import POLY_M, DegreeSpec, ultrametric_counts
-from .rings import QQ, ZZ, PolyVar, Ring
+from .rings import QQ, ZZ, PolyVar, Ring, poly_ring
 from .weights import WEIGHT_RING, WeightPoly
 
 MAX_LABELED_LEAVES = 8
@@ -265,16 +265,9 @@ def bell_partial(n: int, k: int, x, ring: Ring):
     x = list(x[: width + 1]) + [ring.zero] * (width + 1 - len(x))
     col = [ring.one] + [ring.zero] * width     # col[d] = B_{j+d,j}, here j = 0
     for j in range(1, k + 1):
-        nxt = []
-        for d in range(width + 1):
-            acc = ring.zero
-            for i in range(1, d + 2):
-                xi = x[i - 1]
-                if xi == ring.zero:
-                    continue
-                acc = acc + comb(j + d - 1, i - 1) * xi * col[d + 1 - i]
-            nxt.append(acc)
-        col = nxt
+        col = [ring.dot((comb(j + d - 1, i - 1), x[i - 1], col[d + 1 - i])
+                        for i in range(1, d + 2))
+               for d in range(width + 1)]
     return col[width]
 
 
@@ -417,21 +410,20 @@ def alternating_bell_poly(s: int, seq) -> PolyVar:
 
 def refined_polys_bell(up_to_s: int) -> list:
     """Unlabeled refinement polynomials for s = 1..up_to_s by the paper's
-    divisor-sum Bell recurrence over Q[t].
+    divisor-sum Bell recurrence over Z[t].
 
-    Level s is t/s! times sum_j B_{s,j}(w), with weights w_n = n! * sum over
-    divisors d of n, n/d != s, of (1/d) * (level n/d with t -> t^d).
+    Level s is t/s! times sum_j B_{s,j}(w), with weights w_n = sum over
+    divisors d of n, n/d != s, of (n!/d) * (level n/d with t -> t^d); n!/d
+    is an integer, so every weight stays in Z[t].
     """
-    ring = Ring("Q[t]", PolyVar([], "t"), PolyVar([Fraction(1)], "t"))
-    levels = [PolyVar([1], "t")]        # s = 1: a bare leaf, zero inner vertices
+    ring = poly_ring("t")
+    levels = [ring.one]                 # s = 1: a bare leaf, zero inner vertices
     for s in range(2, up_to_s + 1):
-        weights = []
-        for n in range(1, s + 1):
-            w = ring.zero
-            for d in range(1, n + 1):
-                if n % d == 0 and n // d != s:
-                    w = w + Fraction(1, d) * levels[n // d - 1].substitute(d).map_coeffs(Fraction)
-            weights.append(factorial(n) * w)
+        weights = [
+            sum((factorial(n) // d * levels[n // d - 1].substitute(d)
+                 for d in range(1, n + 1) if n % d == 0 and n // d != s), ring.zero)
+            for n in range(1, s + 1)
+        ]
         rows = [[ring.one]]
         for _ in range(s):
             bell_row(rows, weights, ring)
@@ -511,15 +503,7 @@ def bell_inverse_closed(x, ring: Ring) -> tuple:
         bell_row(rows, shifted, ring)
     out = [one_over_x1]
     for n in range(2, len(x) + 1):
-        acc = ring.zero
-        for k in range(1, n):
-            term = rows[n + k - 1][k]
-            if term == ring.zero:
-                continue
-            if k % 2:
-                term = -term
-            acc = acc + powers[n + k] * term
-        out.append(acc)
+        out.append(ring.dot(((-1) ** k, powers[n + k], rows[n + k - 1][k]) for k in range(1, n)))
     return tuple(out)
 
 
@@ -569,17 +553,13 @@ def p_series_by_color_recursion(spec: DegreeSpec, order: int) -> ExpSeries:
     comps = {c: [ring.one] for c in range(1, m + 1)}
     tables = {c: [[ring.one], [ring.zero, ring.one]] for c in range(1, m + 1)}
     for s in range(2, order + 1):
-        level_sum = ring.zero
         for c in range(1, m + 1):
             comp, rows = comps[c], tables[c]
             if s > 2:                   # comp_{s-1} is known once level s-1 is
                 comp.append(total[s - 1] - by_color[c][s - 1])
                 rows[s - 1][1] = comp[-1]
             bell_row(rows, comp, ring)
-            acc = ring.zero
-            for k in range(2, s + 1):
-                acc = acc + WeightPoly.gen(c, k) * rows[s][k]
-            by_color[c].append(acc)
-            level_sum = level_sum + acc
-        total.append(level_sum)
+            by_color[c].append(ring.dot((1, WeightPoly.gen(c, k), rows[s][k])
+                                        for k in range(2, s + 1)))
+        total.append(sum((by_color[c][s] for c in range(1, m + 1)), ring.zero))
     return ExpSeries(ring, [ring.zero] + total[1:])

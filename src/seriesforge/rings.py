@@ -19,10 +19,12 @@ class PolyVar:
     """Dense univariate polynomial with exact coefficients.
 
     Used both as "polynomial in m" (count families) and "polynomial in t"
-    (refined tree-count polynomials).  Coefficients are Python ints or
-    Fractions; the trailing coefficient is nonzero unless the polynomial
-    is zero.  var is only a print label: equality and hashing compare the
-    coefficients alone.
+    (refined tree-count polynomials).  Coefficients are exact numbers,
+    in practice ints, and the scalars it adds, multiplies and compares
+    with are ints; the trailing coefficient is nonzero unless the
+    polynomial is zero.  var is only a print label: equality and hashing
+    compare the coefficients alone, and a constant equals and hashes as
+    its value.
     """
 
     __slots__ = ("coeffs", "var")
@@ -59,17 +61,19 @@ class PolyVar:
     def __eq__(self, other) -> bool:
         if isinstance(other, PolyVar):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.coeffs == (() if other == 0 else (other,))
         return NotImplemented
 
     def __hash__(self):
+        if len(self.coeffs) < 2:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     def _coerce(self, other):
         if isinstance(other, PolyVar):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return PolyVar([other], self.var)
         return NotImplemented
 
@@ -95,7 +99,7 @@ class PolyVar:
         return (-self) + other
 
     def __mul__(self, other) -> "PolyVar":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return PolyVar([c * other for c in self.coeffs], self.var)
         if not isinstance(other, PolyVar):
             return NotImplemented
@@ -199,9 +203,11 @@ class PolyVar:
 class Ring:
     """Commutative-ring contract.
 
-    Elements are plain Python values supporting +, -, * and ==; the ring
-    object supplies the constants, exact inversion of units when available
-    and, optionally, a faster sum of products for the Bell recurrence.
+    Elements are plain Python values supporting +, -, * and ==, with
+    zero the only falsy one; the ring object supplies the constants, exact
+    inversion of units when available and, optionally, a faster sum of
+    products.  dot is the one sum of products that every Bell-table entry
+    and every convolution over a Ring goes through.
     """
 
     name: str
@@ -211,20 +217,19 @@ class Ring:
     sum_of_products: Optional[Callable[[Any], Any]] = field(default=None)
 
     def dot(self, terms):
-        """sum b * y * z over the (int b, y, z) triples of an iterable."""
+        """sum b * y * z over the (int b, y, z) triples of an iterable,
+        skipping every term whose y or z is zero."""
         if self.sum_of_products is not None:
             return self.sum_of_products(terms)
         acc = self.zero
         for b, y, z in terms:
-            acc = acc + b * y * z
+            if y and z:
+                acc = acc + b * y * z
         return acc
-
-    def is_one(self, x) -> bool:
-        return x == self.one
 
     def invert(self, x):
         """Multiplicative inverse of a unit; errors when unavailable."""
-        if self.is_one(x):
+        if x == self.one:
             return self.one
         if x == -self.one:
             return x

@@ -58,6 +58,12 @@ def _decode(mono: int) -> list:
     return triples
 
 
+def _json_int(v: int):
+    """v as a JSON number, or as a string from 2^53 on, where a reader
+    that parses numbers as doubles would round it."""
+    return v if abs(v) < 2 ** 53 else str(v)
+
+
 class WeightPoly:
     """Polynomial over the x_{c,k} with int coefficients; ``terms`` maps
     each packed monomial to its nonzero coefficient."""
@@ -101,6 +107,8 @@ class WeightPoly:
         return NotImplemented
 
     def __hash__(self):
+        if self.terms.keys() <= {0}:      # a constant hashes as its int
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other) -> "WeightPoly":
@@ -164,10 +172,8 @@ class WeightPoly:
 
     def to_jsonable(self):
         """Monomials as sorted [c, k, exp] triples with integer coefficient."""
-        return [
-            {"monomial": triples, "coeff": coeff if abs(coeff) < 2 ** 53 else str(coeff)}
-            for triples, coeff in self._triples()
-        ]
+        return [{"monomial": triples, "coeff": _json_int(coeff)}
+                for triples, coeff in self._triples()]
 
     def to_json(self) -> str:
         return json.dumps(self.to_jsonable())

@@ -147,6 +147,7 @@ class TestPSeries:
         layouts = {
             "shuffled": lambda: [WeightPoly.gen(c, k) for c, k in variables],
             "smaller call first": lambda: p_series(DegreeSpec(m), order // 2),
+            "colour 1 only": lambda: [WeightPoly.gen(1, k) for k in range(order + 2, 1, -1)],
         }
         for name, fill in layouts.items():
             with mock.patch.multiple(weights, _FIELDS={}, _VARIABLES=[], _guards=0):

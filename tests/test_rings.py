@@ -65,6 +65,12 @@ class TestPolyVar:
         p, q = PolyVar([1, 1], "t"), PolyVar([1, 1], "m")
         assert p == q and hash(p) == hash(q)
 
+    @given(st.integers(-2 ** 70, 2 ** 70))
+    def test_a_constant_hashes_as_the_int_it_equals(self, c):
+        # a == b must imply hash(a) == hash(b), also across types
+        assert PolyVar.const(c, "t") == c and hash(PolyVar.const(c, "t")) == hash(c)
+        assert len({PolyVar.const(c), c}) == 1 and len({PolyVar([]), 0}) == 1
+
     def test_product_with_interior_zeros(self):
         t = PolyVar.gen("t")
         t3, t2_plus_1 = PolyVar([0, 0, 0, 1], "t"), PolyVar([1, 0, 1], "t")

@@ -58,6 +58,12 @@ class TestArithmetic:
         d = x - x
         assert not d.terms and d == 0
 
+    @given(st.integers(-2 ** 70, 2 ** 70))
+    def test_a_constant_hashes_as_the_int_it_equals(self, c):
+        # a == b must imply hash(a) == hash(b), also across types
+        assert WeightPoly.const(c) == c and hash(WeightPoly.const(c)) == hash(c)
+        assert len({WeightPoly.const(c), c}) == 1
+
     @pytest.mark.parametrize("color, degree", [(0, 2), (1, 1)])
     def test_gen_rejects_bad_indices(self, color, degree):
         with pytest.raises(ValueError):
