@@ -232,8 +232,9 @@ def cmd_gf(ctx, kind, m, order, spec_kind, output):
         else:
             fn = COUNT_FAMILIES[P_SPEC_FAMILIES[spec_kind]][0]
             series = [WeightPoly.const(v) for v in [0] + fn(order, m)]
-        coeffs = [c.to_jsonable() for c in series]
-        _emit(json.dumps({"kind": "P", "m": m, "order": order, "coeffs": coeffs}), output)
+        # json.dumps of the whole record, one coefficient's text at a time
+        coeffs = ", ".join(c.to_json() for c in series)
+        _emit(f'{{"kind": "P", "m": {m}, "order": {order}, "coeffs": [{coeffs}]}}', output)
         return
     # c_s = s-th count, c_0 = 0, each as an exact rational "num/den"
     values = _values(COUNT_FAMILIES[GF_FAMILIES[kind]][0], order, m)

@@ -11,16 +11,20 @@ and the PolyVar m gives the ultrametric, fully-colored, mobile and
 chain-increasing counts as polynomials in the number of colors.  All read
 one prefix recurrence, _reduced, for r_s = a_s(m)/m: at m for the
 ultrametrics, fully-colored trees and processes (m = 3), at m + 1 for the
-chain-increasing trees and at 1 - m for the mobiles.  It is checked
-against ultrametric_series_polynomials (Lagrange inversion over Z[m],
-which the benchmark imports) and the oracle module's mobile series
-inversion, chain recurrence, alternating sums and integral relation.
+chain-increasing trees and at 1 - m for the mobiles.  It reads the
+alternating derangement sum a_s(m) = (-1)^(s-1) sum_k (-m)^k d(s+k-1, k),
+d(n, k) the associated Stirling numbers of the first kind, one row of
+d(n+1, k) = n d(n, k) + n d(n-1, k-1) at a time with the powers of -m
+folded in.  It is checked against ultrametric_series_polynomials
+(Lagrange inversion over Z[m], which the benchmark imports), the ODE
+recurrence of the tests, and the oracle module's mobile series inversion,
+chain recurrence, alternating sums and integral relation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 
 from .bell import bell_inverse_recursive, bell_row
 from .rings import PolyVar, poly_ring
@@ -88,22 +92,28 @@ def p_series(spec: DegreeSpec, order: int) -> tuple:
 
 def _reduced(up_to_s: int, m) -> list:
     """[r_2, ..., r_up_to_s] over the ring of m, where a_s(m) = m r_s(m)
-    is the ultrametric count for s >= 2.
+    is the ultrametric count for s >= 2; [] for up_to_s = 1.
 
-    P inverts (1-m)t + m log(1+t), so (1 + (1-m)P) P' = 1 + P, and p_1 = 1,
-    p_s = m r_s give r_2 = 1 and, free of division, r_{n+1} = r_n - (1-m)
-    ((n+1) r_n + m sum_{i=2..n-1} C(n,i) r_i r_{n+1-i}).  Terms i and n+1-i
-    pair up by C(n,i) + C(n,n+1-i) = C(n+1,i), so the sum runs over i <= n/2,
-    plus C(n,j-1) r_j^2 for the unpaired middle term i = j when n + 1 = 2j.
+    a_s(m) = (-1)^(s-1) sum_k (-m)^k d(s+k-1, k), with d(n, k) the
+    derangements of n by k cycles (the associated Stirling numbers of the
+    first kind), and d(n+1, k) = n d(n, k) + n d(n-1, k-1).  With the point
+    folded in, E(j, k) = (-m)^(k-1) d(j+k, k) for k = 1..j runs the row
+    recurrence E(j+1, k) = (j+k) (E(j, k) - m E(j, k-1)) from E(1, .) = [1],
+    and r_{j+1} = (-1)^(j+1) sum_k E(j, k).  Each entry is a small-int
+    multiple, one product with the point and one sum, and nothing divides,
+    so the point may be any int or PolyVar, 1 - m = 0 included.
     """
-    r = [None, None, m * 0 + 1]         # r_2 = 1 in the ring of m
-    for n in range(2, up_to_s):
-        acc = sum(comb(n + 1, i) * r[i] * r[n + 1 - i] for i in range(2, n // 2 + 1))
-        if n % 2:
-            j = (n + 1) // 2
-            acc = acc + comb(n, j - 1) * r[j] * r[j]
-        r.append(r[n] - (1 - m) * ((n + 1) * r[n] + m * acc))
-    return r[2:up_to_s + 1]
+    q = -m
+    zero = q * 0
+    row = [zero + 1]                    # E(1, 1) = d(2, 1) = 1
+    out = []
+    for j in range(1, up_to_s):
+        r = sum(row)
+        out.append(r if j % 2 else -r)
+        row.append(zero)                # E(j, j+1) = 0; E(j, 0) = 0 below
+        row = [(j + k) * (e + q * f)
+               for k, e, f in zip(range(1, j + 2), row, [zero] + row)]
+    return out
 
 
 def ultrametric_counts(up_to_s: int, m) -> list:

@@ -31,6 +31,18 @@ x = WeightPoly.gen
 M = PolyVar.gen("m")
 
 
+def ode_reduced(up_to_s, m):
+    """[r_2, ..., r_up_to_s] from the ODE (1 + (1-m)P) P' = 1 + P of the
+    ultrametric EGF P = t + sum_s m r_s t^s/s!, term by term over i = 1..n
+    of p_{n+1} = p_n - (1-m) sum_i C(n,i) p_i p_{n+1-i}, divided by m."""
+    r = [None, None, m * 0 + 1]
+    for n in range(2, up_to_s):
+        acc = (n + 1) * r[n] + m * sum(
+            comb(n, i) * r[i] * r[n + 1 - i] for i in range(2, n))
+        r.append(r[n] - (1 - m) * acc)
+    return r[2:up_to_s + 1]
+
+
 def expected_p2():
     """Weighted coefficients for two colors through five leaves."""
     return {
@@ -198,16 +210,23 @@ class TestUltrametrics:
         assert ultrametric_series_polynomials(8) == ultrametric_counts(8, M)
 
     @pytest.mark.parametrize("m, up_to_s", [
-        (1, 150), (2, 150), (3, 150), (8, 150), (PolyVar.gen("m"), 30),
-    ], ids=["1", "2", "3", "8", "m"])
+        (1, 300), (2, 300), (3, 300), (8, 300),
+        (M, 30), (M + 1, 30), (1 - M, 30),
+    ], ids=["1", "2", "3", "8", "m", "m+1", "1-m"])
     def test_folded_sum_matches_the_full_sum(self, m, up_to_s):
-        # the unfolded recurrence over i = 1..n; the prefix covers odd n,
-        # where the middle term p_j^2 stands alone, and even n alike
-        p = [None, m * 0 + 1]
-        for n in range(1, up_to_s):
-            acc = sum(comb(n, i) * p[i] * p[n + 1 - i] for i in range(1, n + 1))
-            p.append(p[n] - (1 - m) * acc)
-        assert ultrametric_counts(up_to_s, m) == p[1:]
+        # ODE recurrence vs production: the derangement rows with the
+        # point folded in give the counts the full convolution gives
+        assert ultrametric_counts(up_to_s, m) == [m * 0 + 1] + [
+            m * r for r in ode_reduced(up_to_s, m)]
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8])
+    def test_shifted_points_match_the_ode_recurrence(self, m):
+        # the CLI reads the mobiles at 1 - m (0 for m = 1) and the
+        # chain-increasing trees at m + 1
+        assert mobile_counts(120, m) == [1] + [
+            (-1) ** s * m * r for s, r in enumerate(ode_reduced(120, 1 - m), start=2)]
+        assert chain_increasing_counts(120, m) == [1] + [
+            (m + 1) * r for r in ode_reduced(120, m + 1)]
 
     def test_one_color_row_all_ones(self):
         assert ultrametric_counts(11, 1) == [1] * 11
@@ -303,3 +322,31 @@ class TestProcesses:
     def test_equals_three_symbol_counts(self):
         assert process_counts(8) == ultrametric_counts(8, 3)
         assert process_counts(8) == chain_increasing_counts(8, 2)
+
+
+# a_1..a_3 = 1, m, 3m^2 - 2m, and each family's first three terms from them
+SHORT_PREFIXES = {
+    "ultrametric": (ultrametric_counts, lambda m: [1, m, 3 * m * m - 2 * m]),
+    "fully-colored": (fully_colored_labeled_counts,
+                      lambda m: [m, (m - 1) ** 2 * m, (m - 1) ** 3 * (3 * m * m - 2 * m)]),
+    "mobile": (mobile_counts, lambda m: [1, m, 3 * m * m - m]),
+    "chain-increasing": (chain_increasing_counts,
+                         lambda m: [1, m + 1, 3 * m * m + 4 * m + 1]),
+}
+
+
+class TestShortPrefixes:
+    @pytest.mark.parametrize("up_to_s", [1, 2, 3])
+    @pytest.mark.parametrize("m", [2, 5, M], ids=["2", "5", "m"])
+    @pytest.mark.parametrize("family", list(SHORT_PREFIXES))
+    def test_length_and_values(self, family, m, up_to_s):
+        fn, first = SHORT_PREFIXES[family]
+        counts = fn(up_to_s, m)
+        assert counts == first(m)[:up_to_s]
+        assert all(type(c) is type(m) for c in counts)
+
+    @pytest.mark.parametrize("up_to_s", [1, 2, 3])
+    def test_edge_points(self, up_to_s):
+        assert chain_increasing_counts(up_to_s, 0) == [1, 1, 1][:up_to_s]
+        assert mobile_counts(up_to_s, 1) == [1, 1, 2][:up_to_s]
+        assert process_counts(up_to_s) == [1, 3, 21][:up_to_s]
