@@ -5,13 +5,12 @@ symbolic weight series.
 
 __all__ is the documented API: each family's prefix for s = 1..S (an int
 m gives counts; every prefix with an m also takes PolyVar.gen("m") for
-polynomials in m), the unlabeled refinement polynomials, p_series with
-DegreeSpec, PolyVar and WeightPoly.  Everything else, the oracles and the
+polynomials in m), the unlabeled refinement polynomials, p_series,
+PolyVar and WeightPoly.  Everything else, the oracles and the
 test-support ExpSeries included, is imported from its module.
 """
 
 from .labeled import (
-    DegreeSpec,
     chain_increasing_counts,
     fully_colored_labeled_counts,
     mobile_counts,
@@ -31,7 +30,7 @@ from .weights import WeightPoly
 __version__ = "0.1.0"
 
 __all__ = [
-    "PolyVar", "WeightPoly", "DegreeSpec", "p_series",
+    "PolyVar", "WeightPoly", "p_series",
     "ultrametric_counts", "fully_colored_labeled_counts", "mobile_counts",
     "chain_increasing_counts", "process_counts",
     "unlabeled_counts", "multipartite_unlabeled_counts",

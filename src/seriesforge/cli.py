@@ -1,77 +1,99 @@
-"""Command-line front end.
+"""Command-line front end, on argparse.
 
 Subcommands: ``count`` (one exact value), ``table`` (whole tables, with
 ``--check-paper`` validation against the embedded reference values),
 ``gf`` (series coefficients as exact JSON), ``verify`` (compare a family
-against an OEIS b-file).
+against an OEIS b-file), each over the families of the FAMILIES table.
 
-Exit codes: 0 success, 1 usage error, 2 verification mismatch.  The env
-var SERIESFORGE_MAX_ORDER caps the series order (default 16).
+Exit codes: 0 success, 1 usage error or unwritable output (one ``error:``
+line on stderr), 2 verification mismatch.  The env var
+SERIESFORGE_MAX_ORDER caps the series order (default 16).
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import os
 import sys
 
-import click
-from click.core import ParameterSource
-
 from . import labeled, reference, unlabeled
 from .weights import WeightPoly, _json_int
 
 DEFAULT_MAX_ORDER = 16
+
+# family -> (prefix function, takes --m, table name, reference values by m,
+# gf letter); the exponential series are A labeled trees, G mobiles and
+# Y chain-increasing trees
+FAMILIES = {
+    "ultrametrics": (labeled.ultrametric_counts, True,
+                     "symbolic", reference.ULTRAMETRIC_TABLE, "A"),
+    "fully-colored-labeled": (labeled.fully_colored_labeled_counts, True,
+                              "fully-colored-labeled", reference.FULLY_COLORED_LABELED_TABLE,
+                              None),
+    "mobiles": (labeled.mobile_counts, True, "mobiles", reference.MOBILES_TABLE, "G"),
+    "chain-increasing": (labeled.chain_increasing_counts, True, None, None, "Y"),
+    "processes": (labeled.process_counts, False, None, None, None),
+    "unlabeled": (unlabeled.unlabeled_counts, False, None, None, None),
+    "multipartite-unlabeled": (unlabeled.multipartite_unlabeled_counts, True,
+                               "multipartite-unlabeled", reference.MULTIPARTITE_UNLABELED_TABLE,
+                               None),
+    "fully-colored-unlabeled": (unlabeled.fully_colored_unlabeled_counts, True,
+                                "fully-colored-unlabeled", reference.FULLY_COLORED_UNLABELED_TABLE,
+                                None),
+}
+TABLES = {row[2]: family for family, row in FAMILIES.items() if row[2]}
+GF_KINDS = {row[4]: family for family, row in FAMILIES.items() if row[4]}
+# P with x_{c,k} = 1 is the A series, with x_{c,k} = (k-1)! the G series
+P_SPECS = {"ones": "A", "factorial": "G"}
+
+
+class UsageError(Exception):
+    """Bad command-line input or an unwritable output: exit 1."""
 
 
 class VerificationFailure(Exception):
     """Computed values disagree with a fixture or b-file."""
 
 
-def _max_order() -> int:
-    raw = os.environ.get("SERIESFORGE_MAX_ORDER")
-    if raw is None:
-        return DEFAULT_MAX_ORDER
-    try:
-        return int(raw)
-    except ValueError:
-        raise click.UsageError(f"SERIESFORGE_MAX_ORDER is not an integer: {raw!r}")
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1, not argparse's 2, which is the exit code of a
+    verification mismatch; the help text is written as any output is."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+    def print_help(self, file=None):
+        _emit(self.format_help().rstrip("\n"))
 
 
-def _emit(text: str, output):
-    if output is None:
-        click.echo(text)
-        return
+def _emit(text: str, output=None):
+    """Print text to stdout, or to the file `output`; a failed write is a
+    usage error."""
     try:
-        with open(output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        if output is None:
+            print(text, flush=True)
+        else:
+            with open(output, "w") as fh:
+                print(text, file=fh)
     except OSError as exc:
-        raise click.UsageError(f"cannot write {output}: {exc.strerror}")
+        if output is None:
+            # Python flushes stdout again at exit: send the rest to os.devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write {'stdout' if output is None else output}: {exc.strerror}")
 
 
-COUNT_FAMILIES = {
-    "ultrametrics": (labeled.ultrametric_counts, True),
-    "fully-colored-labeled": (labeled.fully_colored_labeled_counts, True),
-    "mobiles": (labeled.mobile_counts, True),
-    "chain-increasing": (labeled.chain_increasing_counts, True),
-    "processes": (labeled.process_counts, False),
-    "unlabeled": (unlabeled.unlabeled_counts, False),
-    "multipartite-unlabeled": (unlabeled.multipartite_unlabeled_counts, True),
-    "fully-colored-unlabeled": (unlabeled.fully_colored_unlabeled_counts, True),
-}
-
-
-def _family(family: str, m):
-    """The family's prefix function and the arguments that follow the
-    size; a missing or unexpected --m is a usage error."""
-    fn, needs_m = COUNT_FAMILIES[family]
+def _counts(family: str, s: int, m):
+    """The family's prefix for 1..s; a missing or unexpected --m, or an
+    out-of-range argument, is a usage error."""
+    fn, needs_m = FAMILIES[family][:2]
     if needs_m and m is None:
-        raise click.UsageError(f"family {family!r} requires --m")
+        raise UsageError(f"family {family!r} requires --m")
     if not needs_m and m is not None:
-        raise click.UsageError(f"family {family!r} does not take --m")
-    return fn, ((m,) if needs_m else ())
+        raise UsageError(f"family {family!r} does not take --m")
+    return _values(fn, s, *((m,) if needs_m else ()))
 
 
 def _values(fn, *args):
@@ -80,57 +102,27 @@ def _values(fn, *args):
     try:
         return fn(*args)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
 
 
-def _given(ctx: click.Context, param: str) -> bool:
-    """Whether the option `param` was set on the command line."""
-    return ctx.get_parameter_source(param) is not ParameterSource.DEFAULT
-
-
-@click.group()
-def cli():
-    """Exact counts of multipartite series-reduced trees and friends."""
-
-
-@cli.command("count")
-@click.argument("family", type=click.Choice(sorted(COUNT_FAMILIES)))
-@click.option("--s", "s", type=int, required=True, help="size parameter (leaves/chains/actions)")
-@click.option("--m", "m", type=int, default=None, help="number of colors/symbols")
-@click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]), default="plain")
-@click.option("-o", "--output", type=click.Path(), default=None)
-def cmd_count(family, s, m, fmt, output):
+def cmd_count(args):
     """Print one exact count."""
-    fn, args = _family(family, m)
-    value = _values(fn, s, *args)[-1]
+    family, s, m, fmt = args.family, args.s, args.m, args.fmt
+    value = _counts(family, s, m)[-1]
     if fmt == "plain":
-        _emit(str(value), output)
+        _emit(str(value), args.output)
     elif fmt == "json":
-        _emit(json.dumps({"family": family, "s": s, "m": m, "value": _json_int(value)}), output)
+        _emit(json.dumps({"family": family, "s": s, "m": m, "value": _json_int(value)}),
+              args.output)
     else:
         rows = [["family", "s", "m", "value"], [family, s, "" if m is None else m, value]]
-        _emit(_render_grid(rows, fmt), output)
-
-
-# table name -> (prefix function, reference values by m)
-TABLE_FAMILIES = {
-    "symbolic": (labeled.ultrametric_counts, reference.ULTRAMETRIC_TABLE),
-    "fully-colored-labeled": (labeled.fully_colored_labeled_counts,
-                              reference.FULLY_COLORED_LABELED_TABLE),
-    "mobiles": (labeled.mobile_counts, reference.MOBILES_TABLE),
-    "multipartite-unlabeled": (unlabeled.multipartite_unlabeled_counts,
-                               reference.MULTIPARTITE_UNLABELED_TABLE),
-    "fully-colored-unlabeled": (unlabeled.fully_colored_unlabeled_counts,
-                                reference.FULLY_COLORED_UNLABELED_TABLE),
-}
+        _emit(_render_grid(rows, fmt), args.output)
 
 
 def _render_grid(rows, fmt) -> str:
     if fmt == "csv":
         buf = io.StringIO()
-        w = csv.writer(buf)
-        for row in rows:
-            w.writerow(row)
+        csv.writer(buf).writerows(rows)
         return buf.getvalue().rstrip("\n")
     if fmt == "json":
         header, *body = rows
@@ -144,33 +136,22 @@ def _render_grid(rows, fmt) -> str:
     )
 
 
-@cli.command("table")
-@click.argument(
-    "name", type=click.Choice(sorted(TABLE_FAMILIES) + ["riordan-triangle"])
-)
-@click.option("--max-s", type=int, default=8, help="family tables only")
-@click.option("--max-m", type=int, default=8, help="family tables only")
-@click.option("--max-n", type=int, default=10, help="riordan-triangle only")
-@click.option("--check-paper", is_flag=True, help="compare against the embedded reference values")
-@click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]), default="plain")
-@click.option("-o", "--output", type=click.Path(), default=None)
-@click.pass_context
-def cmd_table(ctx, name, max_s, max_m, max_n, check_paper, fmt, output):
+def cmd_table(args):
     """Emit one of the count tables."""
     mismatches = []
-    if name == "riordan-triangle":
-        if _given(ctx, "max_s") or _given(ctx, "max_m"):
-            raise click.UsageError("--max-s and --max-m apply to the family tables only")
+    if args.name == "riordan-triangle":
+        if args.max_s is not None or args.max_m is not None:
+            raise UsageError("--max-s and --max-m apply to the family tables only")
+        max_n = 10 if args.max_n is None else args.max_n
         if max_n < 2:
-            raise click.UsageError("--max-n must be >= 2")
+            raise UsageError("--max-n must be >= 2")
         polys = unlabeled.refined_polys(max_n)
-        header = ["k\\n"] + list(range(2, max_n + 1))
-        rows = [header]
+        rows = [["k\\n"] + list(range(2, max_n + 1))]
         for k in range(1, max_n):
             rows.append([k] + [polys[n - 1][k] or "" for n in range(2, max_n + 1)])
         sums = [p.eval_at(1) for p in polys]
         rows.append(["sum"] + sums[1:])
-        if check_paper:
+        if args.check_paper:
             for (k, n), ref in reference.RIORDAN_TRIANGLE.items():
                 if n <= max_n and polys[n - 1][k] != ref:
                     mismatches.append(((k, n), polys[n - 1][k], ref))
@@ -179,67 +160,59 @@ def cmd_table(ctx, name, max_s, max_m, max_n, check_paper, fmt, output):
                 if sums[n - 1] != ref:
                     mismatches.append((("sum", n), sums[n - 1], ref))
     else:
-        if _given(ctx, "max_n"):
-            raise click.UsageError("--max-n applies to riordan-triangle only")
+        if args.max_n is not None:
+            raise UsageError("--max-n applies to riordan-triangle only")
+        max_s = 8 if args.max_s is None else args.max_s
+        max_m = 8 if args.max_m is None else args.max_m
         if max_m < 1:
-            raise click.UsageError("--max-m must be >= 1")
-        fn, ref_table = TABLE_FAMILIES[name]
-        header = ["m\\s"] + list(range(1, max_s + 1))
-        rows = [header]
+            raise UsageError("--max-m must be >= 1")
+        fn, _, _, ref_table, _ = FAMILIES[TABLES[args.name]]
+        rows = [["m\\s"] + list(range(1, max_s + 1))]
         for m in range(1, max_m + 1):
             row = _values(fn, max_s, m)
             rows.append([m] + row)
-            if check_paper and m in ref_table:
+            if args.check_paper and m in ref_table:
                 for s, ref in enumerate(ref_table[m][:max_s], start=1):
                     if row[s - 1] != ref:
                         mismatches.append(((m, s), row[s - 1], ref))
-    _emit(_render_grid(rows, fmt), output)
-    if check_paper:
+    _emit(_render_grid(rows, args.fmt), args.output)
+    if args.check_paper:
         if mismatches:
             for cell, got, ref in mismatches:
-                click.echo(f"MISMATCH at {cell}: computed {got}, reference {ref}", err=True)
+                print(f"MISMATCH at {cell}: computed {got}, reference {ref}", file=sys.stderr)
             raise VerificationFailure(f"{len(mismatches)} cell(s) differ")
-        click.echo("all checked cells match the reference values", err=True)
+        print("all checked cells match the reference values", file=sys.stderr)
 
 
-# exponential series of a count family: A labeled trees, G mobiles,
-# Y chain-increasing trees; P is A with x_{c,k} = 1 and G with (k-1)!
-GF_FAMILIES = {"A": "ultrametrics", "G": "mobiles", "Y": "chain-increasing"}
-P_SPEC_FAMILIES = {"ones": "ultrametrics", "factorial": "mobiles"}
-
-
-@cli.command("gf")
-@click.argument("kind", type=click.Choice(["P", *GF_FAMILIES]))
-@click.option("--m", "m", type=int, required=True)
-@click.option("--order", type=int, default=8)
-@click.option("--spec", "spec_kind", type=click.Choice(["symbolic", *P_SPEC_FAMILIES]),
-              default="symbolic", help="gf P only: x_{c,k} symbolic, all 1 or (k-1)!")
-@click.option("-o", "--output", type=click.Path(), default=None)
-@click.pass_context
-def cmd_gf(ctx, kind, m, order, spec_kind, output):
+def cmd_gf(args):
     """Emit series coefficients as exact JSON."""
-    if kind != "P" and _given(ctx, "spec_kind"):
-        raise click.UsageError("--spec applies to gf P only")
-    cap = _max_order()
+    kind, m, order = args.kind, args.m, args.order
+    if kind != "P" and args.spec is not None:
+        raise UsageError("--spec applies to gf P only")
+    raw = os.environ.get("SERIESFORGE_MAX_ORDER", str(DEFAULT_MAX_ORDER))
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise UsageError(f"SERIESFORGE_MAX_ORDER is not an integer: {raw!r}")
     if order > cap:
-        raise click.UsageError(f"order {order} exceeds the cap {cap}")
+        raise UsageError(f"order {order} exceeds the cap {cap}")
     if order < 1:
-        raise click.UsageError("order must be >= 1")
+        raise UsageError("order must be >= 1")
     if kind == "P":
-        spec = _values(labeled.DegreeSpec, m)
-        if spec_kind == "symbolic":
-            series = labeled.p_series(spec, order)
+        if args.spec in (None, "symbolic"):
+            series = _values(labeled.p_series, m, order)
         else:
-            fn = COUNT_FAMILIES[P_SPEC_FAMILIES[spec_kind]][0]
-            series = [WeightPoly.const(v) for v in [0] + fn(order, m)]
+            fn = FAMILIES[GF_KINDS[P_SPECS[args.spec]]][0]
+            series = [WeightPoly.const(v) for v in [0] + _values(fn, order, m)]
         # json.dumps of the whole record, one coefficient's text at a time
         coeffs = ", ".join(c.to_json() for c in series)
-        _emit(f'{{"kind": "P", "m": {m}, "order": {order}, "coeffs": [{coeffs}]}}', output)
+        _emit(f'{{"kind": "P", "m": {m}, "order": {order}, "coeffs": [{coeffs}]}}',
+              args.output)
         return
     # c_s = s-th count, c_0 = 0, each as an exact rational "num/den"
-    values = _values(COUNT_FAMILIES[GF_FAMILIES[kind]][0], order, m)
+    values = _values(FAMILIES[GF_KINDS[kind]][0], order, m)
     coeffs = ["0/1"] + [f"{v}/1" for v in values]
-    _emit(json.dumps({"order": order, "coeffs": coeffs}), output)
+    _emit(json.dumps({"order": order, "coeffs": coeffs}), args.output)
 
 
 def parse_bfile(path: str):
@@ -264,26 +237,61 @@ def parse_bfile(path: str):
     return entries
 
 
-@cli.command("verify")
-@click.argument("family", type=click.Choice(sorted(COUNT_FAMILIES)))
-@click.option("--m", "m", type=int, default=None)
-@click.option("--bfile", type=click.Path(exists=True, dir_okay=False), required=True)
-def cmd_verify(family, m, bfile):
+def cmd_verify(args):
     """Compare computed values against a b-file over its index range."""
-    fn, args = _family(family, m)
     try:
-        entries = parse_bfile(bfile)
+        entries = parse_bfile(args.bfile)
     except (ValueError, OSError) as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     entries = [(idx, val) for idx, val in entries if idx >= 1]
     if not entries:
-        raise click.UsageError(f"{bfile}: no entry at index >= 1")
-    values = _values(fn, entries[-1][0], *args)
+        raise UsageError(f"{args.bfile}: no entry at index >= 1")
+    values = _counts(args.family, entries[-1][0], args.m)
     for idx, val in entries:
         if values[idx - 1] != val:
-            click.echo(f"mismatch at index {idx}: computed {values[idx - 1]}, b-file {val}")
+            _emit(f"mismatch at index {idx}: computed {values[idx - 1]}, b-file {val}")
             raise VerificationFailure(f"index {idx}")
-    click.echo(f"OK ({len(entries)} entries)")
+    _emit(f"OK ({len(entries)} entries)")
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="seriesforge", allow_abbrev=False,
+                     description="Exact counts of multipartite series-reduced trees and friends.")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output")
+    grid = argparse.ArgumentParser(add_help=False, parents=[output])
+    grid.add_argument("--format", dest="fmt", choices=["plain", "json", "csv"], default="plain")
+
+    def command(fn, name, positional, choices, parents=()):
+        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__,
+                                  allow_abbrev=False, parents=parents)
+        sub.set_defaults(run=fn)
+        sub.add_argument(positional, choices=choices)
+        return sub
+
+    count = command(cmd_count, "count", "family", sorted(FAMILIES), [grid])
+    count.add_argument("--s", type=int, required=True, help="size parameter (leaves/chains/actions)")
+    count.add_argument("--m", type=int, help="number of colors/symbols")
+
+    table = command(cmd_table, "table", "name", sorted(TABLES) + ["riordan-triangle"], [grid])
+    table.add_argument("--max-s", type=int, help="family tables only (default 8)")
+    table.add_argument("--max-m", type=int, help="family tables only (default 8)")
+    table.add_argument("--max-n", type=int, help="riordan-triangle only (default 10)")
+    table.add_argument("--check-paper", action="store_true",
+                       help="compare against the embedded reference values")
+
+    gf = command(cmd_gf, "gf", "kind", ["P", *GF_KINDS], [output])
+    gf.add_argument("--m", type=int, required=True)
+    gf.add_argument("--order", type=int, default=8)
+    gf.add_argument("--spec", choices=["symbolic", *P_SPECS],
+                    help="gf P only: x_{c,k} symbolic (default), all 1 or (k-1)!")
+
+    verify = command(cmd_verify, "verify", "family", sorted(FAMILIES))
+    verify.add_argument("--m", type=int)
+    verify.add_argument("--bfile", required=True)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -291,18 +299,16 @@ def main(argv=None) -> int:
         # counts and b-file values may pass Python's 4300-digit default
         sys.set_int_max_str_digits(0)
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 1
-    except click.ClickException as exc:
-        exc.show()
-        return 1
-    except click.exceptions.Abort:
+        args = _parser().parse_args(argv)
+        args.run(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except VerificationFailure as exc:
-        click.echo(f"verification failed: {exc}", err=True)
+        print(f"verification failed: {exc}", file=sys.stderr)
         return 2
+    except SystemExit as exc:           # argparse exits so after --help
+        return exc.code
     return 0
 
 

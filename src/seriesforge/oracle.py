@@ -31,7 +31,7 @@ from typing import Dict, Iterator, Tuple
 
 from .bell import bell_inverse_recursive, bell_row
 from .egf import ExpSeries
-from .labeled import POLY_M, DegreeSpec, ultrametric_counts
+from .labeled import POLY_M, ultrametric_counts
 from .rings import QQ, ZZ, PolyVar, Ring, poly_ring
 from .weights import WEIGHT_RING, WeightPoly
 
@@ -507,14 +507,14 @@ def bell_inverse_closed(x, ring: Ring) -> tuple:
     return tuple(out)
 
 
-def p_closed_form(spec: DegreeSpec, s: int) -> WeightPoly:
+def p_closed_form(m: int, s: int) -> WeightPoly:
     """P_s(m,x) by the closed-form inversion: of every degree function,
     then of t + sum_c (inverse degree function - t)."""
     ring = WEIGHT_RING
     if s < 1:
         raise ValueError("s must be >= 1")
     f = [ring.one] + [ring.zero] * (s - 1)
-    for c in range(1, spec.m + 1):
+    for c in range(1, m + 1):
         xc = [ring.one] + [WeightPoly.gen(c, k) for k in range(2, s + 1)]
         inv = bell_inverse_closed(xc, ring)
         for j in range(2, s + 1):
@@ -522,7 +522,7 @@ def p_closed_form(spec: DegreeSpec, s: int) -> WeightPoly:
     return bell_inverse_closed(f, ring)[s - 1]
 
 
-def p_series_by_inversion(spec: DegreeSpec, order: int) -> tuple:
+def p_series_by_inversion(m: int, order: int) -> tuple:
     """(P_0, ..., P_order) by global Lagrange inversion: invert every
     degree function, then t + sum_c (inverse degree function - t), with
     the Bell-table kernel over the weight ring."""
@@ -530,7 +530,7 @@ def p_series_by_inversion(spec: DegreeSpec, order: int) -> tuple:
         raise ValueError("order must be >= 1")
     ring = WEIGHT_RING
     f = [ring.one] + [ring.zero] * (order - 1)
-    for c in range(1, spec.m + 1):
+    for c in range(1, m + 1):
         xc = [ring.one] + [WeightPoly.gen(c, k) for k in range(2, order + 1)]
         inv = bell_inverse_recursive(xc, ring)
         for n in range(2, order + 1):
@@ -538,7 +538,7 @@ def p_series_by_inversion(spec: DegreeSpec, order: int) -> tuple:
     return (ring.zero,) + bell_inverse_recursive(f, ring)
 
 
-def p_series_by_color_recursion(spec: DegreeSpec, order: int) -> ExpSeries:
+def p_series_by_color_recursion(m: int, order: int) -> ExpSeries:
     """P(m,t,x) by the root-color recurrence.
 
     For each color c, trees with root color c are a root vertex of
@@ -547,7 +547,6 @@ def p_series_by_color_recursion(spec: DegreeSpec, order: int) -> ExpSeries:
     comp_1 = 1 (a singleton block is a bare leaf), comp_j = P_j - P_j^{(c)}.
     """
     ring = WEIGHT_RING
-    m = spec.m
     total = [None, ring.one]            # total[s] = P_s(m, x)
     by_color = {c: [None, None] for c in range(1, m + 1)}
     comps = {c: [ring.one] for c in range(1, m + 1)}

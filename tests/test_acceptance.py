@@ -14,7 +14,6 @@ from seriesforge.bell import bell_inverse_recursive
 from seriesforge.cli import main as cli_main
 from seriesforge.egf import bell_product
 from seriesforge.labeled import (
-    DegreeSpec,
     chain_increasing_counts,
     fully_colored_labeled_counts,
     mobile_counts,
@@ -86,19 +85,18 @@ def test_criterion_03_colored_and_mobile_tables():
 def test_criterion_04_triple_agreement():
     start = time.monotonic()
     for m in (1, 2, 3):
-        spec = DegreeSpec(m)
-        p1 = p_series(spec, 6)
-        p2 = p_series_by_color_recursion(spec, 6)
+        p1 = p_series(m, 6)
+        p2 = p_series_by_color_recursion(m, 6)
         for s in range(1, 7):
-            assert p1[s] == p2[s] == p_closed_form(spec, s), f"(s={s}, m={m})"
-    one = p_series(DegreeSpec(1), 6)
+            assert p1[s] == p2[s] == p_closed_form(m, s), f"(s={s}, m={m})"
+    one = p_series(1, 6)
     assert one[1] == WeightPoly.const(1)
     for s in range(2, 7):
         assert one[s] == WeightPoly.gen(1, s)
-    two = p_series(DegreeSpec(2), 5)
+    two = p_series(2, 5)
     for s, want in expected_p2().items():
         assert two[s] == want
-    three = p_series(DegreeSpec(3), 4)
+    three = p_series(3, 4)
     for s, want in expected_p3().items():
         assert three[s] == want
     elapsed = time.monotonic() - start
@@ -143,7 +141,7 @@ def test_criterion_07_unlabeled_tables():
 def test_criterion_08_oracle_equivalence():
     start = time.monotonic()
     for m in (1, 2, 3):
-        p = p_series(DegreeSpec(m), 6)
+        p = p_series(m, 6)
         counts = ultrametric_counts(6, m)
         for s in range(1, 7):
             count, weight = enum_labeled_trees(s, m)

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from seriesforge.cli import COUNT_FAMILIES, main, parse_bfile
+from seriesforge.cli import FAMILIES, main, parse_bfile
 from seriesforge.labeled import fully_colored_labeled_counts, mobile_counts, ultrametric_counts
 from seriesforge.oracle import (
     alternating_bell_poly,
@@ -148,7 +149,7 @@ class TestCount:
         code, _, _ = run(capsys, "count", "unlabeled", "--s", "0")
         assert code == 1
 
-    @pytest.mark.parametrize("family", sorted(f for f, (_, needs_m) in COUNT_FAMILIES.items()
+    @pytest.mark.parametrize("family", sorted(f for f, (_, needs_m, *_) in FAMILIES.items()
                                               if needs_m))
     def test_bad_m_has_one_wording(self, capsys, family):
         least = 0 if family == "chain-increasing" else 1
@@ -438,9 +439,16 @@ class TestVerify:
         assert code == 1
 
 
+def cli_process(argv, **kwargs):
+    """The CLI as its own process, `python -m seriesforge.cli argv`."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "seriesforge.cli", *argv],
+                          env=env, stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
+
+
 class TestOutputPath:
-    """-o to a path that cannot be written is a usage error, not a
-    traceback."""
+    """-o to a path that cannot be written, or a stdout that cannot be
+    written, is a usage error, not a traceback."""
 
     @pytest.mark.parametrize("argv", [
         ("count", "unlabeled", "--s", "5"),
@@ -450,15 +458,29 @@ class TestOutputPath:
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     def test_unwritable_output(self, tmp_path, argv, where):
         target = tmp_path / "no" / "such" / "x" if where == "missing-directory" else tmp_path
-        env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.run(
-            [sys.executable, "-m", "seriesforge.cli", *argv, "-o", str(target)],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = cli_process([*argv, "-o", str(target)], stdout=subprocess.PIPE)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and str(target) in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stdout(self):
+        # one error line, and no "Exception ignored" from the flush at exit
+        with open("/dev/full", "w") as full:
+            proc = cli_process(["count", "unlabeled", "--s", "5"], stdout=full)
+        assert (proc.returncode, proc.stderr) == (
+            1, f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+
+    def test_closed_pipe(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = cli_process(["table", "riordan-triangle", "--max-n", "40"], stdout=write)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (
+            1, f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n")
 
 
 class TestParseBfile:

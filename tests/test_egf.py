@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seriesforge.egf import ExpSeries
-from seriesforge.labeled import DegreeSpec, p_series
+from seriesforge.labeled import p_series
 from seriesforge.oracle import make_named
 from seriesforge.rings import QQ, PolyVar, poly_ring
 from seriesforge.weights import WEIGHT_RING
@@ -162,7 +162,7 @@ def test_json_serialization():
 
 
 @pytest.mark.parametrize("series", [
-    lambda: ExpSeries(WEIGHT_RING, p_series(DegreeSpec(1), 2)),
+    lambda: ExpSeries(WEIGHT_RING, p_series(1, 2)),
     lambda: ExpSeries.identity(poly_ring("m"), 3),
 ])
 def test_json_rejects_non_rational_rings(series):

@@ -7,7 +7,6 @@ import pytest
 
 from seriesforge import reference, weights
 from seriesforge.labeled import (
-    DegreeSpec,
     chain_increasing_counts,
     fully_colored_labeled_counts,
     mobile_counts,
@@ -95,58 +94,59 @@ def expected_p3():
 
 class TestPSeries:
     def test_one_color_single_monomials(self):
-        p = p_series(DegreeSpec(1), 6)
+        p = p_series(1, 6)
         assert p[1] == WeightPoly.const(1)
         for s in range(2, 7):
             assert p[s] == x(1, s)
 
     def test_two_colors_matches_printed_expansion(self):
-        p = p_series(DegreeSpec(2), 5)
+        p = p_series(2, 5)
         for s, want in expected_p2().items():
             assert p[s] == want, f"s={s}"
 
     def test_three_colors_matches_printed_expansion(self):
-        p = p_series(DegreeSpec(3), 4)
+        p = p_series(3, 4)
         for s, want in expected_p3().items():
             assert p[s] == want, f"s={s}"
 
     def test_color_recursion_base_cases(self):
-        p = p_series_by_color_recursion(DegreeSpec(2), 3)
+        p = p_series_by_color_recursion(2, 3)
         assert p[1] == WeightPoly.const(1)
         assert p[3] == expected_p2()[3]
 
     @pytest.mark.parametrize("order", [0, -2])
     def test_order_must_be_positive(self, order):
         with pytest.raises(ValueError, match="order"):
-            p_series(DegreeSpec(2), order)
+            p_series(2, order)
 
-    @pytest.mark.parametrize("args, match", [((0,), "m must be >= 1")])
+    @pytest.mark.parametrize("args, match", [((0, 3), "m must be >= 1"),
+                                             ((-1, 3), "m must be >= 1")])
     def test_spec_rejects_bad_input(self, args, match):
         with pytest.raises(ValueError, match=match):
-            DegreeSpec(*args)
+            p_series(*args)
 
     @pytest.mark.parametrize("m", [0.5, 1.5, 2.0, "2", None])
     def test_spec_rejects_a_color_count_that_is_not_an_int(self, m):
         with pytest.raises(TypeError, match="m must be an int"):
-            DegreeSpec(m)
+            p_series(m, 3)
 
     def test_closed_form_base(self):
-        assert p_closed_form(DegreeSpec(4), 1) == WeightPoly.const(1)
+        assert p_closed_form(4, 1) == WeightPoly.const(1)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_triple_agreement(self, m):
         order = 6
-        p1 = p_series(DegreeSpec(m), order)
-        p2 = p_series_by_color_recursion(DegreeSpec(m), order)
+        p1 = p_series(m, order)
+        p2 = p_series_by_color_recursion(m, order)
         for s in range(1, order + 1):
             assert p1[s] == p2[s]
-            assert p1[s] == p_closed_form(DegreeSpec(m), s)
+            assert p1[s] == p_closed_form(m, s)
 
     @pytest.mark.parametrize("m, order", [(1, 10), (2, 10), (3, 10), (4, 9)])
     def test_matches_the_inversion_and_the_per_color_tables(self, m, order):
-        p = p_series(DegreeSpec(m), order)
-        assert p == p_series_by_inversion(DegreeSpec(m), order)
-        per_color = p_series_by_color_recursion(DegreeSpec(m), order)
+        p = p_series(m, order)
+        assert p == p_series_by_inversion(m, order)
+        per_color = p_series_by_color_recursion(m, order)
         assert list(p) == [per_color[s] for s in range(order + 1)]
 
     @pytest.mark.parametrize("m, order", [(2, 9), (3, 9), (4, 8)])
@@ -158,25 +158,25 @@ class TestPSeries:
         random.Random(m).shuffle(variables)
         layouts = {
             "shuffled": lambda: [WeightPoly.gen(c, k) for c, k in variables],
-            "smaller call first": lambda: p_series(DegreeSpec(m), order // 2),
+            "smaller call first": lambda: p_series(m, order // 2),
             "colour 1 only": lambda: [WeightPoly.gen(1, k) for k in range(order + 2, 1, -1)],
         }
         for name, fill in layouts.items():
             with mock.patch.multiple(weights, _FIELDS={}, _VARIABLES=[], _guards=0):
                 fill()
-                p = p_series(DegreeSpec(m), order)
-                assert p == p_series_by_inversion(DegreeSpec(m), order), name
-                per_color = p_series_by_color_recursion(DegreeSpec(m), order)
+                p = p_series(m, order)
+                assert p == p_series_by_inversion(m, order), name
+                per_color = p_series_by_color_recursion(m, order)
                 assert list(p) == [per_color[s] for s in range(order + 1)], name
 
     def test_degree_mass_invariant(self):
         # every monomial of the s-leaf coefficient carries total mass s - 1
-        p = p_series(DegreeSpec(3), 6)
+        p = p_series(3, 6)
         for s in range(2, 7):
             assert p[s].degree_mass() == {s - 1}
 
     def test_specialize_ones_gives_tree_counts(self):
-        p = p_series(DegreeSpec(3), 6)
+        p = p_series(3, 6)
         counts = ultrametric_counts(6, 3)
         for s in range(1, 7):
             assert p[s].substitute(lambda c, k: 1) == counts[s - 1]
@@ -184,7 +184,7 @@ class TestPSeries:
     def test_specialize_factorials_gives_mobiles(self):
         import math
 
-        p = p_series(DegreeSpec(2), 6)
+        p = p_series(2, 6)
         counts = mobile_counts(6, 2)
         for s in range(1, 7):
             got = p[s].substitute(lambda c, k: math.factorial(k - 1))

@@ -3,7 +3,9 @@
 The oracles and the test-support series type live beside production but
 outside it, so a CLI run must not load them, and the package must not
 export anything they define.  Each counting family has one public
-function, its prefix over the ring of m, which the CLI runs too.
+function, its prefix over the ring of m, which the CLI runs too.  The
+package has no runtime dependency, so a CLI run loads nothing outside
+the standard library.
 """
 
 import inspect
@@ -11,6 +13,8 @@ import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import seriesforge
 from seriesforge import bell, cli, labeled, unlabeled
@@ -27,8 +31,8 @@ CLI_RUNS = [
 ]
 
 # runs the CLI in a fresh interpreter, then prints, as its last line, the
-# exit codes, the seriesforge modules loaded and the module that defines
-# each exported name (a name that does not resolve fails the getattr)
+# exit codes, the modules loaded and the module that defines each exported
+# name (a name that does not resolve fails the getattr)
 PROBE = """
 import json, sys
 from seriesforge.cli import main
@@ -36,14 +40,15 @@ codes = [main(argv) for argv in json.loads(sys.argv[1])]
 import seriesforge
 print(json.dumps({
     "codes": codes,
-    "modules": sorted(m for m in sys.modules if m.startswith("seriesforge")),
+    "modules": sorted(sys.modules),
     "exports": {n: getattr(getattr(seriesforge, n), "__module__", None)
                 for n in seriesforge.__all__},
 }))
 """
 
 
-def test_cli_run_stays_inside_production():
+@pytest.fixture(scope="module")
+def probe():
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, json.dumps(CLI_RUNS)],
@@ -51,10 +56,28 @@ def test_cli_run_stays_inside_production():
     )
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["codes"] == [0] * len(CLI_RUNS)
-    assert "seriesforge.egf" not in report["modules"]
-    assert "seriesforge.oracle" not in report["modules"]
-    for name, module in report["exports"].items():
+    # what the interpreter loads on its own, `site` and its .pth files included
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys; print(*sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    report["bare"] = bare.stdout.split()
+    return report
+
+
+def test_cli_run_stays_inside_production(probe):
+    assert "seriesforge.egf" not in probe["modules"]
+    assert "seriesforge.oracle" not in probe["modules"]
+    for name, module in probe["exports"].items():
         assert module not in ("seriesforge.egf", "seriesforge.oracle"), name
+
+
+def test_cli_run_loads_nothing_outside_the_standard_library(probe):
+    def top(modules):
+        return {m.split(".")[0] for m in modules}
+
+    extra = top(probe["modules"]) - top(probe["bare"]) - {"seriesforge"}
+    assert extra <= set(sys.stdlib_module_names), extra - set(sys.stdlib_module_names)
 
 
 def _public_functions(mod):
@@ -68,11 +91,11 @@ def test_bell_is_the_inversion_kernel_only():
 
 def test_labeled_builds_no_series_object():
     assert not hasattr(labeled, "ExpSeries")
-    assert isinstance(labeled.p_series(labeled.DegreeSpec(1), 3), tuple)
+    assert isinstance(labeled.p_series(1, 3), tuple)
 
 
-FAMILY_PREFIXES = {fn for fn, _ in cli.COUNT_FAMILIES.values()}
-SERIES_API = {"refined_polys", "p_series", "DegreeSpec", "PolyVar", "WeightPoly"}
+FAMILY_PREFIXES = {fn for fn, *_ in cli.FAMILIES.values()}
+SERIES_API = {"refined_polys", "p_series", "PolyVar", "WeightPoly"}
 
 
 def test_exports_are_the_family_prefixes_and_the_series_api():

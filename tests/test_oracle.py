@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seriesforge.labeled import (
-    DegreeSpec,
     chain_increasing_counts,
     mobile_counts,
     p_series,
@@ -52,7 +51,7 @@ class TestLabeledTreeOracle:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_weights_match_series_coefficients(self, m):
-        p = p_series(DegreeSpec(m), 6)
+        p = p_series(m, 6)
         for s in range(1, 7):
             _, weight = enum_labeled_trees(s, m)
             assert weight == p[s], f"s={s} m={m}"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seriesforge import weights
-from seriesforge.labeled import DegreeSpec, p_series
+from seriesforge.labeled import p_series
 from seriesforge.weights import WeightPoly
 
 # a monomial as (c, k, exponent) factors; repeated variables and exponents
@@ -74,7 +74,7 @@ class TestPrintedOrder:
     def test_monomials_print_in_triple_order(self):
         # terms are ordered by their [c, k, e] triples: x[1,2]*x[2,2]^2
         # comes before x[1,2]^2*x[2,2]
-        assert repr(p_series(DegreeSpec(2), 4)[4]) == (
+        assert repr(p_series(2, 4)[4]) == (
             "15*x[1,2]*x[2,2]^2 + 10*x[1,2]*x[2,3] + 15*x[1,2]^2*x[2,2]"
             " + 10*x[1,3]*x[2,2] + x[1,4] + x[2,4]"
         )
@@ -154,7 +154,7 @@ class TestPackedMonomials:
             with fresh_registry():
                 for c, k in order:
                     WeightPoly.gen(c, k)
-                poly = p_series(DegreeSpec(2), 5)[5] * WeightPoly.gen(6, 20) - 3
+                poly = p_series(2, 5)[5] * WeightPoly.gen(6, 20) - 3
                 return repr(poly), poly.to_jsonable()
 
         variables = [(6, 20)] + [(c, k) for c in (1, 2) for k in range(2, 6)]
