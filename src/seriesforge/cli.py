@@ -13,9 +13,6 @@ SERIESFORGE_MAX_ORDER caps the series order (default 16).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 
@@ -112,6 +109,8 @@ def cmd_count(args):
     if fmt == "plain":
         _emit(str(value), args.output)
     elif fmt == "json":
+        import json
+
         _emit(json.dumps({"family": family, "s": s, "m": m, "value": _json_int(value)}),
               args.output)
     else:
@@ -121,10 +120,15 @@ def cmd_count(args):
 
 def _render_grid(rows, fmt) -> str:
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         csv.writer(buf).writerows(rows)
         return buf.getvalue().rstrip("\n")
     if fmt == "json":
+        import json
+
         header, *body = rows
         return json.dumps(
             [{str(h): (_json_int(c) if isinstance(c, int) else c)
@@ -210,6 +214,8 @@ def cmd_gf(args):
               args.output)
         return
     # c_s = s-th count, c_0 = 0, each as an exact rational "num/den"
+    import json
+
     values = _values(FAMILIES[GF_KINDS[kind]][0], order, m)
     coeffs = ["0/1"] + [f"{v}/1" for v in values]
     _emit(json.dumps({"order": order, "coeffs": coeffs}), args.output)

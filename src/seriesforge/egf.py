@@ -1,5 +1,6 @@
-"""Truncated exponential generating functions, for the tests and the
-oracles only: nothing the CLI imports reaches this module.
+"""Truncated exponential generating functions and the rational ring QQ,
+for the tests and the oracles only: nothing the CLI imports reaches this
+module.
 
 An ExpSeries stores c_0..c_N of sum c_n t^n/n!.  Composition and
 compositional inversion act on its tail c_1..c_N, a coefficient sequence
@@ -20,6 +21,10 @@ from math import comb
 
 from .bell import bell_inverse_recursive, bell_row
 from .rings import Ring
+
+# Fraction is always reduced with a positive denominator, so it serves
+# directly as the rational element type
+QQ = Ring("QQ", Fraction(0), Fraction(1), inv=lambda x: 1 / Fraction(x))
 
 
 def bell_product(x, y, ring: Ring) -> tuple:

@@ -30,9 +30,9 @@ from math import comb, factorial
 from typing import Dict, Iterator, Tuple
 
 from .bell import bell_inverse_recursive, bell_row
-from .egf import ExpSeries
+from .egf import QQ, ExpSeries
 from .labeled import POLY_M, ultrametric_counts
-from .rings import QQ, ZZ, PolyVar, Ring, poly_ring
+from .rings import ZZ, PolyVar, Ring, poly_ring
 from .weights import WEIGHT_RING, WeightPoly
 
 MAX_LABELED_LEAVES = 8

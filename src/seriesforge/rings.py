@@ -1,18 +1,19 @@
-"""Exact arithmetic foundation: big integers, rationals, dense univariate
+"""Exact arithmetic foundation: big integers, dense univariate
 polynomials, and the commutative-ring contract the series machinery is
 generic over.
 
-Python ints are already arbitrary precision and ``fractions.Fraction`` is
-always reduced with a positive denominator, so they serve directly as the
-integer and rational element types.  Everything here is immutable and pure.
+Python ints are already arbitrary precision, so they serve directly as
+the integer element type; the rational ring QQ, which only the tests and
+the oracles use, lives with ``fractions.Fraction`` in
+:mod:`seriesforge.egf`.  The operations here are pure: a PolyVar is never
+changed after it is built, and a Ring's fields are set once, by its
+constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import zip_longest
-from typing import Any, Callable, Optional
+from math import gcd
 
 
 class PolyVar:
@@ -132,7 +133,7 @@ class PolyVar:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def map_coeffs(self, fn: Callable[[Any], Any]) -> "PolyVar":
+    def map_coeffs(self, fn) -> "PolyVar":
         return PolyVar([fn(c) for c in self.coeffs], self.var)
 
     def scale_exact(self, num, den) -> "PolyVar":
@@ -141,7 +142,8 @@ class PolyVar:
         for c in self.coeffs:
             q, r = divmod(c * num, den)
             if r:
-                raise ArithmeticError(f"non-integral coefficient {Fraction(c * num, den)}")
+                g = gcd(c * num, den) * (1 if den > 0 else -1)
+                raise ArithmeticError(f"non-integral coefficient {c * num // g}/{den // g}")
             out.append(int(q))
         return PolyVar(out, self.var)
 
@@ -199,7 +201,6 @@ class PolyVar:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-@dataclass(frozen=True)
 class Ring:
     """Commutative-ring contract.
 
@@ -210,11 +211,14 @@ class Ring:
     and every convolution over a Ring goes through.
     """
 
-    name: str
-    zero: Any
-    one: Any
-    inv: Optional[Callable[[Any], Any]] = field(default=None)
-    sum_of_products: Optional[Callable[[Any], Any]] = field(default=None)
+    __slots__ = ("name", "zero", "one", "inv", "sum_of_products")
+
+    def __init__(self, name: str, zero, one, inv=None, sum_of_products=None):
+        self.name = name
+        self.zero = zero
+        self.one = one
+        self.inv = inv
+        self.sum_of_products = sum_of_products
 
     def dot(self, terms):
         """sum b * y * z over the (int b, y, z) triples of an iterable,
@@ -240,7 +244,6 @@ class Ring:
         return self.inv(x)
 
 
-QQ = Ring("QQ", Fraction(0), Fraction(1), inv=lambda x: 1 / Fraction(x))
 ZZ = Ring("ZZ", 0, 1)
 
 

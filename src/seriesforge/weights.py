@@ -18,10 +18,8 @@ polynomial by masks and shifts of its packed monomials.
 
 from __future__ import annotations
 
-import json
 from functools import reduce
 from operator import or_
-from typing import Callable
 
 from .rings import Ring
 
@@ -152,7 +150,7 @@ class WeightPoly:
 
     __rmul__ = __mul__
 
-    def substitute(self, fn: Callable[[int, int], object]):
+    def substitute(self, fn):
         """Replace every x_{c,k} by fn(c, k) and evaluate exactly."""
         total = 0
         for mono, coeff in self.terms.items():
@@ -176,6 +174,8 @@ class WeightPoly:
                 for triples, coeff in self._triples()]
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_jsonable())
 
     def __repr__(self) -> str:
@@ -213,7 +213,7 @@ def sum_of_products(terms) -> WeightPoly:
     return WeightPoly._of(out)
 
 
-def color_swap(a: int, b: int) -> Callable[[WeightPoly], WeightPoly]:
+def color_swap(a: int, b: int):
     """The map exchanging colors a and b in every x_{c,k} of colors a and
     b registered now; a partner x_{b,k} of a registered x_{a,k} (and back)
     is registered first, and every other field stays where it is.

@@ -12,7 +12,7 @@ from fractions import Fraction
 from seriesforge import reference
 from seriesforge.bell import bell_inverse_recursive
 from seriesforge.cli import main as cli_main
-from seriesforge.egf import bell_product
+from seriesforge.egf import QQ, bell_product
 from seriesforge.labeled import (
     chain_increasing_counts,
     fully_colored_labeled_counts,
@@ -34,7 +34,7 @@ from seriesforge.oracle import (
     p_series_by_color_recursion,
     verify_integral_relation,
 )
-from seriesforge.rings import QQ, PolyVar
+from seriesforge.rings import PolyVar
 from seriesforge.unlabeled import (
     fully_colored_unlabeled_counts,
     multipartite_unlabeled_counts,

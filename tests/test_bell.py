@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seriesforge.bell import bell_inverse_recursive, bell_row
-from seriesforge.egf import bell_product
+from seriesforge.egf import QQ, bell_product
 from seriesforge.oracle import (
     assoc_stirling2,
     bell_inverse_closed,
@@ -18,7 +18,7 @@ from seriesforge.oracle import (
     set_partitions,
     stirling2,
 )
-from seriesforge.rings import QQ, ZZ
+from seriesforge.rings import ZZ
 
 
 def rational_seq(values):

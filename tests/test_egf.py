@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seriesforge.egf import ExpSeries
+from seriesforge.egf import QQ, ExpSeries
 from seriesforge.labeled import p_series
 from seriesforge.oracle import make_named
-from seriesforge.rings import QQ, PolyVar, poly_ring
+from seriesforge.rings import PolyVar, poly_ring
 from seriesforge.weights import WEIGHT_RING
 
 small_rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)

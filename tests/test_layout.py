@@ -8,6 +8,7 @@ package has no runtime dependency, so a CLI run loads nothing outside
 the standard library.
 """
 
+import ast
 import inspect
 import json
 import os
@@ -63,6 +64,34 @@ def probe():
     )
     report["bare"] = bare.stdout.split()
     return report
+
+
+# modules a plain-format count, table or verify run does not need: Ring
+# is a plain class, QQ and Fraction live in the test-support egf.py, and
+# csv and json are imported only where the csv or json format is written
+STARTUP_HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "csv", "json", "typing"}
+
+# snapshots sys.modules before it imports anything, then prints, as its
+# last line, the exit codes and the modules the CLI runs added
+STARTUP_PROBE = """
+import sys
+before = set(sys.modules)
+from seriesforge.cli import main
+codes = [main(argv) for argv in %r]
+print((codes, sorted(set(sys.modules) - before)))
+"""
+
+
+def test_plain_cli_runs_load_no_heavy_module():
+    runs = [argv for argv in CLI_RUNS if argv[0] in ("count", "table", "verify")]
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE % (runs,)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), check=True,
+    )
+    codes, added = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs)
+    assert "seriesforge.cli" in added
+    assert STARTUP_HEAVY.isdisjoint(added), STARTUP_HEAVY.intersection(added)
 
 
 def test_cli_run_stays_inside_production(probe):

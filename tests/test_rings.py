@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from seriesforge.rings import QQ, PolyVar, poly_ring
+from seriesforge.egf import QQ
+from seriesforge.rings import PolyVar, poly_ring
 
 
 class TestPolyVar:
