@@ -208,10 +208,13 @@ def cmd_gf(args):
         else:
             fn = FAMILIES[GF_KINDS[P_SPECS[args.spec]]][0]
             series = [WeightPoly.const(v) for v in [0] + _values(fn, order, m)]
-        # json.dumps of the whole record, one coefficient's text at a time
-        coeffs = ", ".join(c.to_json() for c in series)
-        _emit(f'{{"kind": "P", "m": {m}, "order": {order}, "coeffs": [{coeffs}]}}',
-              args.output)
+        # json.dumps of the whole record, one coefficient's text at a time,
+        # joined once; the last separator becomes the closing brackets
+        record = [f'{{"kind": "P", "m": {m}, "order": {order}, "coeffs": [']
+        for c in series:
+            record += c.to_json(), ", "
+        record[-1] = "]}"
+        _emit("".join(record), args.output)
         return
     # c_s = s-th count, c_0 = 0, each as an exact rational "num/den"
     import json

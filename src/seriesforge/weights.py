@@ -6,9 +6,14 @@ sees x_{c,k} it gives that variable the next free field of _WIDTH bits,
 and the exponent of x_{c,k} sits in that field.  A product of monomials is
 then the sum of their ints.  The top bit of every field is a guard: a
 product whose exponent reaches it raises OverflowError rather than carry
-into the next field.  Output decodes the fields into [c, k, exponent]
-triples and orders terms by them, so it does not depend on the order in
-which the variables were first seen.  Tree weights and the per-leaf-count
+into the next field.  Output reads each monomial once into sorted int
+keys, one per factor: the rank of x_{c,k} among the registered variables
+in (c, k) order, shifted past the exponent, so a key orders as its
+[c, k, e] triple and terms are ordered by their triples whatever order
+the variables were first seen in.  ``to_json`` sorts the terms by their
+keys and joins the cached text "[c, k, e]" of each key, with no json
+module and no per-term dict, into the text ``json.dumps`` gives for
+``to_jsonable()``.  Tree weights and the per-leaf-count
 coefficients of the weighted generating function live here, with the two
 kernels of labeled.p_series: sum_of_products, the weight ring's Ring.dot,
 adds a whole Bell-table entry into one dict (sparse accumulation as in
@@ -24,7 +29,9 @@ from operator import or_
 from .rings import Ring
 
 _WIDTH = 16                              # bits per exponent field: one "H" item
+_MASK = (1 << _WIDTH) - 1
 _GUARD_BIT = 1 << (_WIDTH - 1)
+_EXACT = 2 ** 53                         # JSON quotes ints from here on: a double rounds 2^53 + 1
 
 _FIELDS: dict = {}                       # (c, k) -> field index
 _VARIABLES: list = []                    # field index -> (c, k)
@@ -42,24 +49,55 @@ def _field_of(color: int, degree: int) -> int:
     return _FIELDS[key]
 
 
-def _decode(mono: int) -> list:
-    """A packed monomial as sorted [c, k, exponent] triples, read from its
-    highest nonzero field down."""
-    triples = []
+class _KeyOrder(dict):
+    """The keys of the registry as it is now, made afresh for each
+    polynomial read, so that a variable registered since is ranked too.
+    ranks[field] is the rank of the field's variable in (c, k) order,
+    shifted past the exponent, so the key rank | e of a factor x_{c,k}^e
+    orders as [c, k, e]; variables[rank] is that variable.  As a dict it
+    maps each key met so far to its JSON text "[c, k, e]"."""
+
+    __slots__ = ("ranks", "variables")
+
+    def __init__(self):
+        super().__init__()
+        by_rank = sorted(range(len(_VARIABLES)), key=_VARIABLES.__getitem__)
+        self.ranks = [0] * len(by_rank)
+        for rank, field in enumerate(by_rank):
+            self.ranks[field] = rank << _WIDTH
+        self.variables = [_VARIABLES[field] for field in by_rank]
+
+    def __missing__(self, key: int) -> str:
+        text = self[key] = "[%d, %d, %d]" % tuple(self.triple(key))
+        return text
+
+    def triple(self, key: int) -> list:
+        c, k = self.variables[key >> _WIDTH]
+        return [c, k, key & _MASK]
+
+    def triples(self, mono: int) -> list:
+        """A packed monomial as sorted [c, k, exponent] triples."""
+        return [self.triple(key) for key in _keys(mono, self.ranks)]
+
+
+def _keys(mono: int, ranks: list) -> list:
+    """A packed monomial as the sorted keys rank | e of its factors, read
+    from its highest nonzero field down."""
+    keys = []
     while mono:
-        shift = (mono.bit_length() - 1) // _WIDTH * _WIDTH
+        field = (mono.bit_length() - 1) // _WIDTH
+        shift = field * _WIDTH
         e = mono >> shift
         mono ^= e << shift
-        c, k = _VARIABLES[shift // _WIDTH]
-        triples.append([c, k, e])
-    triples.sort()
-    return triples
+        keys.append(ranks[field] | e)
+    keys.sort()
+    return keys
 
 
 def _json_int(v: int):
     """v as a JSON number, or as a string from 2^53 on, where a reader
     that parses numbers as doubles would round it."""
-    return v if abs(v) < 2 ** 53 else str(v)
+    return v if -_EXACT < v < _EXACT else str(v)
 
 
 class WeightPoly:
@@ -152,21 +190,31 @@ class WeightPoly:
 
     def substitute(self, fn):
         """Replace every x_{c,k} by fn(c, k) and evaluate exactly."""
+        triples = _KeyOrder().triples
         total = 0
         for mono, coeff in self.terms.items():
             val = coeff
-            for c, k, e in _decode(mono):
+            for c, k, e in triples(mono):
                 val = val * fn(c, k) ** e
             total = total + val
         return total
 
     def degree_mass(self) -> set:
         """Set of sum (k-1)*exp over the monomials (leaf-count balance)."""
-        return {sum((k - 1) * e for _, k, e in _decode(mono)) for mono in self.terms if mono}
+        triples = _KeyOrder().triples
+        return {sum((k - 1) * e for _, k, e in triples(mono)) for mono in self.terms if mono}
+
+    def _sorted(self):
+        """The key order of the registry, and (keys, coeff) per term in
+        output order."""
+        order = _KeyOrder()
+        ranks = order.ranks
+        return order, sorted((_keys(mono, ranks), coeff) for mono, coeff in self.terms.items())
 
     def _triples(self) -> list:
         """(monomial as [c, k, exp] triples, coeff) per term, in output order."""
-        return sorted((_decode(mono), coeff) for mono, coeff in self.terms.items())
+        order, rows = self._sorted()
+        return [([order.triple(key) for key in keys], coeff) for keys, coeff in rows]
 
     def to_jsonable(self):
         """Monomials as sorted [c, k, exp] triples with integer coefficient."""
@@ -174,9 +222,16 @@ class WeightPoly:
                 for triples, coeff in self._triples()]
 
     def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_jsonable())
+        """The text of json.dumps(self.to_jsonable()), joined from the
+        cached text of each key."""
+        order, rows = self._sorted()
+        text = order.__getitem__
+        parts = []
+        for keys, coeff in rows:
+            if not -_EXACT < coeff < _EXACT:
+                coeff = f'"{coeff}"'
+            parts.append(f'{{"monomial": [{", ".join(map(text, keys))}], "coeff": {coeff}}}')
+        return f"[{', '.join(parts)}]"
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -37,12 +37,18 @@ P_M2_ORDER4 = (
 )
 
 # sha256 of the stdout of `gf P --spec symbolic --m M --order N`, recorded
-# from the release whose monomials were sorted variable tuples
+# from the release whose monomials were sorted variable tuples; the three
+# sizes of the benchmark's symbolic mix, (2, 14), (3, 11) and (4, 9), were
+# recorded from the release that rendered through json.dumps(to_jsonable()),
+# before to_json wrote its text directly
 P_SYMBOLIC_SHA256 = {
     (1, 16): "7e7a746cce5e1c173c1d1a1d334aa4a9bc513aa729c92518ef5e202cf621baff",
     (2, 12): "c2dcdce742cea03c1b659d916b87b801a7be3c1b0ce7ce32988db89d1c77dc08",
     (3, 10): "69cf9c0d61fe5f1d70df01832f8d09a339f3f5e1d84b2deb71eb156750f57f70",
     (5, 8): "87c8f2d1c171c15485796c799b322b732e45a4753edf6138cedf4f15bcd96390",
+    (2, 14): "ff36acc2b5ff87655c21198e22d8c5112928725eb61d301b5d8d7800fa9ae03f",
+    (3, 11): "9679b4309344ad39e1884c9e4fb28acba921a6176a84b408ffcf8c5c00c0f2d1",
+    (4, 9): "c41ff1e1c213c9af83e45c4d0d22fa6f43cd6da4d19a31992ef175a77d5e688f",
 }
 
 

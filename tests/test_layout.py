@@ -66,9 +66,10 @@ def probe():
     return report
 
 
-# modules a plain-format count, table or verify run does not need: Ring
-# is a plain class, QQ and Fraction live in the test-support egf.py, and
-# csv and json are imported only where the csv or json format is written
+# modules a plain-format count, table or verify run, or a gf P run, does
+# not need: Ring is a plain class, QQ and Fraction live in the test-support
+# egf.py, csv and json are imported only where the csv or json format is
+# written, and gf P writes its JSON text itself
 STARTUP_HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "csv", "json", "typing"}
 
 # snapshots sys.modules before it imports anything, then prints, as its
@@ -82,8 +83,7 @@ print((codes, sorted(set(sys.modules) - before)))
 """
 
 
-def test_plain_cli_runs_load_no_heavy_module():
-    runs = [argv for argv in CLI_RUNS if argv[0] in ("count", "table", "verify")]
+def _modules_added_by(runs) -> list:
     proc = subprocess.run(
         [sys.executable, "-c", STARTUP_PROBE % (runs,)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), check=True,
@@ -91,6 +91,16 @@ def test_plain_cli_runs_load_no_heavy_module():
     codes, added = ast.literal_eval(proc.stdout.splitlines()[-1])
     assert codes == [0] * len(runs)
     assert "seriesforge.cli" in added
+    return added
+
+
+def test_plain_cli_runs_load_no_heavy_module():
+    added = _modules_added_by([argv for argv in CLI_RUNS if argv[0] in ("count", "table", "verify")])
+    assert STARTUP_HEAVY.isdisjoint(added), STARTUP_HEAVY.intersection(added)
+
+
+def test_symbolic_gf_p_run_loads_no_heavy_module():
+    added = _modules_added_by([["gf", "P", "--spec", "symbolic", "--m", "3", "--order", "8"]])
     assert STARTUP_HEAVY.isdisjoint(added), STARTUP_HEAVY.intersection(added)
 
 

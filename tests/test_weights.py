@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from functools import reduce
 from operator import mul
@@ -161,6 +162,73 @@ class TestPackedMonomials:
         first, second = render(variables), render(variables[::-1])
         assert first == second
         assert first[0].startswith("-3 + ")
+
+
+# coefficients on both sides of 2^53, from where JSON quotes them, and
+# exponents up to the largest a field holds
+json_coeffs = st.one_of(
+    st.sampled_from([2 ** 53 - 1, 2 ** 53, -(2 ** 53 - 1), -(2 ** 53)]),
+    st.integers(-2 ** 60, 2 ** 60),
+)
+exponents = st.one_of(st.just(2 ** 15 - 1), st.integers(1, 2 ** 15 - 1))
+# a variable whose color or out-degree does not fit in a 16-bit field
+wide_variables = st.one_of(st.tuples(st.integers(2 ** 16, 2 ** 20), st.integers(2, 20)),
+                           st.tuples(st.integers(1, 6), st.integers(2 ** 16, 2 ** 20)))
+
+
+def packed(poly_spec) -> WeightPoly:
+    """[({(c, k): exponent}, coeff)] as a WeightPoly, each monomial packed
+    from the one-term monomials of its variables; a later term replaces an
+    earlier one with the same monomial."""
+    def mono(factors):
+        return sum(e * next(iter(WeightPoly.gen(c, k).terms)) for (c, k), e in factors.items())
+    return WeightPoly({mono(factors): coeff for factors, coeff in poly_spec})
+
+
+def jsonable(poly_spec) -> list:
+    """What to_jsonable should give for packed(poly_spec): the nonzero
+    terms as sorted triples, in triple order."""
+    terms = {frozenset(factors.items()): coeff for factors, coeff in poly_spec}
+    return [{"monomial": triples, "coeff": coeff if abs(coeff) < 2 ** 53 else str(coeff)}
+            for triples, coeff in sorted((sorted([c, k, e] for (c, k), e in factors), coeff)
+                                         for factors, coeff in terms.items() if coeff)]
+
+
+def assert_json_matches(poly: WeightPoly, expected: list):
+    text = poly.to_json()
+    assert poly.to_jsonable() == expected
+    assert text == json.dumps(expected)
+    assert json.loads(text) == expected
+
+
+class TestJson:
+    @pytest.mark.parametrize("value", [0, 1, -7, 2 ** 53 - 1, 2 ** 53, -(2 ** 53), 3 ** 200])
+    def test_constants(self, value):
+        assert_json_matches(WeightPoly.const(value), jsonable([({}, value)]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(pools, wide_variables, st.data())
+    def test_to_json_is_json_dumps_of_to_jsonable(self, pool, wide, data):
+        # the variables are registered in a shuffled order, part of them
+        # only after a first polynomial was written, so the order the keys
+        # stand for changes between the two
+        variables = data.draw(st.permutations(pool + [wide]))
+        cut = data.draw(st.integers(0, len(variables)))
+
+        def spec(names):
+            monos = st.dictionaries(st.sampled_from(names), exponents, max_size=4)
+            return data.draw(st.lists(st.tuples(monos, json_coeffs), max_size=6))
+
+        with fresh_registry():
+            for c, k in variables[:cut]:
+                WeightPoly.gen(c, k)
+            if cut:
+                first = spec(variables[:cut])
+                assert_json_matches(packed(first), jsonable(first))
+            for c, k in variables[cut:]:
+                WeightPoly.gen(c, k)
+            second = spec(variables)
+            assert_json_matches(packed(second), jsonable(second))
 
 
 class TestSumOfProducts:
