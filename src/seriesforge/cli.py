@@ -66,20 +66,31 @@ class _Parser(argparse.ArgumentParser):
         _emit(self.format_help().rstrip("\n"))
 
 
-def _emit(text: str, output=None):
-    """Print text to stdout, or to the file `output`; a failed write is a
+def _emit(pieces, output=None):
+    """Write a str, or the str pieces of an iterable one at a time as it
+    makes them, and a newline to stdout, or to the file `output`; no text
+    longer than one piece is held for the write.  A failed write is a
     usage error."""
+    if isinstance(pieces, str):
+        pieces = (pieces,)
     try:
         if output is None:
-            print(text, flush=True)
+            _write_all(pieces, sys.stdout)
+            sys.stdout.flush()
         else:
             with open(output, "w") as fh:
-                print(text, file=fh)
+                _write_all(pieces, fh)
     except OSError as exc:
         if output is None:
             # Python flushes stdout again at exit: send the rest to os.devnull
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise UsageError(f"cannot write {'stdout' if output is None else output}: {exc.strerror}")
+
+
+def _write_all(pieces, fh) -> None:
+    for piece in pieces:
+        fh.write(piece)
+    fh.write("\n")
 
 
 def _counts(family: str, s: int, m):
@@ -208,13 +219,7 @@ def cmd_gf(args):
         else:
             fn = FAMILIES[GF_KINDS[P_SPECS[args.spec]]][0]
             series = [WeightPoly.const(v) for v in [0] + _values(fn, order, m)]
-        # json.dumps of the whole record, one coefficient's text at a time,
-        # joined once; the last separator becomes the closing brackets
-        record = [f'{{"kind": "P", "m": {m}, "order": {order}, "coeffs": [']
-        for c in series:
-            record += c.to_json(), ", "
-        record[-1] = "]}"
-        _emit("".join(record), args.output)
+        _emit(_p_record(m, order, series), args.output)
         return
     # c_s = s-th count, c_0 = 0, each as an exact rational "num/den"
     import json
@@ -222,6 +227,18 @@ def cmd_gf(args):
     values = _values(FAMILIES[GF_KINDS[kind]][0], order, m)
     coeffs = ["0/1"] + [f"{v}/1" for v in values]
     _emit(json.dumps({"order": order, "coeffs": coeffs}), args.output)
+
+
+def _p_record(m: int, order: int, series):
+    """The text of json.dumps of the gf P record, in pieces: the head, then
+    each coefficient's to_json text, made only when its turn comes, between
+    the separators."""
+    yield f'{{"kind": "P", "m": {m}, "order": {order}, "coeffs": ['
+    for i, c in enumerate(series):
+        if i:
+            yield ", "
+        yield c.to_json()
+    yield "]}"
 
 
 def parse_bfile(path: str):

@@ -1,11 +1,13 @@
 """Counting families for rooted multipartite labeled series-reduced trees.
 
 P(m,t,x) with symbolic weights x_{c,k} has one route, p_series: the
-root-color recurrence, with one Bell table (:mod:`seriesforge.bell`) for
-the trees whose root has color 1 and a color swap for every other root
-color, returned as the coefficient tuple; the global inversion and the
-other routes live in :mod:`seriesforge.oracle`.  x_{c,k} = 1 and (k-1)!
-turn it into the ultrametric and mobile counts.  Each counting family has
+root-color recurrence for the trees whose root has color 1, read from one
+Bell table (:mod:`seriesforge.bell`) over the forest v of trees rooted off
+color 1, which has about half the nonzero entries of a table over t + v,
+and a color swap for every other root color, returned as the coefficient
+tuple; the global inversion and the other routes live in
+:mod:`seriesforge.oracle`.  x_{c,k} = 1 and (k-1)! turn it into the
+ultrametric and mobile counts.  Each counting family has
 one function, its prefix for s = 1..up_to_s: an int m gives the counts,
 and the PolyVar m gives the ultrametric, fully-colored, mobile and
 chain-increasing counts as polynomials in the number of colors.  All read
@@ -23,7 +25,7 @@ chain recurrence, alternating sums and integral relation.
 
 from __future__ import annotations
 
-from math import factorial
+from math import comb, factorial
 
 from .bell import bell_inverse_recursive, bell_row
 from .rings import PolyVar, poly_ring
@@ -56,8 +58,14 @@ def p_series(m: int, order: int) -> tuple:
 
     T_c, the trees whose root has color c, is sum_k x_{c,k} u_c^k/k! with
     u_c = t + sum_{c' != c} T_{c'}.  The colors are exchangeable, so only
-    T_1 is built, from one Bell table over u_1; T_c is T_1 with colors 1
-    and c swapped, P_n = sum_c T_{c,n} and u_{1,n} = P_n - T_{1,n}.
+    T_1 is built; T_c is T_1 with colors 1 and c swapped, P_n =
+    sum_c T_{c,n}, and v_n = P_n - T_{1,n} is the forest v = u_1 - t of
+    trees rooted off color 1, with v_1 = 0.  The one Bell table is over v:
+    B_{q,j}(v) = 0 for 2j > q, and B_{n,k}(t + v) = sum_j C(n, k-j)
+    B_{n-k+j,j}(v), so T_{1,n} = x_{1,n} + sum_{k<n} sum_{j=1..min(k,n-k)}
+    C(n, k-j) x_{1,k} B_{n-k+j,j}(v), one Ring.dot.  The x_{c,k} are
+    registered degree-major first, so a swap moves each monomial by one
+    shift each way and a monomial of low degrees is a short int.
     """
     if not isinstance(m, int):
         raise TypeError(f"m must be an int, not {type(m).__name__}")
@@ -65,19 +73,24 @@ def p_series(m: int, order: int) -> tuple:
     if order < 1:
         raise ValueError("order must be >= 1")
     ring = WEIGHT_RING
+    for k in range(2, order + 1):       # degree-major: the m colors of each k side by side
+        for c in range(1, m + 1):
+            WeightPoly.gen(c, k)
     x1 = [None, None] + [WeightPoly.gen(1, k) for k in range(2, order + 1)]
     swaps = [color_swap(1, c) for c in range(2, m + 1)]
     total = [ring.zero, ring.one]
-    u = [ring.one]                      # u_1 = t, then u_{1,n} = P_n - T_{1,n}
-    rows = [[ring.one], [ring.zero, ring.one]]
+    v = [ring.zero]                     # v_1 = 0, then v_n = P_n - T_{1,n}
+    rows = [[ring.one], [ring.zero, ring.zero]]
     for n in range(2, order + 1):
-        bell_row(rows, u, ring)
-        row = rows[n]
-        t1 = ring.dot((1, x1[k], row[k]) for k in range(2, n + 1))
+        bell_row(rows, v, ring)
+        t1 = ring.dot([(1, x1[n], ring.one)] + [
+            (comb(n, k - j), x1[k], rows[n - k + j][j])
+            for k in range(2, n) for j in range(1, min(k, n - k) + 1)
+        ])
         rest = sum((swap(t1) for swap in swaps), ring.zero)
         total.append(t1 + rest)
-        u.append(rest)
-        row[1] = rest
+        v.append(rest)
+        rows[n][1] = rest
     return tuple(total)
 
 

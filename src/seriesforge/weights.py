@@ -4,7 +4,10 @@
 A monomial is one int of packed exponents: the first time ``gen(c, k)``
 sees x_{c,k} it gives that variable the next free field of _WIDTH bits,
 and the exponent of x_{c,k} sits in that field.  A product of monomials is
-then the sum of their ints.  The top bit of every field is a guard: a
+then the sum of their ints.  labeled.p_series registers its variables
+degree-major, the m colors of each out-degree side by side, so a monomial
+of low degrees is a short int and a color swap moves a monomial with one
+mask and shift each way.  The top bit of every field is a guard: a
 product whose exponent reaches it raises OverflowError rather than carry
 into the next field.  Output reads each monomial once into sorted int
 keys, one per factor: the rank of x_{c,k} among the registered variables
@@ -13,7 +16,8 @@ in (c, k) order, shifted past the exponent, so a key orders as its
 the variables were first seen in.  ``to_json`` sorts the terms by their
 keys and joins the cached text "[c, k, e]" of each key, with no json
 module and no per-term dict, into the text ``json.dumps`` gives for
-``to_jsonable()``.  Tree weights and the per-leaf-count
+``to_jsonable()``; the CLI writes each coefficient's text as it is
+made.  Tree weights and the per-leaf-count
 coefficients of the weighted generating function live here, with the two
 kernels of labeled.p_series: sum_of_products, the weight ring's Ring.dot,
 adds a whole Bell-table entry into one dict (sparse accumulation as in
@@ -122,7 +126,10 @@ class WeightPoly:
 
     @classmethod
     def gen(cls, color: int, degree: int) -> "WeightPoly":
-        """The single indeterminate x_{color,degree}."""
+        """The single indeterminate x_{color,degree}; a bool or any other
+        index that is not an int raises TypeError."""
+        if not all(type(i) is int for i in (color, degree)):
+            raise TypeError("color and out-degree must be ints")
         if color < 1 or degree < 2:
             raise ValueError("need color >= 1 and out-degree >= 2")
         return cls._of({1 << (_WIDTH * _field_of(color, degree)): 1})

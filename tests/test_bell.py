@@ -145,6 +145,30 @@ def test_closed_equals_recursive(x):
     assert bell_inverse_closed(x, QQ) == bell_inverse_recursive(x, QQ)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=9))
+def test_forest_table_gives_the_table_over_t_plus_v(tail):
+    # v = (0, v_2, ..., v_N): B_{q,j}(v) = 0 for 2j > q, and
+    # B_{n,k}(t + v) = sum_j C(n, k-j) B_{n-k+j,j}(v), only j = 1..min(k, n-k)
+    # left for k < n; labeled.p_series reads its table over u_1 = t + v so
+    v = [0] + tail
+    u = [1] + tail
+    over_v, over_u = [[1]], [[1]]
+    for _ in v:
+        bell_row(over_v, v, ZZ)
+        bell_row(over_u, u, ZZ)
+    for q, row in enumerate(over_v):
+        assert all(row[j] == 0 for j in range(q + 1) if 2 * j > q)
+    for n, row in enumerate(over_u):
+        for k in range(n + 1):
+            assert row[k] == sum(math.comb(n, k - j) * over_v[n - k + j][j]
+                                 for j in range(k + 1))
+            if 1 <= k < n:
+                assert row[k] == sum(math.comb(n, k - j) * over_v[n - k + j][j]
+                                     for j in range(1, min(k, n - k) + 1))
+        assert row[n] == 1
+
+
 class TestInversion:
     def test_expm1_gives_log1p(self):
         x = make_named("exp_minus_one", 8).tail()

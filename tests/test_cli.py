@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import hashlib
 import json
@@ -8,7 +9,12 @@ import sys
 import pytest
 
 from seriesforge.cli import FAMILIES, main, parse_bfile
-from seriesforge.labeled import fully_colored_labeled_counts, mobile_counts, ultrametric_counts
+from seriesforge.labeled import (
+    fully_colored_labeled_counts,
+    mobile_counts,
+    p_series,
+    ultrametric_counts,
+)
 from seriesforge.oracle import (
     alternating_bell_poly,
     assoc_stirling2,
@@ -303,6 +309,30 @@ class TestGf:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == P_SYMBOLIC_SHA256[(m, order)]
 
+    def test_p_record_is_written_one_coefficient_at_a_time(self):
+        # the record goes out in pieces as each coefficient's text is made,
+        # never joined into one str
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        recorder = Recorder()
+        with contextlib.redirect_stdout(recorder):
+            code = main(["gf", "P", "--m", "3", "--order", "10"])
+        assert code == 0
+        record = "".join(recorder.writes)
+        assert hashlib.sha256(record.encode()).hexdigest() == P_SYMBOLIC_SHA256[(3, 10)]
+        assert len(recorder.writes) > 1
+        longest = max(len(c.to_json()) for c in p_series(3, 10))
+        assert max(map(len, recorder.writes)) <= longest
+
     @pytest.mark.parametrize("kind", ["A", "G", "Y"])
     @pytest.mark.parametrize("spec", ["ones", "factorial", "symbolic"])
     def test_spec_with_a_count_series_is_usage_error(self, capsys, kind, spec):
@@ -452,6 +482,12 @@ def cli_process(argv, **kwargs):
                           env=env, stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
 
 
+# gf P --m 3 writes its record in pieces, one coefficient's text at a time;
+# at order 10 (180 kB) the first of them reaches the stream long before the
+# record ends, so a write fails partway through it
+GF_P = ("gf", "P", "--m", "3", "--order", "10")
+
+
 class TestOutputPath:
     """-o to a path that cannot be written, or a stdout that cannot be
     written, is a usage error, not a traceback."""
@@ -460,7 +496,8 @@ class TestOutputPath:
         ("count", "unlabeled", "--s", "5"),
         ("table", "mobiles", "--max-s", "3", "--max-m", "2"),
         ("gf", "A", "--m", "2", "--order", "3"),
-    ], ids=["count", "table", "gf"])
+        GF_P,
+    ], ids=["count", "table", "gf", "gf-P"])
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     def test_unwritable_output(self, tmp_path, argv, where):
         target = tmp_path / "no" / "such" / "x" if where == "missing-directory" else tmp_path
@@ -470,23 +507,39 @@ class TestOutputPath:
         assert proc.stderr.startswith("error: ") and str(target) in proc.stderr
         assert proc.stdout == ""
 
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    def test_full_stdout(self):
+    @staticmethod
+    def assert_stdout_error(proc, errnum):
         # one error line, and no "Exception ignored" from the flush at exit
-        with open("/dev/full", "w") as full:
-            proc = cli_process(["count", "unlabeled", "--s", "5"], stdout=full)
         assert (proc.returncode, proc.stderr) == (
-            1, f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+            1, f"error: cannot write stdout: {os.strerror(errnum)}\n")
 
-    def test_closed_pipe(self):
+    @staticmethod
+    def to_closed_pipe(argv):
         read, write = os.pipe()
         os.close(read)
         try:
-            proc = cli_process(["table", "riordan-triangle", "--max-n", "40"], stdout=write)
+            return cli_process(argv, stdout=write)
         finally:
             os.close(write)
-        assert (proc.returncode, proc.stderr) == (
-            1, f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stdout(self):
+        with open("/dev/full", "w") as full:
+            proc = cli_process(["count", "unlabeled", "--s", "5"], stdout=full)
+        self.assert_stdout_error(proc, errno.ENOSPC)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stdout_during_gf_p(self):
+        with open("/dev/full", "w") as full:
+            proc = cli_process(GF_P, stdout=full)
+        self.assert_stdout_error(proc, errno.ENOSPC)
+
+    def test_closed_pipe(self):
+        proc = self.to_closed_pipe(["table", "riordan-triangle", "--max-n", "40"])
+        self.assert_stdout_error(proc, errno.EPIPE)
+
+    def test_closed_pipe_during_gf_p(self):
+        self.assert_stdout_error(self.to_closed_pipe(GF_P), errno.EPIPE)
 
 
 class TestParseBfile:

@@ -70,6 +70,15 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             WeightPoly.gen(color, degree)
 
+    @pytest.mark.parametrize("color, degree", [
+        (True, 2), (1, True), (False, 2), (1.0, 2), (2, 3.0), ("1", 2), (None, 2),
+    ])
+    def test_gen_rejects_indices_that_are_not_ints(self, color, degree):
+        # a bool would pass the range check and print as true in
+        # to_jsonable but as 1 in to_json
+        with pytest.raises(TypeError):
+            WeightPoly.gen(color, degree)
+
 
 class TestPrintedOrder:
     def test_monomials_print_in_triple_order(self):
