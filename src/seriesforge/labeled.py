@@ -36,10 +36,16 @@ _M = PolyVar.gen("m")
 
 
 def _check(s: int, m=None, least: int = 1) -> None:
-    """ValueError unless s >= 1 and an int m is at least `least`."""
+    """TypeError unless s is an int and m is None, an int or a PolyVar (a
+    bool is not an int here); ValueError unless s >= 1 and an int m is at
+    least `least`."""
+    if type(s) is not int:
+        raise TypeError(f"s must be an int, not {type(s).__name__}")
+    if m is not None and type(m) not in (int, PolyVar):
+        raise TypeError(f"m must be an int or a PolyVar, not {type(m).__name__}")
     if s < 1:
         raise ValueError("s must be >= 1")
-    if isinstance(m, int) and m < least:
+    if type(m) is int and m < least:
         raise ValueError(f"m must be >= {least}")
 
 
@@ -66,9 +72,15 @@ def p_series(m: int, order: int) -> tuple:
     C(n, k-j) x_{1,k} B_{n-k+j,j}(v), one Ring.dot.  The x_{c,k} are
     registered degree-major first, so a swap moves each monomial by one
     shift each way and a monomial of low degrees is a short int.
+
+    The fields stay registered for the life of the process, so a later
+    call at a larger m gets the new colors' fields after all the old
+    ones, not degree-major: the output is the same, but each swap needs
+    one mask per run of moved fields and the monomials are longer ints.
     """
-    if not isinstance(m, int):
-        raise TypeError(f"m must be an int, not {type(m).__name__}")
+    for name, value in (("m", m), ("order", order)):
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, not {type(value).__name__}")
     _check(1, m)
     if order < 1:
         raise ValueError("order must be >= 1")

@@ -3,11 +3,14 @@
 
 A monomial is one int of packed exponents: the first time ``gen(c, k)``
 sees x_{c,k} it gives that variable the next free field of _WIDTH bits,
-and the exponent of x_{c,k} sits in that field.  A product of monomials is
-then the sum of their ints.  labeled.p_series registers its variables
-degree-major, the m colors of each out-degree side by side, so a monomial
-of low degrees is a short int and a color swap moves a monomial with one
-mask and shift each way.  The top bit of every field is a guard: a
+and the exponent of x_{c,k} sits in that field.  A product of monomials
+is then the sum of their ints.  The registry of the process is one
+insertion-ordered dict, _FIELDS, from (c, k) to field index; the field
+count, the guard mask of a product, the (c, k) order of the output keys
+and the masks of a color swap are all read from it.  labeled.p_series
+registers its variables degree-major, the m colors of each out-degree
+side by side, so a monomial of low degrees is a short int and a color
+swap moves a monomial with one mask and shift each way.  The top bit of every field is a guard: a
 product whose exponent reaches it raises OverflowError rather than carry
 into the next field.  Output reads each monomial once into sorted int
 keys, one per factor: the rank of x_{c,k} among the registered variables
@@ -37,20 +40,12 @@ _MASK = (1 << _WIDTH) - 1
 _GUARD_BIT = 1 << (_WIDTH - 1)
 _EXACT = 2 ** 53                         # JSON quotes ints from here on: a double rounds 2^53 + 1
 
-_FIELDS: dict = {}                       # (c, k) -> field index
-_VARIABLES: list = []                    # field index -> (c, k)
-_guards = 0                              # guard bit of every field in use
+_FIELDS: dict = {}                       # (c, k) -> field index, in the order handed out
 
 
 def _field_of(color: int, degree: int) -> int:
     """Field index of x_{color,degree}, taking the next free one if new."""
-    global _guards
-    key = (color, degree)
-    if key not in _FIELDS:
-        _FIELDS[key] = len(_VARIABLES)
-        _VARIABLES.append(key)
-        _guards |= _GUARD_BIT << (_WIDTH * _FIELDS[key])
-    return _FIELDS[key]
+    return _FIELDS.setdefault((color, degree), len(_FIELDS))
 
 
 class _KeyOrder(dict):
@@ -65,11 +60,10 @@ class _KeyOrder(dict):
 
     def __init__(self):
         super().__init__()
-        by_rank = sorted(range(len(_VARIABLES)), key=_VARIABLES.__getitem__)
-        self.ranks = [0] * len(by_rank)
-        for rank, field in enumerate(by_rank):
-            self.ranks[field] = rank << _WIDTH
-        self.variables = [_VARIABLES[field] for field in by_rank]
+        self.variables = sorted(_FIELDS)
+        self.ranks = [0] * len(_FIELDS)
+        for rank, variable in enumerate(self.variables):
+            self.ranks[_FIELDS[variable]] = rank << _WIDTH
 
     def __missing__(self, key: int) -> str:
         text = self[key] = "[%d, %d, %d]" % tuple(self.triple(key))
@@ -268,7 +262,8 @@ def sum_of_products(terms) -> WeightPoly:
             for m2, c2 in right:
                 m = m1 + m2
                 out[m] = get(m, 0) + c1 * c2
-    if reduce(or_, out, 0) & _guards:
+    guards = _GUARD_BIT * ((1 << _WIDTH * len(_FIELDS)) - 1) // _MASK   # top bit of each field
+    if reduce(or_, out, 0) & guards:
         raise OverflowError(f"an exponent of a product reached 2^{_WIDTH - 1}")
     if 0 in out.values():
         out = {m: c for m, c in out.items() if c}
@@ -284,11 +279,11 @@ def color_swap(a: int, b: int):
     is a few masks and shifts: three when the fields of each color are
     contiguous, more when the registry was filled in another order.
     """
-    for c, k in list(_VARIABLES):
+    for c, k in list(_FIELDS):
         if c in (a, b):
             _field_of(a + b - c, k)
     runs: dict = {}                      # shift in bits -> mask of the fields it moves
-    for field, (c, k) in enumerate(_VARIABLES):
+    for (c, k), field in _FIELDS.items():
         shift = (_FIELDS[(a + b - c, k)] - field) * _WIDTH if c in (a, b) else 0
         if shift:
             runs[shift] = runs.get(shift, 0) | ((1 << _WIDTH) - 1) << (_WIDTH * field)

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from seriesforge import reference
 from seriesforge.cli import FAMILIES, main, parse_bfile
 from seriesforge.labeled import (
     fully_colored_labeled_counts,
@@ -217,6 +218,23 @@ class TestTable:
         code, _, err = run(capsys, "table", name, "--check-paper")
         assert code == 0
         assert "match the reference" in err
+
+    @pytest.mark.parametrize("argv, table, key, value, line", [
+        # the m = 2 row with its s = 3 cell 8 raised to 9
+        (("symbolic", "--max-s", "4", "--max-m", "2"), reference.ULTRAMETRIC_TABLE, 2,
+         [1, 2, 9, *reference.ULTRAMETRIC_TABLE[2][3:]],
+         "MISMATCH at (2, 3): computed 8, reference 9"),
+        # n <= 10: the reference column sums end there
+        (("riordan-triangle", "--max-n", "6"), reference.RIORDAN_TRIANGLE, (2, 4), 3,
+         "MISMATCH at (2, 4): computed 2, reference 3"),
+    ], ids=["symbolic", "riordan-triangle"])
+    def test_check_paper_reports_a_changed_reference_cell(self, capsys, monkeypatch,
+                                                          argv, table, key, value, line):
+        _, plain, _ = run(capsys, "table", *argv)
+        monkeypatch.setitem(table, key, value)
+        code, out, err = run(capsys, "table", *argv, "--check-paper")
+        assert (code, out) == (2, plain)
+        assert err == f"{line}\nverification failed: 1 cell(s) differ\n"
 
     def test_symbolic_contains_known_cell(self, capsys):
         code, out, _ = run(capsys, "table", "symbolic", "--max-s", "4", "--max-m", "2")

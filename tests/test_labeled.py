@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 from math import comb
@@ -5,6 +6,7 @@ from unittest import mock
 
 import pytest
 
+import seriesforge
 from seriesforge import reference, weights
 from seriesforge.labeled import (
     chain_increasing_counts,
@@ -165,7 +167,7 @@ class TestPSeries:
             "colour 1 only": lambda: [WeightPoly.gen(1, k) for k in range(order + 2, 1, -1)],
         }
         for name, fill in layouts.items():
-            with mock.patch.multiple(weights, _FIELDS={}, _VARIABLES=[], _guards=0):
+            with mock.patch.object(weights, "_FIELDS", {}):
                 fill()
                 p = p_series(m, order)
                 assert p == p_series_by_inversion(m, order), name
@@ -353,3 +355,19 @@ class TestShortPrefixes:
         assert chain_increasing_counts(up_to_s, 0) == [1, 1, 1][:up_to_s]
         assert mobile_counts(up_to_s, 1) == [1, 1, 2][:up_to_s]
         assert process_counts(up_to_s) == [1, 3, 21][:up_to_s]
+
+
+# every function of the documented API: each prefix, refined_polys and p_series
+API_FUNCTIONS = [getattr(seriesforge, name) for name in seriesforge.__all__
+                 if inspect.isfunction(getattr(seriesforge, name))]
+
+
+@pytest.mark.parametrize("bad", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize("fn", API_FUNCTIONS, ids=lambda fn: fn.__name__)
+def test_api_rejects_a_bool_or_float_argument(fn, bad):
+    # True would count as m = 1 and 2.0 would be computed in float
+    # arithmetic, so either one in any argument is a TypeError
+    good = [3, 2][:len(inspect.signature(fn).parameters)]
+    for i in range(len(good)):
+        with pytest.raises(TypeError):
+            fn(*good[:i], bad, *good[i + 1:])

@@ -23,6 +23,7 @@ from seriesforge import bell, cli, labeled, unlabeled
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 BFILE = os.path.join(HERE, "data", "b000669_prefix.txt")
+README = os.path.join(os.path.dirname(HERE), "README.md")
 
 CLI_RUNS = [
     ["gf", "P", "--m", "2", "--order", "4"],
@@ -150,3 +151,110 @@ def test_one_public_function_per_family():
     # the benchmark runner imports the Z[m] inversion as its check of the
     # ultrametric polynomials, so it stays public without an export
     assert public - exported == {labeled.ultrametric_series_polynomials}
+
+
+FORMATS = ("plain", "json", "csv")
+# CLI_RUNS and every command in every format, every gf kind, P with each
+# constant spec, and --help; with a usage error and the README quick start,
+# what the dead-code gate runs
+EVERY_RUN = CLI_RUNS + [
+    ["count", family, "--s", "5", *(["--m", "2"] if row[1] else []), "--format", fmt]
+    for family, row in cli.FAMILIES.items() for fmt in FORMATS
+] + [
+    ["table", name, "--max-s", "4", "--max-m", "2", "--check-paper", "--format", fmt]
+    for name in cli.TABLES for fmt in FORMATS
+] + [
+    ["table", "riordan-triangle", "--max-n", "5", "--check-paper", "--format", fmt]
+    for fmt in FORMATS
+] + [["gf", kind, "--m", "2", "--order", "5"] for kind in ("P", *cli.GF_KINDS)] + [
+    ["gf", "P", "--m", "2", "--order", "5", "--spec", spec] for spec in cli.P_SPECS
+] + [["--help"]]
+USAGE_ERROR = ["count", "ultrametrics", "--s", "x"]
+
+# profiles, from before the package is imported, the CLI runs and the README
+# quick start as a doctest, then prints, as its last line, the exit codes,
+# the doctest failures and (module, first line) of every code object entered
+DEAD_CODE_PROBE = """
+import doctest, json, sys
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_globals.get("__name__"), frame.f_code.co_firstlineno))
+
+sys.setprofile(profile)
+from seriesforge.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+failed = doctest.testfile(sys.argv[2], module_relative=False).failed
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "failed": failed, "entered": sorted(entered)}))
+"""
+
+GATED_MODULES = ("cli", "labeled", "unlabeled", "bell", "rings", "weights")
+EXPORTED = "a method of an exported class"
+TRACED = "a method of an exported class; benchmarks/tracer.py CLASS_METHODS wraps it"
+RUN_PY = "benchmarks/run.py imports ultrametric_series_polynomials, which calls it"
+
+# the defs no gated run enters, each with the reason it stays: the class is
+# exported, or a benchmark file pins the name; a benchmark change that
+# unpins a name takes it out of production and off this list
+KEPT_UNRUN = {
+    "labeled.ultrametric_series_polynomials": "benchmarks/run.py imports it",
+    "bell.bell_inverse_recursive": RUN_PY,
+    "rings.Ring.invert": RUN_PY,
+    "rings.PolyVar.const": EXPORTED,
+    "rings.PolyVar.degree": EXPORTED,
+    "rings.PolyVar.__hash__": EXPORTED,
+    "rings.PolyVar.__pow__": EXPORTED,
+    "rings.PolyVar.__sub__": TRACED,
+    "rings.PolyVar.__rsub__": TRACED,
+    "rings.PolyVar.map_coeffs": TRACED,
+    "rings.PolyVar.scale_exact": TRACED,
+    "rings.PolyVar.substitute": TRACED,
+    "rings.PolyVar.compose": TRACED,
+    "rings.PolyVar.shift_down": TRACED,
+    "weights.WeightPoly.is_zero": EXPORTED,
+    "weights.WeightPoly.__bool__": EXPORTED,
+    "weights.WeightPoly.__eq__": EXPORTED,
+    "weights.WeightPoly.__hash__": EXPORTED,
+    "weights.WeightPoly.__neg__": TRACED,
+    "weights.WeightPoly.__sub__": TRACED,
+    "weights.WeightPoly.__rsub__": TRACED,
+    "weights.WeightPoly.__mul__": TRACED,
+    "weights.WeightPoly.substitute": TRACED,
+    "weights.WeightPoly.degree_mass": TRACED,
+    "weights.WeightPoly.to_jsonable": TRACED,
+    "weights._KeyOrder.triples": "WeightPoly.substitute and degree_mass read monomials with it",
+}
+
+
+def _defs(module: str):
+    """(dotted name, first lines) of every def in src/seriesforge/<module>.py,
+    methods and nested defs included; a decorated def's code may start at
+    its first decorator."""
+    with open(os.path.join(SRC, "seriesforge", f"{module}.py")) as fh:
+        tree = ast.parse(fh.read())
+    stack = [(tree, module)]
+    while stack:
+        node, prefix = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                stack.append((child, name))
+                if isinstance(child, ast.FunctionDef):
+                    yield name, {child.lineno, *(d.lineno for d in child.decorator_list)}
+
+
+def test_every_production_def_is_run_or_kept_for_a_reason():
+    runs = EVERY_RUN + [USAGE_ERROR]
+    proc = subprocess.run(
+        [sys.executable, "-c", DEAD_CODE_PROBE, json.dumps(runs), README],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), check=True,
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0] * len(EVERY_RUN) + [1]
+    assert report["failed"] == 0
+    entered = {tuple(pair) for pair in report["entered"]}
+    unrun = {name for module in GATED_MODULES for name, lines in _defs(module)
+             if not any((f"seriesforge.{module}", line) in entered for line in lines)}
+    assert unrun == set(KEPT_UNRUN)

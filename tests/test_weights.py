@@ -93,7 +93,7 @@ class TestPrintedOrder:
 def fresh_registry():
     """A context in which no variable has a field yet, so the next gen
     calls hand out the fields in the order they are made."""
-    return mock.patch.multiple(weights, _FIELDS={}, _VARIABLES=[], _guards=0)
+    return mock.patch.object(weights, "_FIELDS", {})
 
 
 def as_counters(poly: WeightPoly) -> dict:
