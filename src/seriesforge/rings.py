@@ -152,6 +152,28 @@ class PolyVar:
         pairs = [divmod(c, n) for c in self.coeffs]
         return PolyVar([q for q, _ in pairs], self.var), PolyVar([r for _, r in pairs], self.var)
 
+    def __floordiv__(self, other) -> "PolyVar":
+        """Exact quotient by a nonzero int or PolyVar that divides self, by
+        long division from the top; ArithmeticError if it leaves a
+        remainder."""
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("division by the zero polynomial")
+        *low, lead = other.coeffs
+        rem = list(self.coeffs)
+        quot = [0] * max(len(rem) - len(low), 0)
+        for k in reversed(range(len(quot))):
+            quot[k], r = divmod(rem[k + len(low)], lead)
+            if r:
+                raise ArithmeticError(f"{self!r} is not divisible by {other!r}")
+            for i, c in enumerate(low):
+                rem[k + i] -= quot[k] * c
+        if any(rem[:len(low)]):
+            raise ArithmeticError(f"{self!r} is not divisible by {other!r}")
+        return PolyVar(quot, self.var)
+
     def substitute(self, power: int) -> "PolyVar":
         """Map the variable v to v**power (power >= 1)."""
         if power < 1:

@@ -54,6 +54,18 @@ class TestPolyVar:
         assert divmod(PolyVar([3, 4, 5], "t"), 2) == (PolyVar([1, 2, 2], "t"), PolyVar([1, 0, 1], "t"))
         assert divmod(PolyVar([], "t"), 3) == (PolyVar([], "t"), PolyVar([], "t"))
 
+    def test_floordiv_is_exact_division(self):
+        m = PolyVar.gen("m")
+        assert PolyVar([2, -2], "m") // (m - 1) == -2
+        assert (m * m - 1) // (m - 1) == m + 1
+        assert (6 * m + 4) // 2 == 3 * m + 2
+        assert PolyVar([]) // (m - 1) == 0
+        for num, den in ((m * m, m - 1), (m + 2, 2), (m, m * m)):
+            with pytest.raises(ArithmeticError, match="not divisible"):
+                num // den
+        with pytest.raises(ZeroDivisionError):
+            m // PolyVar([])
+
     def test_degree_of_product(self):
         p, q = PolyVar([1, 2, 3]), PolyVar([0, 5, 0, 7])
         assert (p * q).degree == p.degree + q.degree
@@ -135,6 +147,12 @@ def test_pow_is_repeated_product(a, e, point):
         power = power * a
     assert a ** e == power
     assert (a ** e).eval_at(point) == a.eval_at(point) ** e
+
+
+@given(small_poly, small_poly)
+def test_floordiv_undoes_the_product(a, b):
+    if b:
+        assert (a * b) // b == a
 
 
 def test_ring_dot_defaults_to_the_term_by_term_sum():
