@@ -196,8 +196,9 @@ TRACED = "a method of an exported class; benchmarks/tracer.py CLASS_METHODS wrap
 RUN_PY = "benchmarks/run.py imports ultrametric_series_polynomials, which calls it"
 
 # the defs no gated run enters, each with the reason it stays: the class is
-# exported, or a benchmark file pins the name; a benchmark change that
-# unpins a name takes it out of production and off this list
+# exported, a benchmark file pins the name, or only a library call at a
+# PolyVar m runs it; a benchmark change that unpins a name takes it out of
+# production and off this list
 KEPT_UNRUN = {
     "labeled.ultrametric_series_polynomials": "benchmarks/run.py imports it",
     "bell.bell_inverse_recursive": RUN_PY,

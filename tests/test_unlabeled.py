@@ -84,9 +84,7 @@ class TestRefinedPolys:
         ]
 
     def test_reference_polynomials(self):
-        size = max(reference.UNLABELED_POLYNOMIALS)
-        polys = multipartite_unlabeled_counts(size, M)
-        assert polys == [1] + [M * r for r in plain_transform(size, M - 1)]
+        polys = multipartite_unlabeled_counts(max(reference.UNLABELED_POLYNOMIALS), M)
         for s, coeffs in reference.UNLABELED_POLYNOMIALS.items():
             assert polys[s - 1] == PolyVar(coeffs, "m")
 
