@@ -428,7 +428,7 @@ def refined_polys_bell(up_to_s: int) -> list:
         for _ in range(s):
             bell_row(rows, weights, ring)
         acc = sum(rows[s][1:], ring.zero)
-        levels.append((PolyVar.gen("t") * acc).scale_exact(1, factorial(s)))
+        levels.append(PolyVar.gen("t") * acc // factorial(s))
     return levels
 
 
@@ -448,7 +448,7 @@ def refined_polys_substituted(up_to_s: int) -> list:
     for n in range(2, up_to_s + 1):
         # c_n without its d = n term n a_n, which is not known yet
         c_short = sum(d * a[d].substitute(n // d) for d in range(1, n) if n % d == 0)
-        r = (c_short + sum(c[j] * b[n - j] for j in range(1, n))).scale_exact(1, n)
+        r = (c_short + sum(c[j] * b[n - j] for j in range(1, n))) // n
         a.append(t * r)
         b.append(a[n] + r)
         c.append(c_short + n * a[n])

@@ -60,11 +60,10 @@ class PolyVar:
         return 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, PolyVar):
-            return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == (() if other == 0 else (other,))
-        return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         if len(self.coeffs) < 2:
@@ -91,9 +90,6 @@ class PolyVar:
         return PolyVar([-c for c in self.coeffs], self.var)
 
     def __sub__(self, other) -> "PolyVar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "PolyVar":
@@ -147,11 +143,6 @@ class PolyVar:
             out.append(int(q))
         return PolyVar(out, self.var)
 
-    def __divmod__(self, n: int):
-        """Coefficient-wise quotient and remainder by an int."""
-        pairs = [divmod(c, n) for c in self.coeffs]
-        return PolyVar([q for q, _ in pairs], self.var), PolyVar([r for _, r in pairs], self.var)
-
     def __floordiv__(self, other) -> "PolyVar":
         """Exact quotient by a nonzero int or PolyVar that divides self, by
         long division from the top; ArithmeticError if it leaves a
@@ -196,16 +187,11 @@ class PolyVar:
 
     def compose(self, other: "PolyVar") -> "PolyVar":
         """Substitute another polynomial for the variable."""
-        acc = PolyVar([], other.var)
-        for c in reversed(self.coeffs):
-            acc = acc * other + PolyVar.const(c, other.var)
-        return acc
+        return self.eval_at(other) + PolyVar([], other.var)
 
     def shift_down(self) -> "PolyVar":
         """Exact division by the variable; constant term must be zero."""
-        if self.coeffs and self.coeffs[0] != 0:
-            raise ArithmeticError("constant term nonzero, not divisible")
-        return PolyVar(self.coeffs[1:], self.var)
+        return self // PolyVar.gen(self.var)
 
     def __repr__(self) -> str:
         if self.is_zero():

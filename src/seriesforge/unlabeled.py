@@ -89,8 +89,8 @@ def _level_values(up_to_s: int, t0) -> list:
 
 def _exact(value, n: int):
     """value / n, which the Euler transform makes exact."""
-    q, rem = divmod(value, n)
-    if rem:
+    q = value // n
+    if q * n != value:
         raise ArithmeticError(f"Euler transform not integral at n={n}")
     return q
 

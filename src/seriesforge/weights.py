@@ -35,7 +35,7 @@ from operator import or_
 
 from .rings import Ring
 
-_WIDTH = 16                              # bits per exponent field: one "H" item
+_WIDTH = 16                              # bits per exponent field
 _MASK = (1 << _WIDTH) - 1
 _GUARD_BIT = 1 << (_WIDTH - 1)
 _EXACT = 2 ** 53                         # JSON quotes ints from here on: a double rounds 2^53 + 1
@@ -72,10 +72,6 @@ class _KeyOrder(dict):
     def triple(self, key: int) -> list:
         c, k = self.variables[key >> _WIDTH]
         return [c, k, key & _MASK]
-
-    def triples(self, mono: int) -> list:
-        """A packed monomial as sorted [c, k, exponent] triples."""
-        return [self.triple(key) for key in _keys(mono, self.ranks)]
 
 
 def _keys(mono: int, ranks: list) -> list:
@@ -135,13 +131,11 @@ class WeightPoly:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, WeightPoly):
-            return self.terms == other.terms
         if isinstance(other, int):
-            if other == 0:
-                return not self.terms
-            return self.terms == {0: other}
-        return NotImplemented
+            other = WeightPoly.const(other)
+        if not isinstance(other, WeightPoly):
+            return NotImplemented
+        return self.terms == other.terms
 
     def __hash__(self):
         if self.terms.keys() <= {0}:      # a constant hashes as its int
@@ -171,8 +165,6 @@ class WeightPoly:
         return WeightPoly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "WeightPoly":
-        if isinstance(other, int):
-            other = WeightPoly.const(other)
         return self + (-other)
 
     def __rsub__(self, other) -> "WeightPoly":
@@ -180,9 +172,7 @@ class WeightPoly:
 
     def __mul__(self, other) -> "WeightPoly":
         if isinstance(other, int):
-            if other == 0:
-                return WeightPoly()
-            return WeightPoly._of({m: c * other for m, c in self.terms.items()})
+            other = WeightPoly.const(other)
         if not isinstance(other, WeightPoly):
             return NotImplemented
         return sum_of_products(((1, self, other),))
@@ -191,19 +181,16 @@ class WeightPoly:
 
     def substitute(self, fn):
         """Replace every x_{c,k} by fn(c, k) and evaluate exactly."""
-        triples = _KeyOrder().triples
         total = 0
-        for mono, coeff in self.terms.items():
-            val = coeff
-            for c, k, e in triples(mono):
-                val = val * fn(c, k) ** e
-            total = total + val
+        for triples, coeff in self._triples():
+            for c, k, e in triples:
+                coeff = coeff * fn(c, k) ** e
+            total = total + coeff
         return total
 
     def degree_mass(self) -> set:
         """Set of sum (k-1)*exp over the monomials (leaf-count balance)."""
-        triples = _KeyOrder().triples
-        return {sum((k - 1) * e for _, k, e in triples(mono)) for mono in self.terms if mono}
+        return {sum((k - 1) * e for _, k, e in triples) for triples, _ in self._triples() if triples}
 
     def _sorted(self):
         """The key order of the registry, and (keys, coeff) per term in

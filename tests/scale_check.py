@@ -21,14 +21,20 @@ integers mod p, and share no code with the package:
   checked);
 - `count ultrametrics` and `count mobiles`: the ODE convolution of
   (1 + (1 - m)P) P' = 1 + P, whose term r_s gives a_s(m) = m r_s(m) and,
-  read at 1 - m, the mobiles g_s = (-1)^s m r_s(1 - m).
+  read at 1 - m, the mobiles g_s = (-1)^s m r_s(1 - m);
+- `gf P`: the record's kind, m and order, N + 1 coefficients with P_0
+  empty, and each P_s summed at x_{c,k} = 1 against the ultrametric count
+  and at x_{c,k} = (k - 1)! against the mobile count, both from the ODE
+  convolution above.
 
 Every prime is larger than the sizes checked, so 1..S are invertible.
 """
 
 import argparse
+import json
 import re
 import sys
+from math import prod
 from operator import mul
 
 PRIMES = (2 ** 61 - 1, 2 ** 61 - 31)
@@ -144,6 +150,39 @@ def check_triangle(args, text):
     return None
 
 
+def check_p(args, text):
+    try:
+        record = json.loads(text)
+    except ValueError as exc:
+        return f"not one JSON record: {exc}"
+    if not isinstance(record, dict):
+        return "the record is not a JSON object"
+    head = [record.get(key) for key in ("kind", "m", "order")]
+    if head != ["P", args.m, args.order]:
+        return f"kind, m, order {head} != {['P', args.m, args.order]}"
+    coeffs = record.get("coeffs")
+    if not isinstance(coeffs, list) or len(coeffs) != args.order + 1 or coeffs[0] != []:
+        return f"expected {args.order + 1} coefficients with P_0 empty"
+    size, m = max(args.order, 2), args.m     # the ODE starts at r_2
+    for p in PRIMES:
+        fact = [1]                      # fact[k - 1] = (k - 1)!, the weight of x_{c,k}
+        for k in range(1, size):
+            fact.append(fact[-1] * k % p)
+        ultrametric = [1] + [m * r % p for r in ode_counts(size, m, p)]
+        mobile = [1] + [(-1) ** s * m * r % p
+                        for s, r in enumerate(ode_counts(size, 1 - m, p), start=2)]
+        for s, terms in enumerate(coeffs[1:], start=1):
+            at_one = sum(int(term["coeff"]) for term in terms) % p
+            at_fact = sum(int(term["coeff"]) * prod(pow(fact[k - 1], e, p)
+                                                    for _, k, e in term["monomial"])
+                          for term in terms) % p
+            if at_one != ultrametric[s - 1]:
+                return f"gf P P_{s} at x = 1: {at_one} != {ultrametric[s - 1]} mod {p}"
+            if at_fact != mobile[s - 1]:
+                return f"gf P P_{s} at x = (k - 1)!: {at_fact} != {mobile[s - 1]} mod {p}"
+    return None
+
+
 def main(argv=None):
     if hasattr(sys, "set_int_max_str_digits"):
         # the labeled counts at s = 1500 pass Python's 4300-digit default
@@ -158,13 +197,17 @@ def main(argv=None):
     table = commands.add_parser("table")
     table.add_argument("name", choices=["riordan-triangle"])
     table.add_argument("--max-n", type=int, required=True)
+    gf = commands.add_parser("gf")
+    gf.add_argument("kind", choices=["P"])
+    gf.add_argument("--m", type=int, required=True)
+    gf.add_argument("--order", type=int, required=True)
     args = parser.parse_args(argv)
-    size = args.s if args.command == "count" else args.max_n
+    size = getattr(args, {"count": "s", "table": "max_n", "gf": "order"}[args.command])
     if size >= min(PRIMES):
         parser.error("the size must be below both primes")
     if args.command == "count" and (args.m is None) != (args.family == "unlabeled"):
         parser.error(f"--m is required for {args.family} and only for it")
-    check = check_count if args.command == "count" else check_triangle
+    check = {"count": check_count, "table": check_triangle, "gf": check_p}[args.command]
     problem = check(args, sys.stdin.read())
     if problem:
         print(f"scale check failed: {problem}", file=sys.stderr)

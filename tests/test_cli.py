@@ -58,6 +58,19 @@ P_SYMBOLIC_SHA256 = {
     (4, 9): "c41ff1e1c213c9af83e45c4d0d22fa6f43cd6da4d19a31992ef175a77d5e688f",
 }
 
+# (sha256, length in bytes) of the stdout of runs whose every step divides
+# exactly in the level table, over Z[t] for the triangle and at the int
+# point m - 1 for the multipartite count; recorded from the release whose
+# level table divided with divmod
+UNLABELED_STDOUT = {
+    ("table", "riordan-triangle", "--max-n", "40"):
+        ("411c4566be063ed199e5fe50bd7c6e92302e88b42bd71d2c1727ca91465e4888", 18614),
+    ("table", "riordan-triangle", "--max-n", "40", "--format", "json"):
+        ("71116956be46ded2151d699ed526d16e6275a3d9db92e808b66ce274a80a7412", 21721),
+    ("count", "multipartite-unlabeled", "--s", "300", "--m", "8"):
+        ("0933d2270e0753a13f338e3bd755683639edc094c059b7d60c647f2dbd2cd5d1", 377),
+}
+
 
 @pytest.fixture(autouse=True)
 def default_digit_limit():
@@ -397,6 +410,14 @@ class TestGf:
         monkeypatch.setenv("SERIESFORGE_MAX_ORDER", "lots")
         code, _, _ = run(capsys, "gf", "A", "--m", "2", "--order", "4")
         assert code == 1
+
+
+@pytest.mark.parametrize("argv", sorted(UNLABELED_STDOUT), ids=" ".join)
+def test_unlabeled_stdout_bytes_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == UNLABELED_STDOUT[argv]
 
 
 class TestVerify:

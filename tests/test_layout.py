@@ -196,9 +196,8 @@ TRACED = "a method of an exported class; benchmarks/tracer.py CLASS_METHODS wrap
 RUN_PY = "benchmarks/run.py imports ultrametric_series_polynomials, which calls it"
 
 # the defs no gated run enters, each with the reason it stays: the class is
-# exported, a benchmark file pins the name, or only a library call at a
-# PolyVar m runs it; a benchmark change that unpins a name takes it out of
-# production and off this list
+# exported or a benchmark file pins the name; a benchmark change that
+# unpins a name takes it out of production and off this list
 KEPT_UNRUN = {
     "labeled.ultrametric_series_polynomials": "benchmarks/run.py imports it",
     "bell.bell_inverse_recursive": RUN_PY,
@@ -207,8 +206,6 @@ KEPT_UNRUN = {
     "rings.PolyVar.degree": EXPORTED,
     "rings.PolyVar.__hash__": EXPORTED,
     "rings.PolyVar.__pow__": EXPORTED,
-    "rings.PolyVar.__floordiv__": "multipartite_unlabeled_counts divides by m - 1 with it at a "
-                                  "PolyVar m, which only the library API passes",
     "rings.PolyVar.__rsub__": TRACED,
     "rings.PolyVar.map_coeffs": TRACED,
     "rings.PolyVar.scale_exact": TRACED,
@@ -226,7 +223,6 @@ KEPT_UNRUN = {
     "weights.WeightPoly.substitute": TRACED,
     "weights.WeightPoly.degree_mass": TRACED,
     "weights.WeightPoly.to_jsonable": TRACED,
-    "weights._KeyOrder.triples": "WeightPoly.substitute and degree_mass read monomials with it",
 }
 
 

@@ -50,10 +50,6 @@ class TestPolyVar:
         with pytest.raises(ArithmeticError, match="1/2"):
             PolyVar([2, 1], "t").scale_exact(1, 2)
 
-    def test_divmod_by_an_int(self):
-        assert divmod(PolyVar([3, 4, 5], "t"), 2) == (PolyVar([1, 2, 2], "t"), PolyVar([1, 0, 1], "t"))
-        assert divmod(PolyVar([], "t"), 3) == (PolyVar([], "t"), PolyVar([], "t"))
-
     def test_floordiv_is_exact_division(self):
         m = PolyVar.gen("m")
         assert PolyVar([2, -2], "m") // (m - 1) == -2

@@ -6,6 +6,7 @@ import pytest
 from seriesforge import reference
 from seriesforge.rings import PolyVar
 from seriesforge.unlabeled import (
+    _exact,
     _level_values,
     fully_colored_unlabeled_counts,
     multipartite_unlabeled_counts,
@@ -38,8 +39,9 @@ def plain_transform(up_to_s, t0):
             levels = [a] * (up_to_s + 1)
         for n in range(2, up_to_s // j + 1):
             c_short = sum(d * levels[j * n // d][d] for d in proper_divisors[n])
-            q, rem = divmod(c_short + sum(map(mul, c[1:n], b[n - 1:0:-1])), n)
-            assert not rem
+            total = c_short + sum(map(mul, c[1:n], b[n - 1:0:-1]))
+            q = total // n
+            assert q * n == total
             a.append(x * q)
             b.append(a[n] + q)
             c.append(c_short + n * a[n])
@@ -74,6 +76,13 @@ class TestLevelTable:
         for s in range(1, 26):
             want = [m * 0 + 1] + [m * r for r in plain_transform(s, m - 1)]
             assert multipartite_unlabeled_counts(s, m) == want, s
+
+    def test_exact_division(self):
+        assert _exact(-6, 3) == -2
+        assert _exact(PolyVar([2, 4], "t"), 2) == PolyVar([1, 2], "t")
+        for value in (7, PolyVar([1, 2], "t")):
+            with pytest.raises(ArithmeticError):
+                _exact(value, 2)
 
 
 class TestRefinedPolys:
