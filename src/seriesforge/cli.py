@@ -321,8 +321,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        # counts and b-file values may pass Python's 4300-digit default
+    # counts and b-file values may pass Python's 4300-digit default (0: none)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
         sys.set_int_max_str_digits(0)
     try:
         args = _parser().parse_args(argv)
@@ -335,6 +336,9 @@ def main(argv=None) -> int:
         return 2
     except SystemExit as exc:           # argparse exits so after --help
         return exc.code
+    finally:                            # an in-process caller gets its limit back
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

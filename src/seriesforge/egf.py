@@ -1,15 +1,17 @@
-"""Truncated exponential generating functions and the rational ring QQ,
-for the tests and the oracles only: nothing the CLI imports reaches this
-module.
+"""The commutative-ring contract, truncated exponential generating
+functions and the recursive inversion, for the tests and the oracles
+only: nothing the CLI imports reaches this module.
 
-An ExpSeries stores c_0..c_N of sum c_n t^n/n!.  Composition and
-compositional inversion act on its tail c_1..c_N, a coefficient sequence
-of the group in :mod:`seriesforge.bell`; bell_product, the group product,
-lives here beside compose, its one caller.  Multiplication, powers and
-formal integration are the standard exponential-convolution operations;
-every convolution sum, like every Bell-table sum, is one Ring.dot.
-The module keeps this path because the benchmark's tracer wraps the
-methods of seriesforge.egf.ExpSeries, so it moves with the benchmark.
+A Ring gives its constants, the inverse of a unit and dot, the one sum of
+products of every Bell-table entry and convolution over it; ZZ, QQ (over
+``fractions.Fraction``), poly_ring's Z[var] and the oracles' weight ring
+are Rings.  An ExpSeries stores c_0..c_N of sum c_n t^n/n!; composition
+and inversion act on its tail c_1..c_N, a coefficient sequence as in
+:mod:`seriesforge.bell`, by the group product bell_product and by
+bell_inverse_recursive, which reads each inverse coordinate off the Bell
+row of the coordinates before it.  The module keeps this path because the
+benchmark's tracer wraps the methods of seriesforge.egf.ExpSeries, so it
+moves with the benchmark.
 """
 
 from __future__ import annotations
@@ -19,12 +21,61 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .bell import bell_inverse_recursive, bell_row
-from .rings import Ring
+from .bell import bell_row
+from .rings import PolyVar
+
+
+class Ring:
+    """Commutative-ring contract.
+
+    Elements are plain Python values supporting +, -, * and ==, with
+    zero the only falsy one; the ring object supplies the constants, exact
+    inversion of units when available and, optionally, a faster sum of
+    products.  dot is the one sum of products that every Bell-table entry
+    and every convolution over a Ring goes through.
+    """
+
+    __slots__ = ("name", "zero", "one", "inv", "sum_of_products")
+
+    def __init__(self, name: str, zero, one, inv=None, sum_of_products=None):
+        self.name = name
+        self.zero = zero
+        self.one = one
+        self.inv = inv
+        self.sum_of_products = sum_of_products
+
+    def dot(self, terms):
+        """sum b * y * z over the (int b, y, z) triples of an iterable,
+        skipping every term whose y or z is zero."""
+        if self.sum_of_products is not None:
+            return self.sum_of_products(terms)
+        acc = self.zero
+        for b, y, z in terms:
+            if y and z:
+                acc = acc + b * y * z
+        return acc
+
+    def invert(self, x):
+        """Multiplicative inverse of a unit; errors when unavailable."""
+        if x == self.one:
+            return self.one
+        if x == -self.one:
+            return x
+        if self.inv is None:
+            raise ArithmeticError(f"{self.name}: element {x!r} is not invertible")
+        return self.inv(x)
+
+
+ZZ = Ring("ZZ", 0, 1)
 
 # Fraction is always reduced with a positive denominator, so it serves
 # directly as the rational element type
 QQ = Ring("QQ", Fraction(0), Fraction(1), inv=lambda x: 1 / Fraction(x))
+
+
+def poly_ring(var: str = "m") -> Ring:
+    """Univariate integer polynomials in the given variable."""
+    return Ring(f"Z[{var}]", PolyVar([], var), PolyVar([1], var))
 
 
 def bell_product(x, y, ring: Ring) -> tuple:
@@ -33,9 +84,28 @@ def bell_product(x, y, ring: Ring) -> tuple:
     rows = [[ring.one]]
     out = []
     for n in range(1, order + 1):
-        bell_row(rows, y, ring)
+        bell_row(rows, y, ring.dot)
         out.append(ring.dot((1, x[k - 1], rows[n][k]) for k in range(1, n + 1)))
     return tuple(out)
+
+
+def bell_inverse_recursive(x, ring: Ring) -> tuple:
+    """Compositional inverse by the recursive inversion formula.
+
+    inv_1 = 1/x_1 and, for n > 1,
+    inv_n = (-1/x_1) * sum_{k=2..n} x_k B_{n,k}(inv),
+    each coordinate using only the previously computed ones.
+    """
+    if not x:
+        raise ValueError("empty sequence")
+    inv1 = ring.invert(x[0])
+    inv = [inv1]
+    rows = [[ring.one], [ring.zero, inv1]]
+    for n in range(2, len(x) + 1):
+        bell_row(rows, inv, ring.dot)
+        inv.append(-inv1 * ring.dot((1, x[k - 1], rows[n][k]) for k in range(2, n + 1)))
+        rows[n][1] = inv[-1]
+    return tuple(inv)
 
 
 @dataclass(frozen=True)

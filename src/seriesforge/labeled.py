@@ -17,22 +17,20 @@ chain-increasing trees and at 1 - m for the mobiles.  It reads the
 alternating derangement sum a_s(m) = (-1)^(s-1) sum_k (-m)^k d(s+k-1, k),
 d(n, k) the associated Stirling numbers of the first kind, one row of
 d(n+1, k) = n d(n, k) + n d(n-1, k-1) at a time with the powers of -m
-folded in.  It is checked against ultrametric_series_polynomials
-(Lagrange inversion over Z[m], which the benchmark imports), the ODE
-recurrence of the tests, and the oracle module's mobile series inversion,
-chain recurrence, alternating sums and integral relation.
+folded in.  It is checked against the oracle module's Lagrange
+inversion over Z[m] (ultrametric_series_polynomials here is a pointer to
+it, which the benchmark imports), mobile series inversion, chain
+recurrence, alternating sums and integral relation, and against the ODE
+recurrence of the tests.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb
 
-from .bell import bell_inverse_recursive, bell_row
-from .rings import PolyVar, poly_ring
-from .weights import WEIGHT_RING, WeightPoly, color_swap
-
-POLY_M = poly_ring("m")
-_M = PolyVar.gen("m")
+from .bell import bell_row
+from .rings import PolyVar
+from .weights import WeightPoly, color_swap, sum_of_products
 
 
 def _check(s: int, m=None, least: int = 1) -> None:
@@ -69,7 +67,7 @@ def p_series(m: int, order: int) -> tuple:
     trees rooted off color 1, with v_1 = 0.  The one Bell table is over v:
     B_{q,j}(v) = 0 for 2j > q, and B_{n,k}(t + v) = sum_j C(n, k-j)
     B_{n-k+j,j}(v), so T_{1,n} = x_{1,n} + sum_{k<n} sum_{j=1..min(k,n-k)}
-    C(n, k-j) x_{1,k} B_{n-k+j,j}(v), one Ring.dot.  The x_{c,k} are
+    C(n, k-j) x_{1,k} B_{n-k+j,j}(v), one sum_of_products.  The x_{c,k} are
     registered degree-major first, so a swap moves each monomial by one
     shift each way and a monomial of low degrees is a short int.
 
@@ -84,22 +82,22 @@ def p_series(m: int, order: int) -> tuple:
     _check(1, m)
     if order < 1:
         raise ValueError("order must be >= 1")
-    ring = WEIGHT_RING
+    zero, one = WeightPoly(), WeightPoly.const(1)
     for k in range(2, order + 1):       # degree-major: the m colors of each k side by side
         for c in range(1, m + 1):
             WeightPoly.gen(c, k)
     x1 = [None, None] + [WeightPoly.gen(1, k) for k in range(2, order + 1)]
     swaps = [color_swap(1, c) for c in range(2, m + 1)]
-    total = [ring.zero, ring.one]
-    v = [ring.zero]                     # v_1 = 0, then v_n = P_n - T_{1,n}
-    rows = [[ring.one], [ring.zero, ring.zero]]
+    total = [zero, one]
+    v = [zero]                          # v_1 = 0, then v_n = P_n - T_{1,n}
+    rows = [[one], [zero, zero]]
     for n in range(2, order + 1):
-        bell_row(rows, v, ring)
-        t1 = ring.dot([(1, x1[n], ring.one)] + [
+        bell_row(rows, v, sum_of_products)
+        t1 = sum_of_products([(1, x1[n], one)] + [
             (comb(n, k - j), x1[k], rows[n - k + j][j])
             for k in range(2, n) for j in range(1, min(k, n - k) + 1)
         ])
-        rest = sum((swap(t1) for swap in swaps), ring.zero)
+        rest = sum((swap(t1) for swap in swaps), zero)
         total.append(t1 + rest)
         v.append(rest)
         rows[n][1] = rest
@@ -144,17 +142,9 @@ def ultrametric_counts(up_to_s: int, m) -> list:
 
 
 def ultrametric_series_polynomials(up_to_s: int) -> list:
-    """a_s(m) for s = 1..up_to_s via one symbolic series inversion.
-
-    Inverts t(1-m) + m*log(1+t) over the polynomial ring in m; an
-    independent route to the polynomials ultrametric_counts gives at the
-    PolyVar m.
-    """
-    ring = POLY_M
-    tail = [ring.one] + [
-        (-1) ** (n - 1) * factorial(n - 1) * _M for n in range(2, up_to_s + 1)
-    ]
-    return list(bell_inverse_recursive(tail, ring))
+    """The oracle's Lagrange inversion over Z[m], which benchmarks/run.py imports from here."""
+    from .oracle import ultrametric_series_polynomials
+    return ultrametric_series_polynomials(up_to_s)
 
 
 def fully_colored_labeled_counts(up_to_s: int, m) -> list:

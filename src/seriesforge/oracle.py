@@ -12,14 +12,17 @@ builds the stock rational series the tests invert.  The last sections keep
 the paper's other routes as references for production: the global
 inversion, the closed-form inversion and the root-color recurrence with
 one Bell table per color and no color swap for P (against labeled.p_series
-and bell.bell_inverse_recursive), the series inversion for the mobile
-polynomials, the alternating Bell sums and the integral relation of the
-counting series (against the labeled prefix recurrences), and the
-divisor-sum Bell recurrence and the Euler transform over Z[t] with
-t -> t^d substitution for the unlabeled refinement (against the level
-table of unlabeled.py).  The chain recurrence, beside its enumerator,
-checks the identity y_s(m) = a_s(m + 1) that production uses.  Production
-never imports this module.
+and egf.bell_inverse_recursive), over the weight ring WEIGHT_RING; the
+series inversions over Z[m] for the ultrametric and mobile polynomials,
+the alternating Bell sums and the integral relation of the counting
+series (against the labeled prefix recurrences); and the divisor-sum Bell
+recurrence and the Euler transform over Z[t] with t -> t^d substitution
+for the unlabeled refinement (against the level table of unlabeled.py).
+The chain recurrence, beside its enumerator, checks the identity y_s(m) =
+a_s(m + 1) that production uses.  No CLI run imports this module: the one
+production reference to it is labeled.ultrametric_series_polynomials, the
+pointer to the Z[m] inversion that the benchmark imports, which imports
+it when called.
 """
 
 from __future__ import annotations
@@ -29,17 +32,21 @@ from itertools import combinations, permutations, product
 from math import comb, factorial
 from typing import Dict, Iterator, Tuple
 
-from .bell import bell_inverse_recursive, bell_row
-from .egf import QQ, ExpSeries
-from .labeled import POLY_M, ultrametric_counts
-from .rings import ZZ, PolyVar, Ring, poly_ring
-from .weights import WEIGHT_RING, WeightPoly
+from .bell import bell_row
+from .egf import QQ, ZZ, ExpSeries, Ring, bell_inverse_recursive, poly_ring
+from .labeled import ultrametric_counts
+from .rings import PolyVar
+from .weights import WeightPoly, sum_of_products
 
 MAX_LABELED_LEAVES = 8
 MAX_ULTRA_POINTS = 5
 MAX_UNLABELED_LEAVES = 9
 MAX_CHAINS = 7
 MAX_MOBILE_LEAVES = 7
+
+POLY_M = poly_ring("m")
+WEIGHT_RING = Ring("Z[x_{c,k}]", WeightPoly(), WeightPoly.const(1),
+                   sum_of_products=sum_of_products)
 
 
 def set_partitions(items: list) -> Iterator[list]:
@@ -426,7 +433,7 @@ def refined_polys_bell(up_to_s: int) -> list:
         ]
         rows = [[ring.one]]
         for _ in range(s):
-            bell_row(rows, weights, ring)
+            bell_row(rows, weights, ring.dot)
         acc = sum(rows[s][1:], ring.zero)
         levels.append(PolyVar.gen("t") * acc // factorial(s))
     return levels
@@ -453,6 +460,14 @@ def refined_polys_substituted(up_to_s: int) -> list:
         b.append(a[n] + r)
         c.append(c_short + n * a[n])
     return a[1:]
+
+
+def ultrametric_series_polynomials(up_to_s: int) -> list:
+    """a_s(m) for s = 1..up_to_s by inverting t(1-m) + m*log(1+t) over
+    Z[m], the series route to labeled.ultrametric_counts at the PolyVar m."""
+    tail = [POLY_M.one] + [(-1) ** (n - 1) * factorial(n - 1) * PolyVar.gen("m")
+                           for n in range(2, up_to_s + 1)]
+    return list(bell_inverse_recursive(tail, POLY_M))
 
 
 def mobiles_series_polynomials(up_to_s: int) -> list:
@@ -489,7 +504,7 @@ def bell_inverse_closed(x, ring: Ring) -> tuple:
 
     inv_n = sum_{k=1..n-1} (-1)^k x_1^{-(n+k)} B_{n+k-1,k}(0, x_2, x_3, ...)
     for n > 1.  The sign (-1)^k (not (-1)^{n+k-1}) is the one that agrees
-    with bell.bell_inverse_recursive; see tests.
+    with egf.bell_inverse_recursive; see tests.
     """
     if not x:
         raise ValueError("empty sequence")
@@ -500,42 +515,36 @@ def bell_inverse_closed(x, ring: Ring) -> tuple:
     rows = [[ring.one]]
     shifted = (ring.zero,) + tuple(x[1:])
     for _ in range(2 * len(x) - 2):
-        bell_row(rows, shifted, ring)
+        bell_row(rows, shifted, ring.dot)
     out = [one_over_x1]
     for n in range(2, len(x) + 1):
         out.append(ring.dot(((-1) ** k, powers[n + k], rows[n + k - 1][k]) for k in range(1, n)))
     return tuple(out)
 
 
-def p_closed_form(m: int, s: int) -> WeightPoly:
-    """P_s(m,x) by the closed-form inversion: of every degree function,
-    then of t + sum_c (inverse degree function - t)."""
-    ring = WEIGHT_RING
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    f = [ring.one] + [ring.zero] * (s - 1)
-    for c in range(1, m + 1):
-        xc = [ring.one] + [WeightPoly.gen(c, k) for k in range(2, s + 1)]
-        inv = bell_inverse_closed(xc, ring)
-        for j in range(2, s + 1):
-            f[j - 1] = f[j - 1] + inv[j - 1]
-    return bell_inverse_closed(f, ring)[s - 1]
-
-
-def p_series_by_inversion(m: int, order: int) -> tuple:
-    """(P_0, ..., P_order) by global Lagrange inversion: invert every
-    degree function, then t + sum_c (inverse degree function - t), with
-    the Bell-table kernel over the weight ring."""
+def _p_by_inversion(m: int, order: int, invert) -> tuple:
+    """(P_1, ..., P_order) by global inversion over the weight ring, with
+    the given inversion: of every degree function, then of t + sum_c
+    (inverse degree function - t)."""
     if order < 1:
         raise ValueError("order must be >= 1")
     ring = WEIGHT_RING
     f = [ring.one] + [ring.zero] * (order - 1)
     for c in range(1, m + 1):
-        xc = [ring.one] + [WeightPoly.gen(c, k) for k in range(2, order + 1)]
-        inv = bell_inverse_recursive(xc, ring)
+        inv = invert([ring.one] + [WeightPoly.gen(c, k) for k in range(2, order + 1)], ring)
         for n in range(2, order + 1):
             f[n - 1] = f[n - 1] + inv[n - 1]
-    return (ring.zero,) + bell_inverse_recursive(f, ring)
+    return invert(f, ring)
+
+
+def p_closed_form(m: int, s: int) -> WeightPoly:
+    """P_s(m,x) by the closed-form inversion."""
+    return _p_by_inversion(m, s, bell_inverse_closed)[s - 1]
+
+
+def p_series_by_inversion(m: int, order: int) -> tuple:
+    """(P_0, ..., P_order) by global Lagrange inversion, the recursive one."""
+    return (WEIGHT_RING.zero,) + _p_by_inversion(m, order, bell_inverse_recursive)
 
 
 def p_series_by_color_recursion(m: int, order: int) -> ExpSeries:
@@ -557,7 +566,7 @@ def p_series_by_color_recursion(m: int, order: int) -> ExpSeries:
             if s > 2:                   # comp_{s-1} is known once level s-1 is
                 comp.append(total[s - 1] - by_color[c][s - 1])
                 rows[s - 1][1] = comp[-1]
-            bell_row(rows, comp, ring)
+            bell_row(rows, comp, ring.dot)
             by_color[c].append(ring.dot((1, WeightPoly.gen(c, k), rows[s][k])
                                         for k in range(2, s + 1)))
         total.append(sum((by_color[c][s] for c in range(1, m + 1)), ring.zero))

@@ -1,13 +1,10 @@
-"""Exact arithmetic foundation: big integers, dense univariate
-polynomials, and the commutative-ring contract the series machinery is
-generic over.
+"""Dense univariate polynomials with exact int coefficients, PolyVar.
 
 Python ints are already arbitrary precision, so they serve directly as
-the integer element type; the rational ring QQ, which only the tests and
-the oracles use, lives with ``fractions.Fraction`` in
-:mod:`seriesforge.egf`.  The operations here are pure: a PolyVar is never
-changed after it is built, and a Ring's fields are set once, by its
-constructor.
+the integer element type.  The ring contract that the tests and the
+oracles compute over, with its rings ZZ, QQ and Z[var], lives in the
+test-support :mod:`seriesforge.egf`.  The operations here are pure: a
+PolyVar is never changed after it is built.
 """
 
 from __future__ import annotations
@@ -208,53 +205,3 @@ class PolyVar:
                 parts.append(f"{head}{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
-
-class Ring:
-    """Commutative-ring contract.
-
-    Elements are plain Python values supporting +, -, * and ==, with
-    zero the only falsy one; the ring object supplies the constants, exact
-    inversion of units when available and, optionally, a faster sum of
-    products.  dot is the one sum of products that every Bell-table entry
-    and every convolution over a Ring goes through.
-    """
-
-    __slots__ = ("name", "zero", "one", "inv", "sum_of_products")
-
-    def __init__(self, name: str, zero, one, inv=None, sum_of_products=None):
-        self.name = name
-        self.zero = zero
-        self.one = one
-        self.inv = inv
-        self.sum_of_products = sum_of_products
-
-    def dot(self, terms):
-        """sum b * y * z over the (int b, y, z) triples of an iterable,
-        skipping every term whose y or z is zero."""
-        if self.sum_of_products is not None:
-            return self.sum_of_products(terms)
-        acc = self.zero
-        for b, y, z in terms:
-            if y and z:
-                acc = acc + b * y * z
-        return acc
-
-    def invert(self, x):
-        """Multiplicative inverse of a unit; errors when unavailable."""
-        if x == self.one:
-            return self.one
-        if x == -self.one:
-            return x
-        if self.inv is None:
-            raise ArithmeticError(
-                f"{self.name}: element {x!r} is not invertible"
-            )
-        return self.inv(x)
-
-
-ZZ = Ring("ZZ", 0, 1)
-
-
-def poly_ring(var: str = "m") -> Ring:
-    """Univariate integer polynomials in the given variable."""
-    return Ring(f"Z[{var}]", PolyVar([], var), PolyVar([1], var))

@@ -22,18 +22,17 @@ module and no per-term dict, into the text ``json.dumps`` gives for
 ``to_jsonable()``; the CLI writes each coefficient's text as it is
 made.  Tree weights and the per-leaf-count
 coefficients of the weighted generating function live here, with the two
-kernels of labeled.p_series: sum_of_products, the weight ring's Ring.dot,
-adds a whole Bell-table entry into one dict (sparse accumulation as in
-Monagan and Pearce, 2011), and color_swap exchanges two colors of a
-polynomial by masks and shifts of its packed monomials.
+kernels of labeled.p_series: sum_of_products, which p_series passes to
+bell_row and calls for each T_{1,n}, adds a whole sum of products into
+one dict (sparse accumulation as in Monagan and Pearce, 2011), and
+color_swap exchanges two colors of a polynomial by masks and shifts of
+its packed monomials.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-
-from .rings import Ring
 
 _WIDTH = 16                              # bits per exponent field
 _MASK = (1 << _WIDTH) - 1
@@ -291,6 +290,3 @@ def color_swap(a: int, b: int):
 
     return swap
 
-
-WEIGHT_RING = Ring("Z[x_{c,k}]", WeightPoly(), WeightPoly.const(1),
-                   sum_of_products=sum_of_products)

@@ -10,9 +10,8 @@ import time
 from fractions import Fraction
 
 from seriesforge import reference
-from seriesforge.bell import bell_inverse_recursive
 from seriesforge.cli import main as cli_main
-from seriesforge.egf import QQ, bell_product
+from seriesforge.egf import QQ, bell_inverse_recursive, bell_product
 from seriesforge.labeled import (
     chain_increasing_counts,
     fully_colored_labeled_counts,

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seriesforge.bell import bell_inverse_recursive, bell_row
-from seriesforge.egf import QQ, bell_product
+from seriesforge.bell import bell_row
+from seriesforge.egf import QQ, ZZ, bell_inverse_recursive, bell_product
 from seriesforge.oracle import (
     assoc_stirling2,
     bell_inverse_closed,
@@ -18,7 +18,6 @@ from seriesforge.oracle import (
     set_partitions,
     stirling2,
 )
-from seriesforge.rings import ZZ
 
 
 def rational_seq(values):
@@ -71,7 +70,7 @@ class TestBellPartial:
         x = [Fraction(v) for v in (1, -2, 3, 5, -1, 2, 4, 1)]
         rows = [[QQ.one]]
         for _ in range(8):
-            bell_row(rows, x, QQ)
+            bell_row(rows, x, QQ.dot)
         for n in range(9):
             for k in range(n + 1):
                 want = bell_partial_partition_sum(n, k, x, QQ)
@@ -155,8 +154,8 @@ def test_forest_table_gives_the_table_over_t_plus_v(tail):
     u = [1] + tail
     over_v, over_u = [[1]], [[1]]
     for _ in v:
-        bell_row(over_v, v, ZZ)
-        bell_row(over_u, u, ZZ)
+        bell_row(over_v, v, ZZ.dot)
+        bell_row(over_u, u, ZZ.dot)
     for q, row in enumerate(over_v):
         assert all(row[j] == 0 for j in range(q + 1) if 2 * j > q)
     for n, row in enumerate(over_u):

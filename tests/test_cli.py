@@ -72,19 +72,6 @@ UNLABELED_STDOUT = {
 }
 
 
-@pytest.fixture(autouse=True)
-def default_digit_limit():
-    """Each test starts under Python's default int/str digit limit, as a
-    fresh CLI process does."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    yield
-    sys.set_int_max_str_digits(limit)
-
-
 def decimal(v: int) -> str:
     """str(v), past the default digit limit too."""
     if not hasattr(sys, "set_int_max_str_digits"):
@@ -196,6 +183,21 @@ class TestCount:
         code, out, err = run(capsys, "count", "fully-colored-labeled", "--s", "200", "--m", str(m))
         assert (code, err) == (0, "")
         assert out.strip() == decimal(fully_colored_labeled_counts(200, m)[-1])
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no int/str digit limit")
+    @pytest.mark.parametrize("argv", [
+        ("count", "fully-colored-labeled", "--s", "200", "--m", str(10 ** 20)),
+        ("count", "ultrametrics", "--s", "x"),
+    ], ids=["count", "usage-error"])
+    def test_main_restores_the_digit_limit(self, capsys, argv):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            run(capsys, *argv)
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @pytest.mark.parametrize("family, m, counts", [
         ("unlabeled", None, unlabeled_counts),

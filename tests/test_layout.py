@@ -68,8 +68,8 @@ def probe():
 
 
 # modules a plain-format count, table or verify run, or a gf P run, does
-# not need: Ring is a plain class, QQ and Fraction live in the test-support
-# egf.py, csv and json are imported only where the csv or json format is
+# not need: the ring contract, its dataclass series type, QQ and Fraction
+# live in the test-support egf.py, csv and json are imported only where the csv or json format is
 # written, and gf P writes its JSON text itself
 STARTUP_HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "csv", "json", "typing"}
 
@@ -126,7 +126,7 @@ def _public_functions(mod):
 
 
 def test_bell_is_the_inversion_kernel_only():
-    assert _public_functions(bell) == {bell.bell_row, bell.bell_inverse_recursive}
+    assert _public_functions(bell) == {bell.bell_row}
 
 
 def test_labeled_builds_no_series_object():
@@ -148,8 +148,9 @@ def test_exports_are_the_family_prefixes_and_the_series_api():
 def test_one_public_function_per_family():
     exported = {getattr(seriesforge, name) for name in seriesforge.__all__}
     public = _public_functions(labeled) | _public_functions(unlabeled)
-    # the benchmark runner imports the Z[m] inversion as its check of the
-    # ultrametric polynomials, so it stays public without an export
+    # the benchmark runner imports the pointer to the oracles' Z[m] inversion
+    # as its check of the ultrametric polynomials, so it stays public
+    # without an export
     assert public - exported == {labeled.ultrametric_series_polynomials}
 
 
@@ -193,15 +194,12 @@ print(json.dumps({"codes": codes, "failed": failed, "entered": sorted(entered)})
 GATED_MODULES = ("cli", "labeled", "unlabeled", "bell", "rings", "weights")
 EXPORTED = "a method of an exported class"
 TRACED = "a method of an exported class; benchmarks/tracer.py CLASS_METHODS wraps it"
-RUN_PY = "benchmarks/run.py imports ultrametric_series_polynomials, which calls it"
 
 # the defs no gated run enters, each with the reason it stays: the class is
 # exported or a benchmark file pins the name; a benchmark change that
 # unpins a name takes it out of production and off this list
 KEPT_UNRUN = {
     "labeled.ultrametric_series_polynomials": "benchmarks/run.py imports it",
-    "bell.bell_inverse_recursive": RUN_PY,
-    "rings.Ring.invert": RUN_PY,
     "rings.PolyVar.const": EXPORTED,
     "rings.PolyVar.degree": EXPORTED,
     "rings.PolyVar.__hash__": EXPORTED,
@@ -256,3 +254,43 @@ def test_every_production_def_is_run_or_kept_for_a_reason():
     unrun = {name for module in GATED_MODULES for name, lines in _defs(module)
              if not any((f"seriesforge.{module}", line) in entered for line in lines)}
     assert unrun == set(KEPT_UNRUN)
+
+
+# the ring contract and the rings built on it, which the tests and the
+# oracles compute over and production does not
+RING_CONTRACT = {"Ring", "ZZ", "poly_ring", "WEIGHT_RING", "POLY_M"}
+TEST_SUPPORT = {"egf", "oracle"}
+
+
+def _imported(node) -> set:
+    """The module path parts and names an import statement names."""
+    if isinstance(node, ast.ImportFrom):
+        return {*(node.module or "").split("."), *(a.name for a in node.names)}
+    return {part for a in node.names for part in a.name.split(".")}
+
+
+def _module_level(node):
+    """The nodes that run when the module is imported: all but the bodies
+    of its functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _module_level(child)
+
+
+@pytest.mark.parametrize("module", GATED_MODULES)
+def test_production_keeps_out_the_ring_contract(module):
+    with open(os.path.join(SRC, "seriesforge", f"{module}.py")) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        where = f"{module}.py:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            assert node.name not in RING_CONTRACT, where
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            assert node.id not in RING_CONTRACT, where
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = _imported(node) | {a.asname for a in node.names}
+            assert RING_CONTRACT.isdisjoint(names), where
+    for node in _module_level(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert TEST_SUPPORT.isdisjoint(_imported(node)), f"{module}.py:{node.lineno}"
