@@ -30,7 +30,7 @@ from math import comb
 
 from .bell import bell_row
 from .rings import PolyVar
-from .weights import WeightPoly, color_swap, sum_of_products
+from .weights import WeightPoly, color_swaps, sum_of_products
 
 
 def _check(s: int, m=None, least: int = 1) -> None:
@@ -67,14 +67,8 @@ def p_series(m: int, order: int) -> tuple:
     trees rooted off color 1, with v_1 = 0.  The one Bell table is over v:
     B_{q,j}(v) = 0 for 2j > q, and B_{n,k}(t + v) = sum_j C(n, k-j)
     B_{n-k+j,j}(v), so T_{1,n} = x_{1,n} + sum_{k<n} sum_{j=1..min(k,n-k)}
-    C(n, k-j) x_{1,k} B_{n-k+j,j}(v), one sum_of_products.  The x_{c,k} are
-    registered degree-major first, so a swap moves each monomial by one
-    shift each way and a monomial of low degrees is a short int.
-
-    The fields stay registered for the life of the process, so a later
-    call at a larger m gets the new colors' fields after all the old
-    ones, not degree-major: the output is the same, but each swap needs
-    one mask per run of moved fields and the monomials are longer ints.
+    C(n, k-j) x_{1,k} B_{n-k+j,j}(v), one sum_of_products.  color_swaps
+    registers the x_{c,k} and lays out their fields.
     """
     for name, value in (("m", m), ("order", order)):
         if type(value) is not int:
@@ -83,11 +77,8 @@ def p_series(m: int, order: int) -> tuple:
     if order < 1:
         raise ValueError("order must be >= 1")
     zero, one = WeightPoly(), WeightPoly.const(1)
-    for k in range(2, order + 1):       # degree-major: the m colors of each k side by side
-        for c in range(1, m + 1):
-            WeightPoly.gen(c, k)
+    swaps = color_swaps(m, order)
     x1 = [None, None] + [WeightPoly.gen(1, k) for k in range(2, order + 1)]
-    swaps = [color_swap(1, c) for c in range(2, m + 1)]
     total = [zero, one]
     v = [zero]                          # v_1 = 0, then v_n = P_n - T_{1,n}
     rows = [[one], [zero, zero]]

@@ -7,10 +7,11 @@ and the exponent of x_{c,k} sits in that field.  A product of monomials
 is then the sum of their ints.  The registry of the process is one
 insertion-ordered dict, _FIELDS, from (c, k) to field index; the field
 count, the guard mask of a product, the (c, k) order of the output keys
-and the masks of a color swap are all read from it.  labeled.p_series
-registers its variables degree-major, the m colors of each out-degree
-side by side, so a monomial of low degrees is a short int and a color
-swap moves a monomial with one mask and shift each way.  The top bit of every field is a guard: a
+and the masks of a color swap are all read from it.  color_swaps
+registers the variables of labeled.p_series degree-major, the m colors
+of each out-degree side by side, so a monomial of low degrees is a short
+int and a color swap moves a monomial with one mask and shift each way;
+no other module knows the layout.  The top bit of every field is a guard: a
 product whose exponent reaches it raises OverflowError rather than carry
 into the next field.  Output reads each monomial once into sorted int
 keys, one per factor: the rank of x_{c,k} among the registered variables
@@ -25,13 +26,13 @@ coefficients of the weighted generating function live here, with the two
 kernels of labeled.p_series: sum_of_products, which p_series passes to
 bell_row and calls for each T_{1,n}, adds a whole sum of products into
 one dict (sparse accumulation as in Monagan and Pearce, 2011), and
-color_swap exchanges two colors of a polynomial by masks and shifts of
-its packed monomials.
+color_swaps, which exchanges color 1 with each other color of a
+polynomial by masks and shifts of its packed monomials.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 from operator import or_
 
 _WIDTH = 16                              # bits per exponent field
@@ -40,11 +41,6 @@ _GUARD_BIT = 1 << (_WIDTH - 1)
 _EXACT = 2 ** 53                         # JSON quotes ints from here on: a double rounds 2^53 + 1
 
 _FIELDS: dict = {}                       # (c, k) -> field index, in the order handed out
-
-
-def _field_of(color: int, degree: int) -> int:
-    """Field index of x_{color,degree}, taking the next free one if new."""
-    return _FIELDS.setdefault((color, degree), len(_FIELDS))
 
 
 class _KeyOrder(dict):
@@ -121,7 +117,7 @@ class WeightPoly:
             raise TypeError("color and out-degree must be ints")
         if color < 1 or degree < 2:
             raise ValueError("need color >= 1 and out-degree >= 2")
-        return cls._of({1 << (_WIDTH * _field_of(color, degree)): 1})
+        return cls._of({1 << (_WIDTH * _FIELDS.setdefault((color, degree), len(_FIELDS))): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -256,37 +252,47 @@ def sum_of_products(terms) -> WeightPoly:
     return WeightPoly._of(out)
 
 
-def color_swap(a: int, b: int):
-    """The map exchanging colors a and b in every x_{c,k} of colors a and
-    b registered now; a partner x_{b,k} of a registered x_{a,k} (and back)
-    is registered first, and every other field stays where it is.
+def color_swaps(m: int, order: int) -> list:
+    """For each c = 2..m, the map exchanging colors 1 and c in a
+    polynomial whose x_{1,k} and x_{c,k} all have k <= order; the
+    variables of other colors stay as they are.
 
-    Fields that move by the same distance share one mask, so a monomial
-    is a few masks and shifts: three when the fields of each color are
-    contiguous, more when the registry was filled in another order.
+    It first registers the x_{c,k}, 1 <= c <= m and 2 <= k <= order,
+    degree-major, the m colors of each out-degree side by side, so a
+    monomial of low degrees is a short int and a swap moves it by one
+    shift each way.  Fields that move by the same distance share one
+    mask, and every field of another variable stays where it is.
+
+    The fields stay registered for the life of the process, so a later
+    call at a larger m gets the new colors' fields after all the old
+    ones, not degree-major: the output is the same, but each swap needs
+    one mask per run of moved fields and the monomials are longer ints.
     """
-    for c, k in list(_FIELDS):
-        if c in (a, b):
-            _field_of(a + b - c, k)
-    runs: dict = {}                      # shift in bits -> mask of the fields it moves
-    for (c, k), field in _FIELDS.items():
-        shift = (_FIELDS[(a + b - c, k)] - field) * _WIDTH if c in (a, b) else 0
-        if shift:
-            runs[shift] = runs.get(shift, 0) | ((1 << _WIDTH) - 1) << (_WIDTH * field)
-    keep = ~reduce(or_, runs.values(), 0)  # also the fields registered later
-    left = [(mask, shift) for shift, mask in runs.items() if shift > 0]
-    right = [(mask, -shift) for shift, mask in runs.items() if shift < 0]
+    for k in range(2, order + 1):
+        for c in range(1, m + 1):
+            _FIELDS.setdefault((c, k), len(_FIELDS))
+    swaps = []
+    for c in range(2, m + 1):
+        runs: dict = {}                  # shift in bits -> mask of the fields it moves
+        for k in range(2, order + 1):
+            for a, b in ((1, c), (c, 1)):
+                shift = (_FIELDS[(b, k)] - _FIELDS[(a, k)]) * _WIDTH
+                runs[shift] = runs.get(shift, 0) | _MASK << (_WIDTH * _FIELDS[(a, k)])
+        left = [(mask, shift) for shift, mask in runs.items() if shift > 0]
+        right = [(mask, -shift) for shift, mask in runs.items() if shift < 0]
+        swaps.append(partial(_swap, ~reduce(or_, runs.values(), 0), left, right))
+    return swaps
 
-    def swap(poly: WeightPoly) -> WeightPoly:
-        out = {}
-        for mono, coeff in poly.terms.items():
-            moved = mono & keep
-            for mask, shift in left:
-                moved |= (mono & mask) << shift
-            for mask, shift in right:
-                moved |= (mono & mask) >> shift
-            out[moved] = coeff
-        return WeightPoly._of(out)
 
-    return swap
-
+def _swap(keep: int, left: list, right: list, poly: WeightPoly) -> WeightPoly:
+    """poly with the fields under each mask of left moved up by its shift,
+    those of right moved down, and the fields under keep left in place."""
+    out = {}
+    for mono, coeff in poly.terms.items():
+        moved = mono & keep
+        for mask, shift in left:
+            moved |= (mono & mask) << shift
+        for mask, shift in right:
+            moved |= (mono & mask) >> shift
+        out[moved] = coeff
+    return WeightPoly._of(out)

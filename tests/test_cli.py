@@ -242,12 +242,18 @@ class TestTable:
         # n <= 10: the reference column sums end there
         (("riordan-triangle", "--max-n", "6"), reference.RIORDAN_TRIANGLE, (2, 4), 3,
          "MISMATCH at (2, 4): computed 2, reference 3"),
-    ], ids=["symbolic", "riordan-triangle"])
-    def test_check_paper_reports_a_changed_reference_cell(self, capsys, monkeypatch,
-                                                          argv, table, key, value, line):
+        # the column sum of n = 5 raised from 12 to 13
+        (("riordan-triangle", "--max-n", "6"), reference.UNLABELED_SEQUENCE, 4, 13,
+         "MISMATCH at ('sum', 5): computed 12, reference 13"),
+    ], ids=["symbolic", "riordan-triangle", "riordan-sum"])
+    def test_check_paper_reports_a_changed_reference_cell(self, capsys, argv, table, key,
+                                                          value, line):
         _, plain, _ = run(capsys, "table", *argv)
-        monkeypatch.setitem(table, key, value)
-        code, out, err = run(capsys, "table", *argv, "--check-paper")
+        kept, table[key] = table[key], value  # in place: monkeypatch.setitem takes no list
+        try:
+            code, out, err = run(capsys, "table", *argv, "--check-paper")
+        finally:
+            table[key] = kept
         assert (code, out) == (2, plain)
         assert err == f"{line}\nverification failed: 1 cell(s) differ\n"
 

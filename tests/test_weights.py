@@ -282,31 +282,46 @@ def swapped_counters(poly: WeightPoly, a: int, b: int) -> dict:
 
 class TestColorSwap:
     @settings(max_examples=60, deadline=None)
-    @given(pools, st.data())
-    def test_exchanges_two_colors_for_any_field_order(self, pool, data):
-        order = data.draw(st.permutations(pool))
-        a, b = data.draw(st.sampled_from([(1, 2), (1, 3), (2, 5)]))
-        mono = st.dictionaries(st.sampled_from(pool), st.integers(1, 6), max_size=3)
+    @given(pools, st.integers(2, 4), st.integers(2, 6), st.data())
+    def test_exchanges_two_colors_for_any_field_order(self, pool, m, order, data):
+        # the registry already holds, in any order, part of the (m, order)
+        # box of color_swaps and variables outside it; a polynomial may
+        # hold any variable of out-degree at most order
+        box = [(c, k) for k in range(2, order + 1) for c in range(1, m + 1)]
+        inside = data.draw(st.lists(st.sampled_from(box), unique=True))
+        first = data.draw(st.permutations(list(dict.fromkeys(pool + inside))))
+        usable = list(dict.fromkeys(box + [(c, k) for c, k in pool if k <= order]))
+        mono = st.dictionaries(st.sampled_from(usable), st.integers(1, 6), max_size=3)
         spec = data.draw(st.lists(st.tuples(st.integers(-4, 4), mono), max_size=5))
         with fresh_registry():
-            for c, k in order:
+            for c, k in first:
                 WeightPoly.gen(c, k)
             poly = build([(coeff, [(c, k, e) for (c, k), e in factors.items()])
                           for coeff, factors in spec])
-            swap = weights.color_swap(a, b)
-            assert as_counters(swap(poly)) == swapped_counters(poly, a, b)
-            assert swap(swap(poly)) == poly
-
-    def test_registers_the_partner_of_a_variable(self):
-        with fresh_registry():
-            x = WeightPoly.gen(1, 7)
-            swap = weights.color_swap(1, 4)
-            assert swap(x) == WeightPoly.gen(4, 7)
-            assert swap(3 * x * x + 1) == 3 * WeightPoly.gen(4, 7) * WeightPoly.gen(4, 7) + 1
+            swaps = weights.color_swaps(m, order)
+            assert len(swaps) == m - 1
+            for c, swap in enumerate(swaps, start=2):
+                assert as_counters(swap(poly)) == swapped_counters(poly, 1, c)
+                assert swap(swap(poly)) == poly
 
     def test_keeps_a_field_registered_after_it_was_built(self):
         with fresh_registry():
             x12 = WeightPoly.gen(1, 2)
-            swap = weights.color_swap(1, 2)
+            swap, = weights.color_swaps(2, 2)
             x32 = WeightPoly.gen(3, 2)
             assert swap(x12 * x32) == WeightPoly.gen(2, 2) * x32
+
+    def test_p_series_registers_its_box_and_nothing_else(self):
+        def box(m, order):
+            return {(c, k) for c in range(1, m + 1) for k in range(2, order + 1)}
+
+        with fresh_registry():
+            WeightPoly.gen(1, 20)
+            p_series(3, 5)
+            assert set(weights._FIELDS) == {(1, 20)} | box(3, 5)
+            assert len(weights._FIELDS) == 1 + 12
+        with fresh_registry():
+            p_series(2, 16)
+            p_series(5, 4)
+            assert set(weights._FIELDS) == box(2, 16) | box(5, 4)
+            assert len(weights._FIELDS) == 39
