@@ -237,7 +237,7 @@ def _p_record(m: int, order: int, series):
     for i, c in enumerate(series):
         if i:
             yield ", "
-        yield c.to_json()
+        yield from c._json_pieces()
     yield "]}"
 
 

@@ -27,6 +27,7 @@ recurrence of the tests.
 from __future__ import annotations
 
 from math import comb
+from operator import add
 
 from .bell import bell_row
 from .rings import PolyVar
@@ -68,7 +69,10 @@ def p_series(m: int, order: int) -> tuple:
     B_{q,j}(v) = 0 for 2j > q, and B_{n,k}(t + v) = sum_j C(n, k-j)
     B_{n-k+j,j}(v), so T_{1,n} = x_{1,n} + sum_{k<n} sum_{j=1..min(k,n-k)}
     C(n, k-j) x_{1,k} B_{n-k+j,j}(v), one sum_of_products.  color_swaps
-    registers the x_{c,k} and lays out their fields.
+    registers the x_{c,k} and lays out their fields.  Only T_1 and v sit
+    beside the table, v_n as the table's B_{n,1} too; P_n = T_{1,n} + v_n is
+    built once the table is released, so the table and P, the two largest
+    things the call holds, are never held at once.
     """
     for name, value in (("m", m), ("order", order)):
         if type(value) is not int:
@@ -79,20 +83,19 @@ def p_series(m: int, order: int) -> tuple:
     zero, one = WeightPoly(), WeightPoly.const(1)
     swaps = color_swaps(m, order)
     x1 = [None, None] + [WeightPoly.gen(1, k) for k in range(2, order + 1)]
-    total = [zero, one]
-    v = [zero]                          # v_1 = 0, then v_n = P_n - T_{1,n}
+    t1 = [one]                          # T_{1,n} at index n - 1, the lone leaf as T_{1,1}
+    v = [zero]                          # v_n at index n - 1: v_1 = 0
     rows = [[one], [zero, zero]]
     for n in range(2, order + 1):
         bell_row(rows, v, sum_of_products)
-        t1 = sum_of_products([(1, x1[n], one)] + [
+        t1.append(sum_of_products([(1, x1[n], one)] + [
             (comb(n, k - j), x1[k], rows[n - k + j][j])
             for k in range(2, n) for j in range(1, min(k, n - k) + 1)
-        ])
-        rest = sum((swap(t1) for swap in swaps), zero)
-        total.append(t1 + rest)
-        v.append(rest)
-        rows[n][1] = rest
-    return tuple(total)
+        ]))
+        v.append(sum((swap(t1[-1]) for swap in swaps), zero))
+        rows[n][1] = v[-1]
+    del rows
+    return (zero,) + tuple(map(add, t1, v))
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,15 @@ into the next field.  Output reads each monomial once into sorted int
 keys, one per factor: the rank of x_{c,k} among the registered variables
 in (c, k) order, shifted past the exponent, so a key orders as its
 [c, k, e] triple and terms are ordered by their triples whatever order
-the variables were first seen in.  ``to_json`` sorts the terms by their
-keys and joins the cached text "[c, k, e]" of each key, with no json
-module and no per-term dict, into the text ``json.dumps`` gives for
-``to_jsonable()``; the CLI writes each coefficient's text as it is
-made.  Tree weights and the per-leaf-count
-coefficients of the weighted generating function live here, with the two
+the variables were first seen in; the terms of one polynomial share one
+int object per key, which nearly halves the memory of its sorted terms.
+``_json_pieces`` sorts the terms by their keys and writes the cached
+text "[c, k, e]" of each key, with no json module and no per-term dict,
+in pieces of _BATCH terms; joined, the pieces are ``to_json``, the text
+``json.dumps`` gives for ``to_jsonable()``.  The CLI writes each piece as
+it is made, so no coefficient's whole text is held.  Tree weights and the
+per-leaf-count coefficients of the weighted generating function live
+here, with the two
 kernels of labeled.p_series: sum_of_products, which p_series passes to
 bell_row and calls for each T_{1,n}, adds a whole sum of products into
 one dict (sparse accumulation as in Monagan and Pearce, 2011), and
@@ -39,6 +42,7 @@ _WIDTH = 16                              # bits per exponent field
 _MASK = (1 << _WIDTH) - 1
 _GUARD_BIT = 1 << (_WIDTH - 1)
 _EXACT = 2 ** 53                         # JSON quotes ints from here on: a double rounds 2^53 + 1
+_BATCH = 256                             # terms per piece of rendered JSON text
 
 _FIELDS: dict = {}                       # (c, k) -> field index, in the order handed out
 
@@ -69,16 +73,19 @@ class _KeyOrder(dict):
         return [c, k, key & _MASK]
 
 
-def _keys(mono: int, ranks: list) -> list:
+def _keys(mono: int, ranks: list, interned: dict) -> list:
     """A packed monomial as the sorted keys rank | e of its factors, read
-    from its highest nonzero field down."""
+    from its highest nonzero field down.  Each key is the int that
+    interned holds for its value, so the terms of a polynomial share one
+    object per key, and two equal keys compare by identity."""
     keys = []
     while mono:
         field = (mono.bit_length() - 1) // _WIDTH
         shift = field * _WIDTH
         e = mono >> shift
         mono ^= e << shift
-        keys.append(ranks[field] | e)
+        key = ranks[field] | e
+        keys.append(interned.setdefault(key, key))
     keys.sort()
     return keys
 
@@ -191,8 +198,9 @@ class WeightPoly:
         """The key order of the registry, and (keys, coeff) per term in
         output order."""
         order = _KeyOrder()
-        ranks = order.ranks
-        return order, sorted((_keys(mono, ranks), coeff) for mono, coeff in self.terms.items())
+        ranks, interned = order.ranks, {}
+        return order, sorted((_keys(mono, ranks, interned), coeff)
+                             for mono, coeff in self.terms.items())
 
     def _triples(self) -> list:
         """(monomial as [c, k, exp] triples, coeff) per term, in output order."""
@@ -205,16 +213,24 @@ class WeightPoly:
                 for triples, coeff in self._triples()]
 
     def to_json(self) -> str:
-        """The text of json.dumps(self.to_jsonable()), joined from the
-        cached text of each key."""
+        """The text of json.dumps(self.to_jsonable()): the pieces of
+        _json_pieces joined."""
+        return "".join(self._json_pieces())
+
+    def _json_pieces(self):
+        """The text of to_json in pieces of at most _BATCH terms each,
+        made from the cached text of each key as each piece's turn comes."""
         order, rows = self._sorted()
         text = order.__getitem__
-        parts = []
-        for keys, coeff in rows:
-            if not -_EXACT < coeff < _EXACT:
-                coeff = f'"{coeff}"'
-            parts.append(f'{{"monomial": [{", ".join(map(text, keys))}], "coeff": {coeff}}}')
-        return f"[{', '.join(parts)}]"
+        yield "["
+        for start in range(0, len(rows), _BATCH):
+            parts = []
+            for keys, coeff in rows[start:start + _BATCH]:
+                if not -_EXACT < coeff < _EXACT:
+                    coeff = f'"{coeff}"'
+                parts.append(f'{{"monomial": [{", ".join(map(text, keys))}], "coeff": {coeff}}}')
+            yield (", " if start else "") + ", ".join(parts)
+        yield "]"
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -168,6 +168,33 @@ def test_forest_table_gives_the_table_over_t_plus_v(tail):
         assert row[n] == 1
 
 
+def unfolded_table(y, size):
+    """B_{n,k}(y) for n = 0..size by the unfolded recurrence B_{n,k} =
+    sum_i C(n-1, i-1) y_i B_{n-i,k-1}, every i in turn, entries of y past
+    its end counting as zero."""
+    at = [0] + list(y) + [0] * size
+    table = [[1]]
+    for n in range(1, size + 1):
+        table.append([0] + [sum(math.comb(n - 1, i - 1) * at[i] * table[n - i][k - 1]
+                                for i in range(1, n - k + 2))
+                            for k in range(1, n + 1)])
+    return table
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(-9, 9).filter(bool), st.lists(st.integers(-9, 9), min_size=1, max_size=9),
+       st.integers(1, 5))
+def test_folded_column_two_matches_the_unfolded_recurrence(y1, tail, past_the_end):
+    # column 2 pairs i with n - i, C(n-1, i-1) + C(n-1, n-i-1) = C(n, i),
+    # and keeps the middle term of an even n alone; every table holds
+    # n = 2 and 3 and rows past the end of y
+    y = [y1] + tail
+    rows = [[1]]
+    for _ in range(len(y) + past_the_end):
+        bell_row(rows, y, ZZ.dot)
+    assert rows == unfolded_table(y, len(y) + past_the_end)
+
+
 class TestInversion:
     def test_expm1_gives_log1p(self):
         x = make_named("exp_minus_one", 8).tail()
