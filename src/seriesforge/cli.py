@@ -215,7 +215,7 @@ def cmd_gf(args):
         raise UsageError("order must be >= 1")
     if kind == "P":
         if args.spec in (None, "symbolic"):
-            series = _values(labeled.p_series, m, order)
+            series = list(_values(labeled.p_series, m, order))
         else:
             fn = FAMILIES[GF_KINDS[P_SPECS[args.spec]]][0]
             series = [WeightPoly.const(v) for v in [0] + _values(fn, order, m)]
@@ -229,15 +229,18 @@ def cmd_gf(args):
     _emit(json.dumps({"order": order, "coeffs": coeffs}), args.output)
 
 
-def _p_record(m: int, order: int, series):
+def _p_record(m: int, order: int, series: list):
     """The text of json.dumps of the gf P record, in pieces: the head, then
     each coefficient's to_json text, made only when its turn comes, between
-    the separators."""
+    the separators.  It empties the list series as it goes, so each
+    coefficient is dropped once written and the last, the largest, is
+    rendered beside no other."""
     yield f'{{"kind": "P", "m": {m}, "order": {order}, "coeffs": ['
-    for i, c in enumerate(series):
-        if i:
+    series.reverse()
+    while series:
+        yield from series.pop()._json_pieces()
+        if series:
             yield ", "
-        yield from c._json_pieces()
     yield "]}"
 
 

@@ -70,9 +70,10 @@ def p_series(m: int, order: int) -> tuple:
     B_{n-k+j,j}(v), so T_{1,n} = x_{1,n} + sum_{k<n} sum_{j=1..min(k,n-k)}
     C(n, k-j) x_{1,k} B_{n-k+j,j}(v), one sum_of_products.  color_swaps
     registers the x_{c,k} and lays out their fields.  Only T_1 and v sit
-    beside the table, v_n as the table's B_{n,1} too; P_n = T_{1,n} + v_n is
-    built once the table is released, so the table and P, the two largest
-    things the call holds, are never held at once.
+    beside the table, v_n as the table's B_{n,1} too.  The table is released
+    as soon as T_{1,order} is made, before the last swaps copy it, so the
+    table and v_order, the largest swap sum, are never held at once; P_n =
+    T_{1,n} + v_n is built after the loop, so neither are the table and P.
     """
     for name, value in (("m", m), ("order", order)):
         if type(value) is not int:
@@ -92,9 +93,11 @@ def p_series(m: int, order: int) -> tuple:
             (comb(n, k - j), x1[k], rows[n - k + j][j])
             for k in range(2, n) for j in range(1, min(k, n - k) + 1)
         ]))
+        if n == order:
+            del rows                    # spent: the last swaps copy T_{1,order} without it
         v.append(sum((swap(t1[-1]) for swap in swaps), zero))
-        rows[n][1] = v[-1]
-    del rows
+        if n < order:
+            rows[n][1] = v[-1]
     return (zero,) + tuple(map(add, t1, v))
 
 

@@ -254,6 +254,8 @@ def sum_of_products(terms) -> WeightPoly:
     out: dict = {}
     get = out.get
     for b, y, z in terms:
+        if not z.terms:                 # a Bell entry that v_1 = 0 leaves empty
+            continue
         right = z.terms.items()
         for m1, c1 in y.terms.items():
             c1 *= b

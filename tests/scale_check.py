@@ -15,10 +15,14 @@ integers mod p, and share no code with the package:
 - `count unlabeled` and `count multipartite-unlabeled`: the plain Euler
   transform of A = x + t(MSET(A) - 1 - A) at the point t0 (1 for the plain
   count, m - 1 for the multipartite one, which is m a_s(m - 1) / (m - 1));
-- `table riordan-triangle`: each column n, its cells weighted by 1 and then
-  by 2^k, against a_n(1) and a_n(2) from the same transform (the printed
-  `sum` row comes from the same polynomials as the cells, so it is not
-  checked);
+- `table riordan-triangle`: each column n, its cells weighted by 1, by 2^k
+  and by t^k at a random t mod p, against a_n(1), a_n(2) and a_n(t) from the
+  same transform (the printed `sum` row comes from the same polynomials as
+  the cells, so it is not checked).  The fixed points alone miss a change
+  to a column whose sums with weights 1 and 2^k both vanish; a wrong column
+  is a nonzero polynomial in t of degree below n, which vanishes at the
+  random t with probability below n/p (Schwartz-Zippel).  A failure names
+  its t;
 - `count ultrametrics` and `count mobiles`: the ODE convolution of
   (1 + (1 - m)P) P' = 1 + P, whose term r_s gives a_s(m) = m r_s(m) and,
   read at 1 - m, the mobiles g_s = (-1)^s m r_s(1 - m);
@@ -32,6 +36,7 @@ Every prime is larger than the sizes checked, so 1..S are invertible.
 
 import argparse
 import json
+import random
 import re
 import sys
 from math import prod
@@ -139,11 +144,11 @@ def check_triangle(args, text):
     if columns != list(range(2, args.max_n + 1)):
         return f"columns {columns[:3]}... are not 2..{args.max_n}"
     for p in PRIMES:
-        for t0 in (1, 2):
+        for t0 in (1, 2, random.randrange(3, p)):
             want = euler_transform(args.max_n, t0, p)
             got = [0] * (args.max_n + 1)
             for (k, n), cell in cells.items():
-                got[n] += cell * t0 ** k
+                got[n] += cell * pow(t0, k, p)
             for n in columns:
                 if got[n] % p != want[n - 1]:
                     return f"riordan-triangle column {n} at t = {t0}: {got[n] % p} != {want[n - 1]} mod {p}"

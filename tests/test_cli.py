@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from seriesforge import reference
-from seriesforge.cli import FAMILIES, main, parse_bfile
+from seriesforge.cli import FAMILIES, _p_record, main, parse_bfile
 from seriesforge.labeled import (
     fully_colored_labeled_counts,
     mobile_counts,
@@ -372,6 +372,20 @@ class TestGf:
         assert len(recorder.writes) > 1
         longest = max(len(c.to_json()) for c in p_series(3, 10))
         assert max(map(len, recorder.writes)) < longest
+
+    def test_p_record_drops_each_coefficient_once_written(self):
+        # the writer empties the list as it goes, so the last coefficient,
+        # the largest, is rendered beside no other
+        series = list(p_series(3, 6))
+        last = series[-1].to_json()
+        pieces, left = [], []
+        for piece in _p_record(3, 6, series):
+            pieces.append(piece)
+            left.append(len(series))
+        assert json.loads("".join(pieces))["coeffs"] == [c.to_jsonable() for c in p_series(3, 6)]
+        start = len(pieces) - pieces[::-1].index(", ")      # after the last separator
+        assert "".join(pieces[start:-1]) == last
+        assert set(left[start:]) == {0}
 
     @pytest.mark.parametrize("kind", ["A", "G", "Y"])
     @pytest.mark.parametrize("spec", ["ones", "factorial", "symbolic"])
