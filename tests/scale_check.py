@@ -1,16 +1,16 @@
-"""Check the plain stdout of a large CLI run against an independent route,
-modulo two primes below 2^61.
+"""Run a large CLI run under a time and a memory bound and check its stdout
+against an independent route, modulo primes below 2^61.
 
-CI pipes each large-size run into this script, so that those runs are
-checked for their values and not only for their time; pytest does not
-collect it.  Give it the CLI's own arguments and the CLI's stdout:
+    PYTHONPATH=src python tests/scale_check.py gf P --m 8 --order 9
 
-    python -m seriesforge.cli count unlabeled --s 1000 \\
-        | python tests/scale_check.py count unlabeled --s 1000
-
-It exits 0 when every value agrees modulo both primes, and 1 with one
-line on stderr otherwise.  The routes are written here afresh, over the
-integers mod p, and share no code with the package:
+runs `python -m seriesforge.cli gf P --m 8 --order 9` in this environment
+and prints the arguments, the seconds and the peak RSS of its child in MiB
+(on Linux a child's peak starts at this process's, about 15 MiB).
+It exits 1 with one line on stderr if the run exits non-zero, takes more
+than TIME_LIMIT_S, peaks above RSS_LIMIT_MIB or prints a wrong value.
+pytest does not collect it; tests/test_scale_check.py tests it.  The
+routes are written here afresh, over the integers mod p, and share no code
+with the package:
 
 - `count unlabeled` and `count multipartite-unlabeled`: the plain Euler
   transform of A = x + t(MSET(A) - 1 - A) at the point t0 (1 for the plain
@@ -18,31 +18,53 @@ integers mod p, and share no code with the package:
 - `table riordan-triangle`: each column n, its cells weighted by 1, by 2^k
   and by t^k at a random t mod p, against a_n(1), a_n(2) and a_n(t) from the
   same transform (the printed `sum` row comes from the same polynomials as
-  the cells, so it is not checked).  The fixed points alone miss a change
-  to a column whose sums with weights 1 and 2^k both vanish; a wrong column
-  is a nonzero polynomial in t of degree below n, which vanishes at the
-  random t with probability below n/p (Schwartz-Zippel).  A failure names
-  its t;
+  the cells, so it is not checked).  A failure names its t;
 - `count ultrametrics` and `count mobiles`: the ODE convolution of
   (1 + (1 - m)P) P' = 1 + P, whose term r_s gives a_s(m) = m r_s(m) and,
   read at 1 - m, the mobiles g_s = (-1)^s m r_s(1 - m);
 - `gf P`: the record's kind, m and order, N + 1 coefficients with P_0
-  empty, and each P_s summed at x_{c,k} = 1 against the ultrametric count
-  and at x_{c,k} = (k - 1)! against the mobile count, both from the ODE
-  convolution above.
+  empty, each P_s summed at x_{c,k} = 1 and at (k - 1)! against the
+  ultrametric and the mobile count from the ODE convolution, and each P_s
+  at random x_{c,k} mod 2^61 - 1 against the root-colour system.  A
+  failure names the seed of its point;
+- `polynomials FAMILY --s S` runs no CLI but FAMILY(S, PolyVar.gen("m")) in
+  this process, and reads each polynomial at a random m mod 2^61 - 1
+  against the ODE convolution at m, 1 - m or m + 1, the Euler transform at
+  m - 1, or (m - 1)^s times one of those.  A failure names its m.
 
-Every prime is larger than the sizes checked, so 1..S are invertible.
+Weights of 1 and (k - 1)! treat every colour alike, so they cannot see a
+colour-relabelled term, and fixed points miss a change that vanishes there,
+such as c(m - 2)(m - 3).  A wrong polynomial of degree d vanishes at a
+random point mod p with probability at most d/p (Schwartz-Zippel), and a
+right one passes at every point.  Every prime is larger than the sizes
+checked, so 1..S are invertible.
 """
 
 import argparse
 import json
 import random
 import re
+import resource
+import subprocess
 import sys
+import time
 from math import prod
 from operator import mul
 
+from seriesforge import PolyVar
+from seriesforge.cli import FAMILIES
+
 PRIMES = (2 ** 61 - 1, 2 ** 61 - 31)
+PRIME = PRIMES[0]
+# the bounds of every run: a run over either has lost its route's speed or
+# its memory economy; gf P at (3, 16) and (8, 9) come closest to 50 MiB
+TIME_LIMIT_S = 60
+RSS_LIMIT_MIB = 50
+# each fully coloured family is (m - 1)^s times its base family for s > 1
+FULLY_COLORED = {"fully-colored-labeled": "ultrametrics",
+                 "fully-colored-unlabeled": "multipartite-unlabeled"}
+# the families that take --m, whose prefix also takes PolyVar.gen("m")
+POLYNOMIAL_FAMILIES = [family for family, row in FAMILIES.items() if row[1]]
 
 
 def euler_transform(size, t0, p):
@@ -81,7 +103,7 @@ def ode_counts(size, m, p):
     n! / (i! (n - i)!), so the sum is n! times the convolution of
     r_i / i! with r_{k+1} / k!."""
     fact = [1]
-    for n in range(1, size + 1):
+    for n in range(1, max(size, 2) + 1):       # r_2 reads 2! even when size < 2
         fact.append(fact[-1] * n % p)
     inv_fact = [pow(f, -1, p) for f in fact]
     r = [0, 0, 1]
@@ -96,17 +118,25 @@ def ode_counts(size, m, p):
     return r[2:size + 1]
 
 
-def expected_count(family, size, m, p):
-    """The s = size value of a `count` family, mod p."""
-    if size == 1 or (family == "multipartite-unlabeled" and m == 1):
-        return 1
+def expected_prefix(family, size, m, p):
+    """[v_1, ..., v_size] mod p of a family at the point m (None for
+    `unlabeled`, which takes no m)."""
+    if family in FULLY_COLORED:
+        base = expected_prefix(FULLY_COLORED[family], size, m, p)
+        return [m % p] + [pow(m - 1, s, p) * v % p for s, v in enumerate(base[1:], start=2)]
     if family == "unlabeled":
-        return euler_transform(size, 1, p)[-1]
+        return euler_transform(size, 1, p)
     if family == "multipartite-unlabeled":
-        return m * euler_transform(size, m - 1, p)[-1] * pow(m - 1, -1, p) % p
+        if m == 1:
+            return [1] * size
+        inverse = pow(m - 1, -1, p)
+        return [1] + [m * a * inverse % p for a in euler_transform(size, m - 1, p)[1:]]
     if family == "ultrametrics":
-        return m * ode_counts(size, m, p)[-1] % p
-    return (-1) ** size * m * ode_counts(size, 1 - m, p)[-1] % p     # mobiles
+        return [1] + [m * r % p for r in ode_counts(size, m, p)]
+    if family == "chain-increasing":
+        return [1] + [(m + 1) * r % p for r in ode_counts(size, m + 1, p)]
+    return [1] + [(-1) ** s * m * r % p                                  # mobiles
+                  for s, r in enumerate(ode_counts(size, 1 - m, p), start=2)]
 
 
 def check_count(args, text):
@@ -115,7 +145,7 @@ def check_count(args, text):
         return f"expected one nonnegative integer, got {len(tokens)} token(s)"
     value = int(tokens[0])
     for p in PRIMES:
-        want = expected_count(args.family, args.s, args.m, p)
+        want = expected_prefix(args.family, args.s, args.m, p)[-1]
         if value % p != want:
             return f"count {args.family} --s {args.s}: {value % p} != {want} mod {p}"
     return None
@@ -155,6 +185,56 @@ def check_triangle(args, text):
     return None
 
 
+def root_color_values(m, order, x, p):
+    """[P_0, ..., P_order] mod p at the point x[c][k] (c = 0..m-1), from the
+    root-color system T_c = sum_k x_{c,k} u_c^k/k!, u_c = t + sum_{c' != c}
+    T_{c'}, solved order by order over power series mod p: for k >= 2,
+    [t^n] u_c^k reads u_c below t^n only, so T_{c,n} comes from T_{c',i}, i < n.
+    It shares no code with p_series."""
+    inv_fact = [1]
+    for k in range(1, order + 1):
+        inv_fact.append(inv_fact[-1] * pow(k, -1, p) % p)
+    trees = [[0] * (order + 1) for _ in range(m)]      # trees[c][n] = [t^n] T_c
+    for n in range(2, order + 1):
+        for c in range(m):
+            u = [0, 1] + [sum(trees[d][i] for d in range(m) if d != c) % p
+                          for i in range(2, n)] + [0]
+            power, total = u, 0
+            for k in range(2, n + 1):
+                power = [sum(power[j] * u[i - j] for j in range(1, i)) % p
+                         for i in range(n + 1)]
+                total += x[c][k] * inv_fact[k] * power[n]
+            trees[c][n] = total % p
+    fact = 1
+    values = [0, 1]
+    for n in range(2, order + 1):
+        fact = fact * n % p
+        values.append(fact * sum(tree[n] for tree in trees) % p)
+    return values
+
+
+def mismatch(coeffs, x, want, point, p):
+    """None when gf P's coefficients, [{"monomial": [[c, k, e], ...], "coeff":
+    v}, ...] per P_s, agree mod p with want = [P_0, ..., P_N] at the point
+    x[c - 1][k]; otherwise a line naming the first P_s that does not."""
+    if len(coeffs) != len(want):
+        return f"{len(coeffs)} coefficients, not {len(want)}"
+    for s, terms in enumerate(coeffs):
+        value = sum(int(term["coeff"]) * prod(pow(x[c - 1][k], e, p) for c, k, e in term["monomial"])
+                    for term in terms) % p
+        if value != want[s]:
+            return f"P_{s} at {point}: {value} != {want[s]} mod {p}"
+    return None
+
+
+def random_point_problem(m, order, coeffs, seed):
+    """None when the coefficients agree mod PRIME with the root-color system
+    at random x_{c,k} drawn from the seed; otherwise a line naming the seed."""
+    rng = random.Random(seed)
+    x = [[None, None] + [rng.randrange(PRIME) for _ in range(2, order + 1)] for _ in range(m)]
+    return mismatch(coeffs, x, root_color_values(m, order, x, PRIME), f"the x_{{c,k}} of seed {seed}", PRIME)
+
+
 def check_p(args, text):
     try:
         record = json.loads(text)
@@ -168,30 +248,43 @@ def check_p(args, text):
     coeffs = record.get("coeffs")
     if not isinstance(coeffs, list) or len(coeffs) != args.order + 1 or coeffs[0] != []:
         return f"expected {args.order + 1} coefficients with P_0 empty"
-    size, m = max(args.order, 2), args.m     # the ODE starts at r_2
     for p in PRIMES:
-        fact = [1]                      # fact[k - 1] = (k - 1)!, the weight of x_{c,k}
-        for k in range(1, size):
-            fact.append(fact[-1] * k % p)
-        ultrametric = [1] + [m * r % p for r in ode_counts(size, m, p)]
-        mobile = [1] + [(-1) ** s * m * r % p
-                        for s, r in enumerate(ode_counts(size, 1 - m, p), start=2)]
-        for s, terms in enumerate(coeffs[1:], start=1):
-            at_one = sum(int(term["coeff"]) for term in terms) % p
-            at_fact = sum(int(term["coeff"]) * prod(pow(fact[k - 1], e, p)
-                                                    for _, k, e in term["monomial"])
-                          for term in terms) % p
-            if at_one != ultrametric[s - 1]:
-                return f"gf P P_{s} at x = 1: {at_one} != {ultrametric[s - 1]} mod {p}"
-            if at_fact != mobile[s - 1]:
-                return f"gf P P_{s} at x = (k - 1)!: {at_fact} != {mobile[s - 1]} mod {p}"
+        fact = [1, 1]                   # fact[k] = (k - 1)!, the weight of x_{c,k}
+        for k in range(2, args.order + 1):
+            fact.append(fact[-1] * (k - 1) % p)
+        for point, x, family in (("x = 1", [1] * len(fact), "ultrametrics"),
+                                 ("x = (k - 1)!", fact, "mobiles")):
+            want = [0] + expected_prefix(family, args.order, args.m, p)
+            problem = mismatch(coeffs, [x] * args.m, want, point, p)
+            if problem:
+                return f"gf P {problem}"
+    problem = random_point_problem(args.m, args.order, coeffs, random.randrange(2 ** 32))
+    return problem and f"gf P {problem}"
+
+
+def check_polynomials(args, polys):
+    """polys are FAMILY(S, PolyVar.gen("m")), read at one random m mod PRIME."""
+    if len(polys) != args.s:
+        return f"{len(polys)} polynomials, not {args.s}"
+    m = random.randrange(2, PRIME)
+    want = expected_prefix(args.family, args.s, m, PRIME)
+    for s, (poly, expected) in enumerate(zip(polys, want), start=1):
+        value = 0
+        for c in reversed(poly.coeffs):
+            value = (value * m + c) % PRIME
+        if value != expected:
+            return f"polynomials {args.family} s = {s} at m = {m}: {value} != {expected} mod {PRIME}"
     return None
 
 
-def main(argv=None):
-    if hasattr(sys, "set_int_max_str_digits"):
-        # the labeled counts at s = 1500 pass Python's 4300-digit default
-        sys.set_int_max_str_digits(0)
+# each takes the parsed arguments and the CLI's stdout, or the polynomials of a
+# `polynomials` run, and returns None or a line naming what is wrong
+CHECKS = {"count": check_count, "table": check_triangle, "gf": check_p,
+          "polynomials": check_polynomials}
+
+
+def parse(argv):
+    """The run's arguments: the CLI's own, or `polynomials FAMILY --s S`."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", required=True)
     count = commands.add_parser("count")
@@ -206,16 +299,49 @@ def main(argv=None):
     gf.add_argument("kind", choices=["P"])
     gf.add_argument("--m", type=int, required=True)
     gf.add_argument("--order", type=int, required=True)
+    polynomials = commands.add_parser("polynomials")
+    polynomials.add_argument("family", choices=POLYNOMIAL_FAMILIES)
+    polynomials.add_argument("--s", type=int, required=True)
     args = parser.parse_args(argv)
-    size = getattr(args, {"count": "s", "table": "max_n", "gf": "order"}[args.command])
+    size = getattr(args, {"count": "s", "table": "max_n", "gf": "order", "polynomials": "s"}[args.command])
     if size >= min(PRIMES):
         parser.error("the size must be below both primes")
     if args.command == "count" and (args.m is None) != (args.family == "unlabeled"):
         parser.error(f"--m is required for {args.family} and only for it")
-    check = {"count": check_count, "table": check_triangle, "gf": check_p}[args.command]
-    problem = check(args, sys.stdin.read())
+    return args
+
+
+def main(argv=None):
+    if hasattr(sys, "set_int_max_str_digits"):
+        # the labeled counts at s = 1500 pass Python's 4300-digit default
+        sys.set_int_max_str_digits(0)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parse(argv)
+    run = " ".join(argv)
+    start = time.perf_counter()
+    if args.command == "polynomials":           # in this process: its time is read at the end
+        output, code, who = FAMILIES[args.family][0](args.s, PolyVar.gen("m")), 0, resource.RUSAGE_SELF
+    else:
+        try:
+            done = subprocess.run([sys.executable, "-m", "seriesforge.cli", *argv],
+                                  stdout=subprocess.PIPE, text=True, timeout=TIME_LIMIT_S)
+        except subprocess.TimeoutExpired:
+            print(f"scale check failed: {run} took over {TIME_LIMIT_S} s", file=sys.stderr)
+            return 1
+        output, code, who = done.stdout, done.returncode, resource.RUSAGE_CHILDREN
+    seconds = time.perf_counter() - start
+    mib = resource.getrusage(who).ru_maxrss / 1024          # KiB on Linux
+    print(f"{run}: {seconds:.2f} s, {mib:.1f} MiB", flush=True)
+    if code:
+        problem = f"exited {code}"
+    elif seconds > TIME_LIMIT_S:
+        problem = f"took {seconds:.1f} s, over {TIME_LIMIT_S} s"
+    elif mib > RSS_LIMIT_MIB:
+        problem = f"peaked at {mib:.1f} MiB RSS, above {RSS_LIMIT_MIB} MiB"
+    else:
+        problem = CHECKS[args.command](args, output)
     if problem:
-        print(f"scale check failed: {problem}", file=sys.stderr)
+        print(f"scale check failed: {run}: {problem}", file=sys.stderr)
         return 1
     return 0
 
