@@ -42,9 +42,58 @@ from seriesforge.unlabeled import (
 )
 from seriesforge.weights import WeightPoly
 
-from test_labeled import expected_p2, expected_p3
-
 M = PolyVar.gen("m")
+x = WeightPoly.gen
+
+
+def expected_p2():
+    """Weighted coefficients for two colors through five leaves."""
+    return {
+        1: WeightPoly.const(1),
+        2: x(1, 2) + x(2, 2),
+        3: x(1, 3) + x(2, 3) + 6 * x(1, 2) * x(2, 2),
+        4: (
+            x(1, 4) + x(2, 4)
+            + 10 * (x(1, 3) * x(2, 2) + x(2, 3) * x(1, 2))
+            + 15 * (x(1, 2) * x(1, 2) * x(2, 2) + x(1, 2) * x(2, 2) * x(2, 2))
+        ),
+        5: (
+            x(1, 5) + x(2, 5)
+            + 20 * x(1, 3) * x(2, 3)
+            + 15 * (
+                x(1, 4) * x(2, 2) + x(2, 4) * x(1, 2)
+                + x(2, 2) * x(1, 2) * x(1, 2) * x(1, 2)
+                + x(2, 2) * x(2, 2) * x(2, 2) * x(1, 2)
+            )
+            + 45 * (x(2, 3) * x(1, 2) * x(1, 2) + x(1, 3) * x(2, 2) * x(2, 2))
+            + 60 * (
+                x(1, 3) * x(2, 2) * x(1, 2) + x(2, 2) * x(2, 3) * x(1, 2)
+            )
+            + 180 * x(2, 2) * x(2, 2) * x(1, 2) * x(1, 2)
+        ),
+    }
+
+
+def expected_p3():
+    """Weighted coefficients for three colors through four leaves."""
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    s3 = x(1, 3) + x(2, 3) + x(3, 3)
+    for a, b in pairs:
+        s3 = s3 + 6 * x(a, 2) * x(b, 2)
+    s4 = x(1, 4) + x(2, 4) + x(3, 4)
+    for a, b in pairs:
+        s4 = s4 + 15 * (x(a, 2) * x(a, 2) * x(b, 2) + x(a, 2) * x(b, 2) * x(b, 2))
+    for a in (1, 2, 3):
+        for b in (1, 2, 3):
+            if a != b:
+                s4 = s4 + 10 * x(a, 3) * x(b, 2)
+    s4 = s4 + 90 * x(1, 2) * x(2, 2) * x(3, 2)
+    return {
+        1: WeightPoly.const(1),
+        2: x(1, 2) + x(2, 2) + x(3, 2),
+        3: s3,
+        4: s4,
+    }
 
 
 def report(num, desc, elapsed=None, bound=None):
@@ -152,9 +201,10 @@ def test_criterion_08_oracle_equivalence():
     for s in range(1, 9):
         by_inner = enum_unlabeled_trees(s)
         assert all(by_inner.get(k, 0) == polys[s - 1][k] for k in range(s + 1))
-    for m in (1, 2, 3):
+    for m in (0, 1, 2, 3):  # m = 0 leaves only the chain itself
         chains = [enum_chain_increasing(s, m) for s in range(1, 8)]
         assert chains == chain_increasing_counts(7, m)
+    for m in (1, 2, 3):
         assert [enum_mobiles(s, m) for s in range(1, 7)] == mobile_counts(6, m)
     elapsed = time.monotonic() - start
     assert elapsed < 300

@@ -145,30 +145,6 @@ class TestCount:
         assert code == 0
         assert isinstance(json.loads(out)["value"], str)
 
-    def test_missing_m_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "count", "ultrametrics", "--s", "4")
-        assert code == 1
-        assert "requires --m" in err
-
-    def test_unexpected_m_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, "count", "unlabeled", "--s", "4", "--m", "2")
-        assert code == 1
-
-    def test_bad_family(self, capsys):
-        code, _, _ = run(capsys, "count", "nonsense", "--s", "4")
-        assert code == 1
-
-    def test_bad_s(self, capsys):
-        code, _, _ = run(capsys, "count", "unlabeled", "--s", "0")
-        assert code == 1
-
-    @pytest.mark.parametrize("family", sorted(f for f, (_, needs_m, *_) in FAMILIES.items()
-                                              if needs_m))
-    def test_bad_m_has_one_wording(self, capsys, family):
-        least = 0 if family == "chain-increasing" else 1
-        code, out, err = run(capsys, "count", family, "--s", "3", "--m", str(least - 1))
-        assert (code, out, err) == (1, "", f"error: m must be >= {least}\n")
-
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.txt"
         code, out, _ = run(
@@ -281,34 +257,6 @@ class TestTable:
         data = json.loads(out)
         assert data[1]["2"] == 2
 
-    def test_bad_size_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "table", "riordan-triangle", "--max-n", "0")
-        assert code == 1
-        assert err.startswith("error:")
-
-    @pytest.mark.parametrize("argv", [
-        ("symbolic", "--max-m", "0"),
-        ("symbolic", "--max-m", "0", "--check-paper"),
-        ("mobiles", "--max-m", "-1"),
-        ("riordan-triangle", "--max-n", "1"),
-        ("riordan-triangle", "--max-n", "1", "--check-paper"),
-    ])
-    def test_empty_table_is_usage_error(self, capsys, argv):
-        code, out, err = run(capsys, "table", *argv)
-        assert (code, out) == (1, "")
-        assert err.startswith("error:") and "must be >=" in err
-
-    @pytest.mark.parametrize("argv, option", [
-        (("symbolic", "--max-n", "3"), "--max-n"),
-        (("mobiles", "--max-s", "3", "--max-n", "10", "--check-paper"), "--max-n"),
-        (("riordan-triangle", "--max-s", "1"), "--max-s"),
-        (("riordan-triangle", "--max-n", "6", "--max-m", "8"), "--max-m"),
-    ])
-    def test_option_the_table_ignores_is_usage_error(self, capsys, argv, option):
-        code, out, err = run(capsys, "table", *argv)
-        assert (code, out) == (1, "")
-        assert err.startswith("error:") and option in err
-
 
 class TestGf:
     def test_a_series(self, capsys):
@@ -387,52 +335,16 @@ class TestGf:
         assert "".join(pieces[start:-1]) == last
         assert set(left[start:]) == {0}
 
-    @pytest.mark.parametrize("kind", ["A", "G", "Y"])
-    @pytest.mark.parametrize("spec", ["ones", "factorial", "symbolic"])
-    def test_spec_with_a_count_series_is_usage_error(self, capsys, kind, spec):
-        code, out, err = run(capsys, "gf", kind, "--m", "2", "--order", "4", "--spec", spec)
-        assert (code, out) == (1, "")
-        assert err.strip() == "error: --spec applies to gf P only"
-
-    @pytest.mark.parametrize(
-        "argv, least",
-        [
-            pytest.param(("P", "--m", "0", "--spec", spec), 1, id=spec)
-            for spec in ("symbolic", "ones", "factorial")
-        ]
-        + [
-            pytest.param(("A", "--m", "0"), 1, id="A"),
-            pytest.param(("G", "--m", "0"), 1, id="G"),
-            pytest.param(("Y", "--m", "-1"), 0, id="Y"),
-        ],
-    )
-    def test_p_bad_m_is_usage_error(self, capsys, argv, least):
-        # every gf kind words a bad m as the count families do
-        code, out, err = run(capsys, "gf", *argv, "--order", "3")
-        assert (code, out) == (1, "")
-        assert err.strip() == f"error: m must be >= {least}"
-
     def test_y_series(self, capsys):
         code, out, _ = run(capsys, "gf", "Y", "--m", "2", "--order", "4")
         assert code == 0
         assert json.loads(out)["coeffs"][-1] == "243/1"
 
-    def test_order_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SERIESFORGE_MAX_ORDER", "5")
-        code, _, err = run(capsys, "gf", "A", "--m", "2", "--order", "6")
-        assert code == 1
-        assert "exceeds the cap" in err
-
-    def test_default_cap(self, capsys):
+    def test_default_cap(self, capsys, monkeypatch):
+        # order 17, one over it, is in USAGE_ERRORS
+        monkeypatch.delenv("SERIESFORGE_MAX_ORDER", raising=False)
         code, _, _ = run(capsys, "gf", "G", "--m", "3", "--order", "16")
         assert code == 0
-        code, _, _ = run(capsys, "gf", "G", "--m", "3", "--order", "17")
-        assert code == 1
-
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("SERIESFORGE_MAX_ORDER", "lots")
-        code, _, _ = run(capsys, "gf", "A", "--m", "2", "--order", "4")
-        assert code == 1
 
 
 @pytest.mark.parametrize("argv", sorted(UNLABELED_STDOUT), ids=" ".join)
@@ -465,31 +377,6 @@ class TestVerify:
         assert code == 2
         assert "mismatch at index 4" in out
         assert "verification failed" in err
-
-    def test_corrupted_bfile_usage_error(self, capsys, tmp_path):
-        bf = tmp_path / "b.txt"
-        bf.write_text("1 1\nnot a line\n")
-        code, _, err = run(capsys, "verify", "unlabeled", "--bfile", str(bf))
-        assert code == 1
-        assert "malformed" in err
-
-    @pytest.mark.parametrize("text", ["", "# comments only\n", "0 1\n", "# c\n-1 5\n0 1\n"])
-    def test_bfile_without_entries_usage_error(self, capsys, tmp_path, text):
-        bf = tmp_path / "b.txt"
-        bf.write_text(text)
-        code, out, err = run(capsys, "verify", "unlabeled", "--bfile", str(bf))
-        assert (code, out) == (1, "")
-        assert "no entry at index >= 1" in err
-
-    def test_bad_m_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "verify", "ultrametrics", "--m", "0", "--bfile", BFILE)
-        assert code == 1
-        assert err.startswith("error:")
-
-    def test_unexpected_m_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "verify", "processes", "--m", "3", "--bfile", BFILE)
-        assert code == 1
-        assert "does not take --m" in err
 
     @pytest.mark.parametrize("family, m, seq, length, changed", [
         ("ultrametrics", 8, derangement_count, 40, 30),
@@ -532,9 +419,81 @@ class TestVerify:
         )
         assert (code, out.strip()) == (0, "OK (1 entries)")
 
-    def test_missing_bfile(self, capsys):
-        code, _, _ = run(capsys, "verify", "unlabeled", "--bfile", "/no/such/file")
-        assert code == 1
+
+class Part(str):
+    """An error message matched as a part of the line: argparse and the OS
+    word theirs differently across Python versions."""
+
+
+# (argv, SERIESFORGE_MAX_ORDER, b-file text, message) of each usage error;
+# {bfile} in argv and message is a b-file holding the text, or BFILE
+USAGE_ERRORS = [
+    ("count ultrametrics --s 4", None, None, "family 'ultrametrics' requires --m"),
+    ("count unlabeled --s 4 --m 2", None, None, "family 'unlabeled' does not take --m"),
+    ("count nonsense --s 4", None, None, Part("argument family: invalid choice: 'nonsense'")),
+    ("count unlabeled --s x", None, None, Part("argument --s: invalid int value: 'x'")),
+    ("count unlabeled --s 0", None, None, "s must be >= 1"),
+    *((f"count {family} --s 3 --m {least - 1}", None, None, f"m must be >= {least}")
+      for family, least in sorted((f, 0 if f == "chain-increasing" else 1)
+                                  for f, (_, needs_m, *_) in FAMILIES.items() if needs_m)),
+    ("table riordan-triangle --max-n 0", None, None, "--max-n must be >= 2"),
+    ("table riordan-triangle --max-n 1", None, None, "--max-n must be >= 2"),
+    ("table riordan-triangle --max-n 1 --check-paper", None, None, "--max-n must be >= 2"),
+    ("table symbolic --max-m 0", None, None, "--max-m must be >= 1"),
+    ("table symbolic --max-m 0 --check-paper", None, None, "--max-m must be >= 1"),
+    ("table mobiles --max-m -1", None, None, "--max-m must be >= 1"),
+    ("table symbolic --max-n 3", None, None, "--max-n applies to riordan-triangle only"),
+    ("table mobiles --max-s 3 --max-n 10 --check-paper", None, None,
+     "--max-n applies to riordan-triangle only"),
+    ("table riordan-triangle --max-s 1", None, None,
+     "--max-s and --max-m apply to the family tables only"),
+    ("table riordan-triangle --max-n 6 --max-m 8", None, None,
+     "--max-s and --max-m apply to the family tables only"),
+    *((f"gf {kind} --m 2 --order 4 --spec {spec}", None, None, "--spec applies to gf P only")
+      for kind in ("A", "G", "Y") for spec in ("ones", "factorial", "symbolic")),
+    # every gf kind words a bad m as the count families do
+    *((f"gf P --m 0 --order 3 --spec {spec}", None, None, "m must be >= 1")
+      for spec in ("symbolic", "ones", "factorial")),
+    ("gf A --m 0 --order 3", None, None, "m must be >= 1"),
+    ("gf G --m 0 --order 3", None, None, "m must be >= 1"),
+    ("gf Y --m -1 --order 3", None, None, "m must be >= 0"),
+    ("gf G --m 3 --order 17", None, None, "order 17 exceeds the cap 16"),
+    ("gf A --m 2 --order 6", "5", None, "order 6 exceeds the cap 5"),
+    ("gf A --m 2 --order 4", "lots", None, "SERIESFORGE_MAX_ORDER is not an integer: 'lots'"),
+    ("verify unlabeled --bfile {bfile}", None, "1 1\nnot a line\n",
+     "{bfile}:2: malformed line 'not a line'"),
+    *(("verify unlabeled --bfile {bfile}", None, text, "{bfile}: no entry at index >= 1")
+      for text in ("", "# comments only\n", "0 1\n", "# c\n-1 5\n0 1\n")),
+    ("verify ultrametrics --m 0 --bfile {bfile}", None, None, "m must be >= 1"),
+    ("verify processes --m 3 --bfile {bfile}", None, None, "family 'processes' does not take --m"),
+    ("verify unlabeled --bfile /no/such/file", None, None,
+     Part("No such file or directory: '/no/such/file'")),
+]
+
+
+def usage_error_id(argv, max_order, text, _):
+    env = f"SERIESFORGE_MAX_ORDER={max_order} " if max_order else ""
+    return env + argv.format(bfile=os.path.basename(BFILE) if text is None else f"'{text}'")
+
+
+@pytest.mark.parametrize("argv, max_order, text, message", USAGE_ERRORS,
+                         ids=[usage_error_id(*row) for row in USAGE_ERRORS])
+def test_usage_error(capsys, monkeypatch, tmp_path, argv, max_order, text, message):
+    bfile = BFILE
+    if text is not None:
+        bfile = tmp_path / "b.txt"
+        bfile.write_text(text)
+    if max_order is None:
+        monkeypatch.delenv("SERIESFORGE_MAX_ORDER", raising=False)
+    else:
+        monkeypatch.setenv("SERIESFORGE_MAX_ORDER", max_order)
+    code, out, err = run(capsys, *(arg.format(bfile=bfile) for arg in argv.split()))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    if isinstance(message, Part):
+        assert message in err
+    else:
+        assert err == f"error: {message.format(bfile=bfile)}\n"
 
 
 def cli_process(argv, **kwargs):

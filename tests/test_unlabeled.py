@@ -3,7 +3,6 @@ from operator import mul
 
 import pytest
 
-from seriesforge import reference
 from seriesforge.rings import PolyVar
 from seriesforge.unlabeled import (
     _exact,
@@ -11,7 +10,6 @@ from seriesforge.unlabeled import (
     fully_colored_unlabeled_counts,
     multipartite_unlabeled_counts,
     refined_polys,
-    unlabeled_counts,
 )
 
 M = PolyVar.gen("m")
@@ -92,11 +90,6 @@ class TestRefinedPolys:
             PolyVar([0, 1, 1], "t"), PolyVar([0, 1, 2, 2], "t"),
         ]
 
-    def test_reference_polynomials(self):
-        polys = multipartite_unlabeled_counts(max(reference.UNLABELED_POLYNOMIALS), M)
-        for s, coeffs in reference.UNLABELED_POLYNOMIALS.items():
-            assert polys[s - 1] == PolyVar(coeffs, "m")
-
     def test_divisible_by_t_beyond_one_leaf(self):
         assert all(p[0] == 0 for p in refined_polys(10)[1:])
 
@@ -114,29 +107,7 @@ class TestRefinedPolys:
             refined_polys(0)
 
 
-class TestTotals:
-    def test_sequence(self):
-        seq = reference.UNLABELED_SEQUENCE
-        assert unlabeled_counts(len(seq)) == seq
-
-    def test_triangle(self):
-        polys = refined_polys(10)
-        for (k, n), want in reference.RIORDAN_TRIANGLE.items():
-            assert polys[n - 1][k] == want, f"cell {(k, n)}"
-
-    def test_triangle_rows_sum_to_sequence(self):
-        polys = refined_polys(10)
-        counts = unlabeled_counts(10)
-        for n in range(2, 11):
-            total = sum(want for (k, nn), want in reference.RIORDAN_TRIANGLE.items() if nn == n)
-            assert total == sum(polys[n - 1].coeffs) == counts[n - 1]
-
-
 class TestMultipartite:
-    def test_table_values(self):
-        for m, row in reference.MULTIPARTITE_UNLABELED_TABLE.items():
-            assert multipartite_unlabeled_counts(len(row), m) == row, f"m={m}"
-
     def test_one_color_row(self):
         assert multipartite_unlabeled_counts(11, 1) == [1] * 11
 
@@ -153,10 +124,6 @@ class TestMultipartite:
 
 
 class TestFullyColored:
-    def test_table_values(self):
-        for m, row in reference.FULLY_COLORED_UNLABELED_TABLE.items():
-            assert fully_colored_unlabeled_counts(len(row), m) == row, f"m={m}"
-
     def test_single_leaf_takes_any_color(self):
         for m in range(1, 7):
             assert fully_colored_unlabeled_counts(1, m) == [m]
