@@ -90,6 +90,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv):
+    """Run a command that must fail as a usage error: exit 1, nothing on
+    stdout and one `error: ` line on stderr. Returns that line's message."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err[len("error: "):-1]
+
+
 def check_long_bfile(capsys, tmp_path, family, m, values, changed):
     """verify accepts a b-file of `values`, and reports index `changed`
     once that value is off by one."""
@@ -144,6 +153,34 @@ class TestCount:
         )
         assert code == 0
         assert isinstance(json.loads(out)["value"], str)
+
+    def test_missing_m_is_usage_error(self, capsys):
+        assert (usage_error(capsys, "count", "ultrametrics", "--s", "4")
+                == "family 'ultrametrics' requires --m")
+
+    def test_unexpected_m_is_usage_error(self, capsys):
+        assert (usage_error(capsys, "count", "unlabeled", "--s", "4", "--m", "2")
+                == "family 'unlabeled' does not take --m")
+
+    # argparse words its own errors differently across Python versions, so
+    # these match a stable part of the message
+    def test_bad_family(self, capsys):
+        assert ("argument family: invalid choice: 'nonsense'"
+                in usage_error(capsys, "count", "nonsense", "--s", "4"))
+
+    def test_non_int_s(self, capsys):
+        assert ("argument --s: invalid int value: 'x'"
+                in usage_error(capsys, "count", "unlabeled", "--s", "x"))
+
+    def test_bad_s(self, capsys):
+        assert usage_error(capsys, "count", "unlabeled", "--s", "0") == "s must be >= 1"
+
+    @pytest.mark.parametrize("family", sorted(f for f, (_, needs_m, *_) in FAMILIES.items()
+                                              if needs_m))
+    def test_bad_m_has_one_wording(self, capsys, family):
+        least = 0 if family == "chain-increasing" else 1
+        assert (usage_error(capsys, "count", family, "--s", "3", "--m", str(least - 1))
+                == f"m must be >= {least}")
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.txt"
@@ -257,6 +294,32 @@ class TestTable:
         data = json.loads(out)
         assert data[1]["2"] == 2
 
+    def test_bad_size_is_usage_error(self, capsys):
+        assert (usage_error(capsys, "table", "riordan-triangle", "--max-n", "0")
+                == "--max-n must be >= 2")
+
+    @pytest.mark.parametrize("argv", [
+        ("symbolic", "--max-m", "0"),
+        ("symbolic", "--max-m", "0", "--check-paper"),
+        ("mobiles", "--max-m", "-1"),
+        ("riordan-triangle", "--max-n", "1"),
+        ("riordan-triangle", "--max-n", "1", "--check-paper"),
+    ])
+    def test_empty_table_is_usage_error(self, capsys, argv):
+        least = 2 if argv[1] == "--max-n" else 1
+        assert usage_error(capsys, "table", *argv) == f"{argv[1]} must be >= {least}"
+
+    @pytest.mark.parametrize("argv, option", [
+        (("symbolic", "--max-n", "3"), "--max-n"),
+        (("mobiles", "--max-s", "3", "--max-n", "10", "--check-paper"), "--max-n"),
+        (("riordan-triangle", "--max-s", "1"), "--max-s"),
+        (("riordan-triangle", "--max-n", "6", "--max-m", "8"), "--max-m"),
+    ])
+    def test_option_the_table_ignores_is_usage_error(self, capsys, argv, option):
+        message = ("--max-n applies to riordan-triangle only" if option == "--max-n"
+                   else "--max-s and --max-m apply to the family tables only")
+        assert usage_error(capsys, "table", *argv) == message
+
 
 class TestGf:
     def test_a_series(self, capsys):
@@ -335,16 +398,49 @@ class TestGf:
         assert "".join(pieces[start:-1]) == last
         assert set(left[start:]) == {0}
 
+    @pytest.mark.parametrize("kind", ["A", "G", "Y"])
+    @pytest.mark.parametrize("spec", ["ones", "factorial", "symbolic"])
+    def test_spec_with_a_count_series_is_usage_error(self, capsys, kind, spec):
+        assert (usage_error(capsys, "gf", kind, "--m", "2", "--order", "4", "--spec", spec)
+                == "--spec applies to gf P only")
+
+    @pytest.mark.parametrize(
+        "argv, least",
+        [
+            pytest.param(("P", "--m", "0", "--spec", spec), 1, id=spec)
+            for spec in ("symbolic", "ones", "factorial")
+        ]
+        + [
+            pytest.param(("A", "--m", "0"), 1, id="A"),
+            pytest.param(("G", "--m", "0"), 1, id="G"),
+            pytest.param(("Y", "--m", "-1"), 0, id="Y"),
+        ],
+    )
+    def test_p_bad_m_is_usage_error(self, capsys, argv, least):
+        # every gf kind words a bad m as the count families do
+        assert usage_error(capsys, "gf", *argv, "--order", "3") == f"m must be >= {least}"
+
     def test_y_series(self, capsys):
         code, out, _ = run(capsys, "gf", "Y", "--m", "2", "--order", "4")
         assert code == 0
         assert json.loads(out)["coeffs"][-1] == "243/1"
 
+    def test_order_cap_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("SERIESFORGE_MAX_ORDER", "5")
+        assert (usage_error(capsys, "gf", "A", "--m", "2", "--order", "6")
+                == "order 6 exceeds the cap 5")
+
     def test_default_cap(self, capsys, monkeypatch):
-        # order 17, one over it, is in USAGE_ERRORS
         monkeypatch.delenv("SERIESFORGE_MAX_ORDER", raising=False)
         code, _, _ = run(capsys, "gf", "G", "--m", "3", "--order", "16")
         assert code == 0
+        assert (usage_error(capsys, "gf", "G", "--m", "3", "--order", "17")
+                == "order 17 exceeds the cap 16")
+
+    def test_bad_env_value(self, capsys, monkeypatch):
+        monkeypatch.setenv("SERIESFORGE_MAX_ORDER", "lots")
+        assert (usage_error(capsys, "gf", "A", "--m", "2", "--order", "4")
+                == "SERIESFORGE_MAX_ORDER is not an integer: 'lots'")
 
 
 @pytest.mark.parametrize("argv", sorted(UNLABELED_STDOUT), ids=" ".join)
@@ -377,6 +473,27 @@ class TestVerify:
         assert code == 2
         assert "mismatch at index 4" in out
         assert "verification failed" in err
+
+    def test_corrupted_bfile_usage_error(self, capsys, tmp_path):
+        bf = tmp_path / "b.txt"
+        bf.write_text("1 1\nnot a line\n")
+        assert (usage_error(capsys, "verify", "unlabeled", "--bfile", str(bf))
+                == f"{bf}:2: malformed line 'not a line'")
+
+    @pytest.mark.parametrize("text", ["", "# comments only\n", "0 1\n", "# c\n-1 5\n0 1\n"])
+    def test_bfile_without_entries_usage_error(self, capsys, tmp_path, text):
+        bf = tmp_path / "b.txt"
+        bf.write_text(text)
+        assert (usage_error(capsys, "verify", "unlabeled", "--bfile", str(bf))
+                == f"{bf}: no entry at index >= 1")
+
+    def test_bad_m_is_usage_error(self, capsys):
+        assert (usage_error(capsys, "verify", "ultrametrics", "--m", "0", "--bfile", BFILE)
+                == "m must be >= 1")
+
+    def test_unexpected_m_is_usage_error(self, capsys):
+        assert (usage_error(capsys, "verify", "processes", "--m", "3", "--bfile", BFILE)
+                == "family 'processes' does not take --m")
 
     @pytest.mark.parametrize("family, m, seq, length, changed", [
         ("ultrametrics", 8, derangement_count, 40, 30),
@@ -420,80 +537,10 @@ class TestVerify:
         assert (code, out.strip()) == (0, "OK (1 entries)")
 
 
-class Part(str):
-    """An error message matched as a part of the line: argparse and the OS
-    word theirs differently across Python versions."""
-
-
-# (argv, SERIESFORGE_MAX_ORDER, b-file text, message) of each usage error;
-# {bfile} in argv and message is a b-file holding the text, or BFILE
-USAGE_ERRORS = [
-    ("count ultrametrics --s 4", None, None, "family 'ultrametrics' requires --m"),
-    ("count unlabeled --s 4 --m 2", None, None, "family 'unlabeled' does not take --m"),
-    ("count nonsense --s 4", None, None, Part("argument family: invalid choice: 'nonsense'")),
-    ("count unlabeled --s x", None, None, Part("argument --s: invalid int value: 'x'")),
-    ("count unlabeled --s 0", None, None, "s must be >= 1"),
-    *((f"count {family} --s 3 --m {least - 1}", None, None, f"m must be >= {least}")
-      for family, least in sorted((f, 0 if f == "chain-increasing" else 1)
-                                  for f, (_, needs_m, *_) in FAMILIES.items() if needs_m)),
-    ("table riordan-triangle --max-n 0", None, None, "--max-n must be >= 2"),
-    ("table riordan-triangle --max-n 1", None, None, "--max-n must be >= 2"),
-    ("table riordan-triangle --max-n 1 --check-paper", None, None, "--max-n must be >= 2"),
-    ("table symbolic --max-m 0", None, None, "--max-m must be >= 1"),
-    ("table symbolic --max-m 0 --check-paper", None, None, "--max-m must be >= 1"),
-    ("table mobiles --max-m -1", None, None, "--max-m must be >= 1"),
-    ("table symbolic --max-n 3", None, None, "--max-n applies to riordan-triangle only"),
-    ("table mobiles --max-s 3 --max-n 10 --check-paper", None, None,
-     "--max-n applies to riordan-triangle only"),
-    ("table riordan-triangle --max-s 1", None, None,
-     "--max-s and --max-m apply to the family tables only"),
-    ("table riordan-triangle --max-n 6 --max-m 8", None, None,
-     "--max-s and --max-m apply to the family tables only"),
-    *((f"gf {kind} --m 2 --order 4 --spec {spec}", None, None, "--spec applies to gf P only")
-      for kind in ("A", "G", "Y") for spec in ("ones", "factorial", "symbolic")),
-    # every gf kind words a bad m as the count families do
-    *((f"gf P --m 0 --order 3 --spec {spec}", None, None, "m must be >= 1")
-      for spec in ("symbolic", "ones", "factorial")),
-    ("gf A --m 0 --order 3", None, None, "m must be >= 1"),
-    ("gf G --m 0 --order 3", None, None, "m must be >= 1"),
-    ("gf Y --m -1 --order 3", None, None, "m must be >= 0"),
-    ("gf G --m 3 --order 17", None, None, "order 17 exceeds the cap 16"),
-    ("gf A --m 2 --order 6", "5", None, "order 6 exceeds the cap 5"),
-    ("gf A --m 2 --order 4", "lots", None, "SERIESFORGE_MAX_ORDER is not an integer: 'lots'"),
-    ("verify unlabeled --bfile {bfile}", None, "1 1\nnot a line\n",
-     "{bfile}:2: malformed line 'not a line'"),
-    *(("verify unlabeled --bfile {bfile}", None, text, "{bfile}: no entry at index >= 1")
-      for text in ("", "# comments only\n", "0 1\n", "# c\n-1 5\n0 1\n")),
-    ("verify ultrametrics --m 0 --bfile {bfile}", None, None, "m must be >= 1"),
-    ("verify processes --m 3 --bfile {bfile}", None, None, "family 'processes' does not take --m"),
-    ("verify unlabeled --bfile /no/such/file", None, None,
-     Part("No such file or directory: '/no/such/file'")),
-]
-
-
-def usage_error_id(argv, max_order, text, _):
-    env = f"SERIESFORGE_MAX_ORDER={max_order} " if max_order else ""
-    return env + argv.format(bfile=os.path.basename(BFILE) if text is None else f"'{text}'")
-
-
-@pytest.mark.parametrize("argv, max_order, text, message", USAGE_ERRORS,
-                         ids=[usage_error_id(*row) for row in USAGE_ERRORS])
-def test_usage_error(capsys, monkeypatch, tmp_path, argv, max_order, text, message):
-    bfile = BFILE
-    if text is not None:
-        bfile = tmp_path / "b.txt"
-        bfile.write_text(text)
-    if max_order is None:
-        monkeypatch.delenv("SERIESFORGE_MAX_ORDER", raising=False)
-    else:
-        monkeypatch.setenv("SERIESFORGE_MAX_ORDER", max_order)
-    code, out, err = run(capsys, *(arg.format(bfile=bfile) for arg in argv.split()))
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    if isinstance(message, Part):
-        assert message in err
-    else:
-        assert err == f"error: {message.format(bfile=bfile)}\n"
+    def test_missing_bfile(self, capsys):
+        # the OS words this one; match a stable part of it
+        assert ("No such file or directory: '/no/such/file'"
+                in usage_error(capsys, "verify", "unlabeled", "--bfile", "/no/such/file"))
 
 
 def cli_process(argv, **kwargs):
