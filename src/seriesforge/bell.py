@@ -13,9 +13,9 @@ C(n-1, i) = C(n, i), so each pair is one term and nothing divides; in
 labeled.p_series, where v_1 = 0 leaves the deeper columns short, that
 takes a quarter to a third of the monomial products out.  The ring contract,
 the recursive inversion and the group product are test support in
-:mod:`seriesforge.egf`; the band-table B_{n,k}, the special sequences it
-gives and the closed-form inversion are test oracles in
-:mod:`seriesforge.oracle`.
+:mod:`seriesforge.egf`; B_{n,k} by its definition, the alternating sums
+over the special sequences and the closed-form inversion are test
+oracles in :mod:`seriesforge.oracle`.
 """
 
 from __future__ import annotations

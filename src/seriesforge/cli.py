@@ -179,8 +179,9 @@ def cmd_table(args):
             raise UsageError("--max-n applies to riordan-triangle only")
         max_s = 8 if args.max_s is None else args.max_s
         max_m = 8 if args.max_m is None else args.max_m
-        if max_m < 1:
-            raise UsageError("--max-m must be >= 1")
+        for option, value in (("--max-s", max_s), ("--max-m", max_m)):
+            if value < 1:
+                raise UsageError(f"{option} must be >= 1")
         fn, _, _, ref_table, _ = FAMILIES[TABLES[args.name]]
         rows = [["m\\s"] + list(range(1, max_s + 1))]
         for m in range(1, max_m + 1):
@@ -270,8 +271,10 @@ def cmd_verify(args):
     """Compare computed values against a b-file over its index range."""
     try:
         entries = parse_bfile(args.bfile)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc))
+    except OSError as exc:
+        raise UsageError(f"cannot read {args.bfile}: {exc.strerror}")
     entries = [(idx, val) for idx, val in entries if idx >= 1]
     if not entries:
         raise UsageError(f"{args.bfile}: no entry at index >= 1")

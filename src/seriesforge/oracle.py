@@ -3,26 +3,28 @@ objects, and the paper's formula routes that production has replaced.
 
 The enumerators count by direct construction (set partitions, exhaustive
 maps, canonical codes) with no Bell-polynomial or series machinery, so
-they can independently validate the formula modules at small sizes.
-bell_partial computes one B_{n,k} by a band table of O(k (n-k)^2) ring
-products (tested against the definitional partition sum) and gives the
-special sequences, derangement counts and associated and plain Stirling
-numbers of the second kind, that the paper's alternating sums read.  make_named
-builds the stock rational series the tests invert.  The last sections keep
-the paper's other routes as references for production: the global
-inversion, the closed-form inversion and the root-color recurrence with
-one Bell table per color and no color swap for P (against labeled.p_series
-and egf.bell_inverse_recursive), over the weight ring WEIGHT_RING; the
-series inversions over Z[m] for the ultrametric and mobile polynomials,
-the alternating Bell sums and the integral relation of the counting
-series (against the labeled prefix recurrences); and the divisor-sum Bell
-recurrence and the Euler transform over Z[t] with t -> t^d substitution
-for the unlabeled refinement (against the level table of unlabeled.py).
-The chain recurrence, beside its enumerator, checks the identity y_s(m) =
-a_s(m + 1) that production uses.  No CLI run imports this module: the one
-production reference to it is labeled.ultrametric_series_polynomials, the
-pointer to the Z[m] inversion that the benchmark imports, which imports
-it when called.
+they can independently validate the formula modules at small sizes;
+enum_derangements and enum_set_partitions_min_block count the special
+sequences that the paper's alternating sums read.
+bell_partial_partition_sum computes one B_{n,k} straight from its
+definition, the reference for bell.bell_row, which is the one other
+route to B_{n,k}.  make_named builds the stock rational series the tests
+invert.  The last sections keep the paper's other routes as references
+for production: the global inversion, the closed-form inversion and the
+root-color recurrence with one Bell table per color and no color swap
+for P (against labeled.p_series and egf.bell_inverse_recursive), over
+the weight ring WEIGHT_RING; the series inversions over Z[m] for the
+ultrametric and mobile polynomials, the alternating Bell sums, read
+from one bell_row table, and the integral relation of the counting
+series (against the labeled prefix recurrences); and the divisor-sum
+Bell recurrence and the Euler transform over Z[t] with t -> t^d
+substitution, the tests' one exact plain Euler transform, for the
+unlabeled refinement (against the level table of unlabeled.py at every
+point it runs at).  The chain recurrence, beside its enumerator, checks
+the identity y_s(m) = a_s(m + 1) that production uses.  No CLI run
+imports this module: the one production reference to it is
+labeled.ultrametric_series_polynomials, the pointer to the Z[m]
+inversion that the benchmark imports, which imports it when called.
 """
 
 from __future__ import annotations
@@ -255,59 +257,8 @@ def chain_increasing_recurrence(up_to_s: int, m) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Partial Bell polynomials by the band table, and the special sequences.
-# ---------------------------------------------------------------------------
-
-def bell_partial(n: int, k: int, x, ring: Ring):
-    """Partial Bell polynomial B_{n,k}(x_1, ..., x_{n-k+1}).
-
-    Computed column by column over the band n' - k' <= n - k only, by the
-    binomial recurrence B_{n,k} = sum_i C(n-1, i-1) x_i B_{n-i,k-1},
-    B_{0,0} = 1, B_{n,0} = 0 for n > 0.  Out-of-range arguments give the
-    ring zero.
-    """
-    if k < 0 or n < k:
-        return ring.zero
-    width = n - k
-    x = list(x[: width + 1]) + [ring.zero] * (width + 1 - len(x))
-    col = [ring.one] + [ring.zero] * width     # col[d] = B_{j+d,j}, here j = 0
-    for j in range(1, k + 1):
-        col = [ring.dot((comb(j + d - 1, i - 1), x[i - 1], col[d + 1 - i])
-                        for i in range(1, d + 2))
-               for d in range(width + 1)]
-    return col[width]
-
-
-def derangement_count(n: int, k: int) -> int:
-    """Fixed-point-free permutations of n elements with exactly k cycles.
-
-    Equals B_{n,k} at x_1 = 0, x_i = (i-1)! (associated Stirling numbers
-    of the first kind).
-    """
-    if n < 0 or k < 0:
-        raise ValueError("arguments must be nonnegative")
-    seq = [0] + [factorial(i - 1) for i in range(2, n - k + 2)]
-    return bell_partial(n, k, seq, ZZ)
-
-
-def assoc_stirling2(n: int, k: int) -> int:
-    """Set partitions of n elements into k blocks, every block of size >= 2.
-
-    Equals B_{n,k} at x_1 = 0, x_i = 1.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("arguments must be nonnegative")
-    seq = [0] + [1] * max(0, n - k)
-    return bell_partial(n, k, seq, ZZ)
-
-
-def stirling2(n: int, k: int) -> int:
-    """Stirling numbers of the second kind: B_{n,k} at all-ones."""
-    return bell_partial(n, k, [1] * max(1, n - k + 1), ZZ)
-
-
-# ---------------------------------------------------------------------------
-# Definitional partial Bell polynomial (partition-sum form).
+# The definitional partial Bell polynomial, and the special sequences by
+# enumeration.
 # ---------------------------------------------------------------------------
 
 def bell_partial_partition_sum(n: int, k: int, x, ring):
@@ -403,16 +354,26 @@ def make_named(name: str, order: int) -> ExpSeries:
 # The paper's formula routes.
 # ---------------------------------------------------------------------------
 
-def alternating_bell_poly(s: int, seq) -> PolyVar:
-    """The paper's count for s leaves as a polynomial in m:
-    (-1)^{s-1} sum_{k=0..s} (-m)^k seq(s+k-1, k).
+def alternating_bell_polys(up_to_s: int, x) -> list:
+    """The paper's counts for s = 1..up_to_s leaves as polynomials in m,
+    p_s = (-1)^{s-1} sum_{k=0..s} (-m)^k B_{s+k-1,k}(x), all read from one
+    bell_row table of rows 1..2 up_to_s - 1 over the integers.
 
-    seq = derangement_count gives the ultrametric (labeled tree) counts,
-    seq = assoc_stirling2 the mobile counts; evaluate at an
-    integer m for a single count.
+    x = (0, 1!, 2!, ...) gives the ultrametric (labeled tree) counts, its
+    B_{n,k} the derangements of n elements with k cycles (associated
+    Stirling numbers of the first kind); x = (0, 1, 1, ...) gives the
+    mobile counts, its B_{n,k} the partitions of n elements into k blocks
+    of two or more (associated Stirling numbers of the second kind).  Each
+    B_{s+k-1,k} reads x_1..x_s alone, so x needs up_to_s entries; evaluate
+    at an integer m for one count.
     """
-    sign = (-1) ** (s - 1)
-    return PolyVar([sign * (-1) ** k * seq(s + k - 1, k) for k in range(s + 1)], "m")
+    if len(x) < up_to_s:
+        raise ValueError("x needs up_to_s entries")
+    rows = [[1]]
+    for _ in range(2 * up_to_s - 1):
+        bell_row(rows, x, ZZ.dot)
+    return [PolyVar([(-1) ** (s - 1 + k) * rows[s + k - 1][k] for k in range(s + 1)], "m")
+            for s in range(1, up_to_s + 1)]
 
 
 def refined_polys_bell(up_to_s: int) -> list:

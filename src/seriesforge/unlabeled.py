@@ -10,9 +10,8 @@ t0 = t, unlabeled(s) = a_s(1), and multipartite(s, m) = m r_s(m - 1)
 with r_s = a_s / t, the table at m - 1 divided exactly by m - 1, for an
 int m or, at the PolyVar m, as a polynomial in m; at m = 1 every
 r_s(0) is 1.  The fully-colored counts follow from the multipartite
-ones.  The plain Euler transform lives in the tests as an oracle; the
-substitution transform over Z[t] and the paper's Bell recurrence over
-Q[t] are test oracles in oracle.py.
+ones.  The plain Euler transform over Z[t] with t -> t^d substitution
+and the paper's Bell recurrence over Q[t] are test oracles in oracle.py.
 """
 
 from __future__ import annotations

@@ -7,17 +7,21 @@ from hypothesis import given, settings, strategies as st
 from seriesforge.bell import bell_row
 from seriesforge.egf import QQ, ZZ, bell_inverse_recursive, bell_product
 from seriesforge.oracle import (
-    assoc_stirling2,
     bell_inverse_closed,
-    bell_partial,
     bell_partial_partition_sum,
-    derangement_count,
     enum_derangements,
     enum_set_partitions_min_block,
     make_named,
     set_partitions,
-    stirling2,
 )
+
+
+def bell_table(y, size, dot=ZZ.dot):
+    """rows[n][k] = B_{n,k}(y) for n = 0..size, by bell_row."""
+    rows = [[1]]
+    for _ in range(size):
+        bell_row(rows, y, dot)
+    return rows
 
 
 def rational_seq(values):
@@ -30,11 +34,6 @@ def identity(order):
 
 
 class TestBellPartial:
-    def test_single_block(self):
-        x = [3, 1, 4, 1, 5]
-        for n in range(1, 6):
-            assert bell_partial(n, 1, x, ZZ) == x[n - 1]
-
     def test_4_2_symbolic(self):
         # B_{4,2} = 3 x_2^2 + 4 x_1 x_3, from partitioning {1,2,3,4}
         # into 2 blocks
@@ -48,38 +47,24 @@ class TestBellPartial:
                     term *= (x1, x2, x3)[len(block) - 1]
                 expected += term
             assert expected == 3 * x2 ** 2 + 4 * x1 * x3
-            assert bell_partial(4, 2, [x1, x2, x3], ZZ) == expected
-
-    def test_zero_parts(self):
-        assert bell_partial(0, 0, [], ZZ) == 1
-        assert bell_partial(3, 0, [1, 1, 1], ZZ) == 0
-
-    def test_out_of_range_k(self):
-        assert bell_partial(2, 5, [1, 1], ZZ) == 0
+            assert bell_table([x1, x2, x3], 4)[4][2] == expected
 
     def test_all_ones_is_stirling2(self):
         # against a direct set-partition counter
+        rows = bell_table([1] * 8, 8)
         for n in range(1, 9):
             for k in range(1, n + 1):
                 direct = sum(
                     1 for p in set_partitions(list(range(n))) if len(p) == k
                 )
-                assert stirling2(n, k) == direct
+                assert rows[n][k] == direct
 
     def test_matches_partition_sum_definition(self):
         x = [Fraction(v) for v in (1, -2, 3, 5, -1, 2, 4, 1)]
-        rows = [[QQ.one]]
-        for _ in range(8):
-            bell_row(rows, x, QQ.dot)
+        rows = bell_table(x, 8, QQ.dot)
         for n in range(9):
             for k in range(n + 1):
-                want = bell_partial_partition_sum(n, k, x, QQ)
-                assert bell_partial(n, k, x, QQ) == want
-                assert rows[n][k] == want
-
-    def test_deep_column_needs_no_recursion(self):
-        # a band of width 1 but k = 1099 columns
-        assert stirling2(1100, 1099) == math.comb(1100, 2)
+                assert rows[n][k] == bell_partial_partition_sum(n, k, x, QQ)
 
 
 class TestBellProduct:
@@ -152,10 +137,7 @@ def test_forest_table_gives_the_table_over_t_plus_v(tail):
     # left for k < n; labeled.p_series reads its table over u_1 = t + v so
     v = [0] + tail
     u = [1] + tail
-    over_v, over_u = [[1]], [[1]]
-    for _ in v:
-        bell_row(over_v, v, ZZ.dot)
-        bell_row(over_u, u, ZZ.dot)
+    over_v, over_u = bell_table(v, len(v)), bell_table(u, len(u))
     for q, row in enumerate(over_v):
         assert all(row[j] == 0 for j in range(q + 1) if 2 * j > q)
     for n, row in enumerate(over_u):
@@ -168,31 +150,18 @@ def test_forest_table_gives_the_table_over_t_plus_v(tail):
         assert row[n] == 1
 
 
-def unfolded_table(y, size):
-    """B_{n,k}(y) for n = 0..size by the unfolded recurrence B_{n,k} =
-    sum_i C(n-1, i-1) y_i B_{n-i,k-1}, every i in turn, entries of y past
-    its end counting as zero."""
-    at = [0] + list(y) + [0] * size
-    table = [[1]]
-    for n in range(1, size + 1):
-        table.append([0] + [sum(math.comb(n - 1, i - 1) * at[i] * table[n - i][k - 1]
-                                for i in range(1, n - k + 2))
-                            for k in range(1, n + 1)])
-    return table
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(-9, 9).filter(bool), st.lists(st.integers(-9, 9), min_size=1, max_size=9),
        st.integers(1, 5))
 def test_folded_column_two_matches_the_unfolded_recurrence(y1, tail, past_the_end):
     # column 2 pairs i with n - i, C(n-1, i-1) + C(n-1, n-i-1) = C(n, i),
     # and keeps the middle term of an even n alone; every table holds
-    # n = 2 and 3 and rows past the end of y
+    # n = 2 and 3 and rows past the end of y, which the definition reads
+    # as zero
     y = [y1] + tail
-    rows = [[1]]
-    for _ in range(len(y) + past_the_end):
-        bell_row(rows, y, ZZ.dot)
-    assert rows == unfolded_table(y, len(y) + past_the_end)
+    rows = bell_table(y, len(y) + past_the_end)
+    for n, row in enumerate(rows):
+        assert row == [bell_partial_partition_sum(n, k, y, ZZ) for k in range(n + 1)]
 
 
 class TestInversion:
@@ -224,30 +193,36 @@ class TestInversion:
             bell_inverse_recursive((2, 1), ZZ)
 
 
+# B_{n,k} at x = (0, 1!, 2!, ...) counts the derangements of n elements
+# with k cycles, at x = (0, 1, 1, ...) the partitions of n elements into k
+# blocks of two or more: the tables that oracle.alternating_bell_polys reads
+DERANGEMENTS = bell_table([0] + [math.factorial(i) for i in range(1, 9)], 9)
+BLOCKS_OF_TWO_OR_MORE = bell_table([0] + [1] * 8, 9)
+
+
 class TestSpecialCounts:
     @pytest.mark.parametrize("n,k,expected", [(2, 1, 1), (3, 1, 2), (4, 2, 3)])
     def test_derangement_examples(self, n, k, expected):
-        assert derangement_count(n, k) == expected
+        assert DERANGEMENTS[n][k] == expected
 
     def test_derangement_against_enumeration(self):
         for n in range(8):
             for k in range(n + 1):
-                assert derangement_count(n, k) == enum_derangements(n, k)
+                assert DERANGEMENTS[n][k] == enum_derangements(n, k)
 
     def test_derangement_totals(self):
         # sum over k equals the inclusion-exclusion total
         for n in range(1, 10):
-            total = sum(derangement_count(n, k) for k in range(n + 1))
             incl_excl = sum(
                 (-1) ** i * math.factorial(n) // math.factorial(i) for i in range(n + 1)
             )
-            assert total == incl_excl
+            assert sum(DERANGEMENTS[n]) == incl_excl
 
     @pytest.mark.parametrize("n,k,expected", [(2, 1, 1), (4, 2, 3), (3, 2, 0)])
     def test_assoc_stirling2_examples(self, n, k, expected):
-        assert assoc_stirling2(n, k) == expected
+        assert BLOCKS_OF_TWO_OR_MORE[n][k] == expected
 
     def test_assoc_stirling2_against_enumeration(self):
         for n in range(1, 9):
             for k in range(1, n + 1):
-                assert assoc_stirling2(n, k) == enum_set_partitions_min_block(n, k, 2)
+                assert BLOCKS_OF_TWO_OR_MORE[n][k] == enum_set_partitions_min_block(n, k, 2)

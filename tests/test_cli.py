@@ -2,6 +2,7 @@ import contextlib
 import errno
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,12 +17,7 @@ from seriesforge.labeled import (
     p_series,
     ultrametric_counts,
 )
-from seriesforge.oracle import (
-    alternating_bell_poly,
-    assoc_stirling2,
-    derangement_count,
-    refined_polys_substituted,
-)
+from seriesforge.oracle import alternating_bell_polys, refined_polys_substituted
 from seriesforge.unlabeled import multipartite_unlabeled_counts, unlabeled_counts
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -304,6 +300,8 @@ class TestTable:
         ("mobiles", "--max-m", "-1"),
         ("riordan-triangle", "--max-n", "1"),
         ("riordan-triangle", "--max-n", "1", "--check-paper"),
+        ("symbolic", "--max-s", "0"),
+        ("mobiles", "--max-s", "-2", "--check-paper"),
     ])
     def test_empty_table_is_usage_error(self, capsys, argv):
         least = 2 if argv[1] == "--max-n" else 1
@@ -495,14 +493,15 @@ class TestVerify:
         assert (usage_error(capsys, "verify", "processes", "--m", "3", "--bfile", BFILE)
                 == "family 'processes' does not take --m")
 
-    @pytest.mark.parametrize("family, m, seq, length, changed", [
-        ("ultrametrics", 8, derangement_count, 40, 30),
-        ("mobiles", 5, assoc_stirling2, 30, 20),
+    # x = (0, 1!, 2!, ...) for the ultrametrics, (0, 1, 1, ...) for the mobiles
+    @pytest.mark.parametrize("family, m, x, length, changed", [
+        ("ultrametrics", 8, [0] + [math.factorial(i) for i in range(1, 40)], 40, 30),
+        ("mobiles", 5, [0] + [1] * 29, 30, 20),
     ], ids=["ultrametrics", "mobiles"])
     def test_long_bfile_from_the_alternating_sum(
-        self, capsys, tmp_path, family, m, seq, length, changed
+        self, capsys, tmp_path, family, m, x, length, changed
     ):
-        values = [alternating_bell_poly(s, seq).eval_at(m) for s in range(1, length + 1)]
+        values = [p.eval_at(m) for p in alternating_bell_polys(length, x)]
         check_long_bfile(capsys, tmp_path, family, m, values, changed)
 
     @pytest.mark.parametrize("family, m, changed", [
@@ -538,9 +537,12 @@ class TestVerify:
 
 
     def test_missing_bfile(self, capsys):
-        # the OS words this one; match a stable part of it
-        assert ("No such file or directory: '/no/such/file'"
-                in usage_error(capsys, "verify", "unlabeled", "--bfile", "/no/such/file"))
+        assert (usage_error(capsys, "verify", "unlabeled", "--bfile", "/no/such/file")
+                == f"cannot read /no/such/file: {os.strerror(errno.ENOENT)}")
+
+    def test_directory_bfile(self, capsys, tmp_path):
+        assert (usage_error(capsys, "verify", "unlabeled", "--bfile", str(tmp_path))
+                == f"cannot read {tmp_path}: {os.strerror(errno.EISDIR)}")
 
 
 def cli_process(argv, **kwargs):

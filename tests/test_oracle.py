@@ -1,7 +1,9 @@
-"""Cross-checks between the formula-based counters and the brute-force
-enumeration oracles at sizes small enough to enumerate exhaustively."""
+"""The brute-force enumeration oracles at a few values of their own (the
+acceptance criteria check them against the formula modules); the labeled
+prefix recurrences against the paper's alternating Bell sums, the chain
+recurrence and sympy's series reversion; and refined_polys against the
+paper's divisor-sum Bell recurrence."""
 
-from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -15,24 +17,17 @@ from seriesforge.labeled import (
     ultrametric_counts,
 )
 from seriesforge.oracle import (
-    alternating_bell_poly,
-    assoc_stirling2,
+    alternating_bell_polys,
     chain_increasing_recurrence,
-    derangement_count,
     enum_chain_increasing,
     enum_labeled_trees,
     enum_mobiles,
     enum_ultrametrics,
     refined_polys_bell,
-    refined_polys_substituted,
     set_partitions,
 )
 from seriesforge.rings import PolyVar
-from seriesforge.unlabeled import (
-    multipartite_unlabeled_counts,
-    refined_polys,
-    unlabeled_counts,
-)
+from seriesforge.unlabeled import refined_polys
 
 
 def test_set_partitions_counts_are_bell_numbers():
@@ -62,74 +57,37 @@ class TestMobileOracle:
         assert enum_mobiles(5, 1) == 24
 
 
-def substituted_multipartite(up_to_s, m):
-    """m r_s(m - 1) from the substitution route, r_s = a_s / t."""
-    polys = refined_polys_substituted(up_to_s)
-    return [m * 0 + 1] + [m * p.shift_down().eval_at(m - 1) for p in polys[1:]]
-
-
-@lru_cache(maxsize=None)
-def substituted_polynomials_in_m(up_to_s):
-    return substituted_multipartite(up_to_s, PolyVar.gen("m"))
-
-
-class TestUnlabeledLevelTable:
-    """The level table behind the unlabeled families, over the integers and
-    over Z[m], against the substitution route to the refinement
-    polynomials evaluated at the same point."""
-
-    def test_unlabeled_counts_match_refined_polys(self):
-        assert unlabeled_counts(60) == [p.eval_at(1) for p in refined_polys_substituted(60)]
-
-    @pytest.mark.parametrize("m", range(1, 9))
-    def test_multipartite_counts_match_refined_polys(self, m):
-        assert multipartite_unlabeled_counts(40, m) == substituted_multipartite(40, m)
-
-    def test_polynomials_in_m_match_refined_polys(self):
-        m = PolyVar.gen("m")
-        assert multipartite_unlabeled_counts(30, m) == substituted_multipartite(30, m)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 25), st.integers(9, 10 ** 6))
-    def test_many_colors_match_polynomial_in_m(self, s, m):
-        # large m makes the deep levels a_n(t0^j) big
-        want = substituted_polynomials_in_m(25)[s - 1].eval_at(m)
-        assert multipartite_unlabeled_counts(s, m)[-1] == want
-
-
 class TestChainIncreasingOracle:
     def test_example(self):
         assert enum_chain_increasing(3, 1) == 8
 
 
+# each labeled prefix beside its alternating sum, p_s for s = 1..20: x =
+# (0, 1!, 2!, ...) for the ultrametrics, (0, 1, 1, ...) for the mobiles
+PAPER_ROUTES = [
+    (ultrametric_counts, alternating_bell_polys(20, [0] + [factorial(i) for i in range(1, 20)])),
+    (mobile_counts, alternating_bell_polys(20, [0] + [1] * 19)),
+]
+ROUTE_IDS = ["ultrametric_counts-derangement_count", "mobile_counts-assoc_stirling2"]
+
+
 class TestPaperFormulaOracles:
     """The prefix recurrences against the paper's formula routes."""
 
-    @pytest.mark.parametrize("counts, seq", [
-        (ultrametric_counts, derangement_count),
-        (mobile_counts, assoc_stirling2),
-    ])
-    def test_integer_prefix_matches_alternating_sum(self, counts, seq):
-        polys = [alternating_bell_poly(s, seq) for s in range(1, 21)]
+    @pytest.mark.parametrize("counts, polys", PAPER_ROUTES, ids=ROUTE_IDS)
+    def test_integer_prefix_matches_alternating_sum(self, counts, polys):
         for m in range(1, 9):
             assert counts(20, m) == [p.eval_at(m) for p in polys], f"m={m}"
 
-    @pytest.mark.parametrize("counts, seq", [
-        (ultrametric_counts, derangement_count),
-        (mobile_counts, assoc_stirling2),
-    ])
-    def test_polynomial_prefix_matches_alternating_sum(self, counts, seq):
-        polys = counts(12, PolyVar.gen("m"))
-        for s in range(1, 13):
-            assert polys[s - 1] == alternating_bell_poly(s, seq), f"s={s}"
+    @pytest.mark.parametrize("counts, polys", PAPER_ROUTES, ids=ROUTE_IDS)
+    def test_polynomial_prefix_matches_alternating_sum(self, counts, polys):
+        assert counts(12, PolyVar.gen("m")) == polys[:12]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 20), st.integers(9, 10 ** 6))
     def test_many_colors_match_paper_routes(self, s, m):
-        for counts, seq in ((ultrametric_counts, derangement_count),
-                            (mobile_counts, assoc_stirling2)):
-            want = [alternating_bell_poly(k, seq).eval_at(m) for k in range(1, s + 1)]
-            assert counts(s, m) == want
+        for counts, polys in PAPER_ROUTES:
+            assert counts(s, m) == [p.eval_at(m) for p in polys[:s]]
         assert chain_increasing_counts(s, m) == chain_increasing_recurrence(s, m)
 
     def test_refined_polys_match_bell_recurrence(self):

@@ -1,8 +1,9 @@
-from itertools import accumulate, repeat
-from operator import mul
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from seriesforge.oracle import refined_polys_substituted
 from seriesforge.rings import PolyVar
 from seriesforge.unlabeled import (
     _exact,
@@ -10,70 +11,66 @@ from seriesforge.unlabeled import (
     fully_colored_unlabeled_counts,
     multipartite_unlabeled_counts,
     refined_polys,
+    unlabeled_counts,
 )
 
 M = PolyVar.gen("m")
 T = PolyVar.gen("t")
 
 
-def plain_transform(up_to_s, t0):
-    """[r_2(t0), ..., r_S(t0)] with r_n = a_n / t, from the plain Euler
-    transform, n full products per step: with B = MSET(A) = sum b_n x^n and
-    c_n = sum_{d | n} d a_d(t^{n/d}), n b_n = sum_{j=1..n} c_j b_{n-j}; the
-    j = n term holds n a_n, so r_n = b_n - a_n needs only smaller sizes,
-    a_n = t r_n and b_n = a_n + r_n.  Level j holds a_n(t0^j)."""
-    proper_divisors = [[] for _ in range(up_to_s + 1)]
-    for d in range(1, up_to_s // 2 + 1):
-        for n in range(2 * d, up_to_s + 1, d):
-            proper_divisors[n].append(d)
-    one = t0 * 0 + 1
-    powers = list(accumulate(repeat(t0, up_to_s), mul))
-    one_level = t0 in (0, 1)
-    levels = [None] * (up_to_s + 1)
-    for j in range(1 if one_level else up_to_s, 0, -1):
-        x, a, b, c, r = powers[j - 1], [0, one], [one, one], [0, one], []
-        levels[j] = a
-        if one_level:
-            levels = [a] * (up_to_s + 1)
-        for n in range(2, up_to_s // j + 1):
-            c_short = sum(d * levels[j * n // d][d] for d in proper_divisors[n])
-            total = c_short + sum(map(mul, c[1:n], b[n - 1:0:-1]))
-            q = total // n
-            assert q * n == total
-            a.append(x * q)
-            b.append(a[n] + q)
-            c.append(c_short + n * a[n])
-            r.append(q)
-    return r
+@lru_cache(maxsize=None)
+def reduced_polys():
+    """[r_2, ..., r_60], r_s = a_s / t, by the substitution route."""
+    return [p.shift_down() for p in refined_polys_substituted(60)[1:]]
+
+
+def by_substitution(up_to_s, point, scale):
+    """[1, scale r_2(point), ..., scale r_S(point)]: the level table's
+    a_s(t0) at point = scale = t0, multipartite m r_s(m - 1) at point =
+    m - 1 and scale = m."""
+    return [scale * 0 + 1] + [scale * r.eval_at(point) for r in reduced_polys()[:up_to_s - 1]]
 
 
 class TestLevelTable:
-    """The paired level table against the plain transform, a = t0 r: every
-    S, so that every step n from 2 on, the odd and the even middles and
-    every cut of the levels are covered."""
+    """The paired level table against the substitution route: every S,
+    so that every step n from 2 on, the odd and the even middles and every
+    cut of the levels are covered."""
 
     @pytest.mark.parametrize("t0", [0, 1, 2, 7])
     def test_int_points(self, t0):
+        want = by_substitution(60, t0, t0)
         for s in range(1, 61):
-            assert _level_values(s, t0) == [1] + [t0 * r for r in plain_transform(s, t0)], s
+            assert _level_values(s, t0) == want[:s], s
+        if t0 == 1:
+            assert unlabeled_counts(60) == want
 
     @pytest.mark.parametrize("t0", [T, M - 1], ids=["t", "m-1"])
     def test_polynomial_points(self, t0):
+        want = by_substitution(25, t0, t0)
         for s in range(1, 26):
-            want = [t0 * 0 + 1] + [t0 * r for r in plain_transform(s, t0)]
-            assert _level_values(s, t0) == want, s
+            assert _level_values(s, t0) == want[:s], s
 
     def test_multipartite_one_color_is_the_star(self):
         # the table vanishes at t0 = 0 beyond one leaf; r_s(0) = 1
         for s in range(1, 26):
-            assert multipartite_unlabeled_counts(s, 1) == [1] + plain_transform(s, 0)
+            assert multipartite_unlabeled_counts(s, 1) == by_substitution(s, 0, 1)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_multipartite_counts_match_refined_polys(self, m):
+        assert multipartite_unlabeled_counts(40, m) == by_substitution(40, m - 1, m)
 
     @pytest.mark.parametrize("m", [M, 2 * M + 3, PolyVar([1], "m"), PolyVar([5], "m")],
                              ids=["m", "2m+3", "const 1", "const 5"])
     def test_multipartite_polynomials_in_m(self, m):
-        for s in range(1, 26):
-            want = [m * 0 + 1] + [m * r for r in plain_transform(s, m - 1)]
-            assert multipartite_unlabeled_counts(s, m) == want, s
+        want = by_substitution(30, m - 1, m)
+        for s in (*range(1, 26), 30):
+            assert multipartite_unlabeled_counts(s, m) == want[:s], s
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 25), st.integers(9, 10 ** 6))
+    def test_many_colors_match_polynomial_in_m(self, s, m):
+        # large m makes the deep levels a_n(t0^j) big
+        assert multipartite_unlabeled_counts(s, m) == by_substitution(s, m - 1, m)
 
     def test_exact_division(self):
         assert _exact(-6, 3) == -2
