@@ -41,8 +41,9 @@ class TestLevelTable:
         want = by_substitution(60, t0, t0)
         for s in range(1, 61):
             assert _level_values(s, t0) == want[:s], s
-        if t0 == 1:
-            assert unlabeled_counts(60) == want
+
+    def test_unlabeled_counts_match_refined_polys(self):
+        assert unlabeled_counts(60) == by_substitution(60, 1, 1)
 
     @pytest.mark.parametrize("t0", [T, M - 1], ids=["t", "m-1"])
     def test_polynomial_points(self, t0):
@@ -62,9 +63,13 @@ class TestLevelTable:
     @pytest.mark.parametrize("m", [M, 2 * M + 3, PolyVar([1], "m"), PolyVar([5], "m")],
                              ids=["m", "2m+3", "const 1", "const 5"])
     def test_multipartite_polynomials_in_m(self, m):
-        want = by_substitution(30, m - 1, m)
-        for s in (*range(1, 26), 30):
+        want = by_substitution(25, m - 1, m)
+        for s in range(1, 26):
             assert multipartite_unlabeled_counts(s, m) == want[:s], s
+
+    def test_polynomials_in_m_match_refined_polys(self):
+        for m in (M, 2 * M + 3, PolyVar([1], "m"), PolyVar([5], "m")):
+            assert multipartite_unlabeled_counts(30, m) == by_substitution(30, m - 1, m), m
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 25), st.integers(9, 10 ** 6))
