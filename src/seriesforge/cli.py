@@ -246,10 +246,10 @@ def _p_record(m: int, order: int, series: list):
 
 
 def parse_bfile(path: str):
-    """OEIS b-file: '#' comment lines, then 'index value' per line, with
-    strictly increasing indices."""
+    """OEIS b-file, UTF-8 text: '#' comment lines, then 'index value' per
+    line, with strictly increasing indices."""
     entries = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -271,6 +271,8 @@ def cmd_verify(args):
     """Compare computed values against a b-file over its index range."""
     try:
         entries = parse_bfile(args.bfile)
+    except UnicodeDecodeError as exc:   # a ValueError, but about the file, not a line
+        raise UsageError(f"cannot read {args.bfile}: {exc}")
     except ValueError as exc:
         raise UsageError(str(exc))
     except OSError as exc:

@@ -11,17 +11,17 @@ ultrametric and mobile counts.  Each counting family has
 one function, its prefix for s = 1..up_to_s: an int m gives the counts,
 and the PolyVar m gives the ultrametric, fully-colored, mobile and
 chain-increasing counts as polynomials in the number of colors.  All read
-one prefix recurrence, _reduced, for r_s = a_s(m)/m: at m for the
-ultrametrics, fully-colored trees and processes (m = 3), at m + 1 for the
+one prefix, _reduced, for r_s = a_s(m)/m: at m for the ultrametrics,
+fully-colored trees and processes (m = 3), at m + 1 for the
 chain-increasing trees and at 1 - m for the mobiles.  It reads the
 alternating derangement sum a_s(m) = (-1)^(s-1) sum_k (-m)^k d(s+k-1, k),
-d(n, k) the associated Stirling numbers of the first kind, one row of
-d(n+1, k) = n d(n, k) + n d(n-1, k-1) at a time with the powers of -m
-folded in.  It is checked against the oracle module's Lagrange
-inversion over Z[m] (ultrametric_series_polynomials here is a pointer to
-it, which the benchmark imports), mobile series inversion, chain
-recurrence, alternating sums and integral relation, and against the ODE
-recurrence of the tests.
+d(n, k) the associated Stirling numbers of the first kind, from one m-free
+table of d(n+1, k) = n d(n, k) + n d(n-1, k-1) over plain ints, a row at
+a time, each row evaluated at the point.  It is checked against the oracle
+module's Lagrange inversion over Z[m] (ultrametric_series_polynomials here
+is a pointer to it, which the benchmark imports), mobile series inversion,
+chain recurrence, alternating sums and integral relation, and against the
+ODE recurrence of the tests.
 """
 
 from __future__ import annotations
@@ -111,23 +111,18 @@ def _reduced(up_to_s: int, m) -> list:
 
     a_s(m) = (-1)^(s-1) sum_k (-m)^k d(s+k-1, k), with d(n, k) the
     derangements of n by k cycles (the associated Stirling numbers of the
-    first kind), and d(n+1, k) = n d(n, k) + n d(n-1, k-1).  With the point
-    folded in, E(j, k) = (-m)^(k-1) d(j+k, k) for k = 1..j runs the row
-    recurrence E(j+1, k) = (j+k) (E(j, k) - m E(j, k-1)) from E(1, .) = [1],
-    and r_{j+1} = (-1)^(j+1) sum_k E(j, k).  Each entry is a small-int
-    multiple, one product with the point and one sum, and nothing divides,
-    so the point may be any int or PolyVar, 1 - m = 0 included.
+    first kind), and d(n+1, k) = n d(n, k) + n d(n-1, k-1).  The table
+    F(j, k) = d(j+k, k), k = 1..j, does not depend on m: F(j+1, k) =
+    (j+k) (F(j, k) + F(j, k-1)) from F(1, .) = [1].  Its rows are kept
+    signed, over plain ints, as G(j, k) = (-1)^(j+k) F(j, k), so G(j+1, k) =
+    (j+k) (G(j, k-1) - G(j, k)), and r_{j+1}(x) = sum_k G(j, k) x^(k-1) is
+    the one row evaluated at the point, an int or a PolyVar (at the bare
+    variable, the row itself): the point enters nothing else.
     """
-    q = -m
-    zero = q * 0
-    row = [zero + 1]                    # E(1, 1) = d(2, 1) = 1
-    out = []
+    row, out = [1], []                  # G(1, 1) = d(2, 1) = 1
     for j in range(1, up_to_s):
-        r = sum(row)
-        out.append(r if j % 2 else -r)
-        row.append(zero)                # E(j, j+1) = 0; E(j, 0) = 0 below
-        row = [(j + k) * (e + q * f)
-               for k, e, f in zip(range(1, j + 2), row, [zero] + row)]
+        out.append(PolyVar(row).eval_at(m))
+        row = [(j + k) * (f - e) for k, e, f in zip(range(1, j + 2), row + [0], [0] + row)]
     return out
 
 

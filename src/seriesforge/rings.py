@@ -174,7 +174,10 @@ class PolyVar:
         return PolyVar(out, self.var)
 
     def eval_at(self, point):
-        """Exact Horner evaluation."""
+        """Exact Horner evaluation; at the bare variable of a PolyVar, self
+        named by that variable."""
+        if isinstance(point, PolyVar) and point.coeffs == (0, 1):
+            return PolyVar(self.coeffs, point.var)
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * point + c

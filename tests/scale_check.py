@@ -6,8 +6,8 @@ against an independent route, modulo primes below 2^61.
 runs `python -m seriesforge.cli gf P --m 8 --order 9` in this environment
 and prints the arguments, the seconds and the peak RSS of its child in MiB
 (on Linux a child's peak starts at this process's, about 15 MiB).
-It exits 1 with one line on stderr if the run exits non-zero, takes more
-than TIME_LIMIT_S, peaks above RSS_LIMIT_MIB or prints a wrong value.
+It exits 1 with one line on stderr if the run exits non-zero, is killed
+at TIME_LIMIT_S, peaks above RSS_LIMIT_MIB or prints a wrong value.
 pytest does not collect it; tests/test_scale_check.py tests it.  The
 routes are written here afresh, over the integers mod p, and share no code
 with the package:
@@ -27,10 +27,11 @@ with the package:
   ultrametric and the mobile count from the ODE convolution, and each P_s
   at random x_{c,k} mod 2^61 - 1 against the root-colour system.  A
   failure names the seed of its point;
-- `polynomials FAMILY --s S` runs no CLI but FAMILY(S, PolyVar.gen("m")) in
-  this process, and reads each polynomial at a random m mod 2^61 - 1
-  against the ODE convolution at m, 1 - m or m + 1, the Euler transform at
-  m - 1, or (m - 1)^s times one of those.  A failure names its m.
+- `polynomials FAMILY --s S` runs no CLI but a child that prints
+  FAMILY(S, PolyVar.gen("m")) as one JSON list of coefficients a line, and
+  reads each polynomial at a random m mod 2^61 - 1 against the ODE
+  convolution at m, 1 - m or m + 1, the Euler transform at m - 1, or
+  (m - 1)^s times one of those.  A failure names its m.
 
 Weights of 1 and (k - 1)! treat every colour alike, so they cannot see a
 colour-relabelled term, and fixed points miss a change that vanishes there,
@@ -51,7 +52,6 @@ import time
 from math import prod
 from operator import mul
 
-from seriesforge import PolyVar
 from seriesforge.cli import FAMILIES
 
 PRIMES = (2 ** 61 - 1, 2 ** 61 - 31)
@@ -65,6 +65,19 @@ FULLY_COLORED = {"fully-colored-labeled": "ultrametrics",
                  "fully-colored-unlabeled": "multipartite-unlabeled"}
 # the families that take --m, whose prefix also takes PolyVar.gen("m")
 POLYNOMIAL_FAMILIES = [family for family, row in FAMILIES.items() if row[1]]
+# the child of `polynomials FAMILY --s S`: FAMILY(S, PolyVar.gen("m")), one
+# JSON list of coefficients per line, lowest degree first, so that no more
+# than one polynomial's text is held at once
+POLYNOMIALS = """\
+import json, sys
+from seriesforge import PolyVar
+from seriesforge.cli import FAMILIES
+if hasattr(sys, "set_int_max_str_digits"):
+    sys.set_int_max_str_digits(0)
+polys = FAMILIES[sys.argv[1]][0](int(sys.argv[2]), PolyVar.gen("m"))
+for p in polys:
+    print(json.dumps(list(p.coeffs)))
+"""
 
 
 def euler_transform(size, t0, p):
@@ -262,23 +275,27 @@ def check_p(args, text):
     return problem and f"gf P {problem}"
 
 
-def check_polynomials(args, polys):
-    """polys are FAMILY(S, PolyVar.gen("m")), read at one random m mod PRIME."""
+def check_polynomials(args, text):
+    """text is the child's lines of coefficients, read at one random m mod PRIME."""
+    try:
+        polys = [json.loads(line) for line in text.splitlines()]
+    except ValueError as exc:
+        return f"a line that is not JSON: {exc}"
     if len(polys) != args.s:
         return f"{len(polys)} polynomials, not {args.s}"
     m = random.randrange(2, PRIME)
     want = expected_prefix(args.family, args.s, m, PRIME)
     for s, (poly, expected) in enumerate(zip(polys, want), start=1):
         value = 0
-        for c in reversed(poly.coeffs):
+        for c in reversed(poly):
             value = (value * m + c) % PRIME
         if value != expected:
             return f"polynomials {args.family} s = {s} at m = {m}: {value} != {expected} mod {PRIME}"
     return None
 
 
-# each takes the parsed arguments and the CLI's stdout, or the polynomials of a
-# `polynomials` run, and returns None or a line naming what is wrong
+# each takes the parsed arguments and the child's stdout and returns None or a
+# line naming what is wrong
 CHECKS = {"count": check_count, "table": check_triangle, "gf": check_p,
           "polynomials": check_polynomials}
 
@@ -311,6 +328,14 @@ def parse(argv):
     return args
 
 
+def command(args, argv):
+    """The child's command line: the CLI with the run's arguments, or the
+    POLYNOMIALS program for a `polynomials` run."""
+    if args.command == "polynomials":
+        return [sys.executable, "-c", POLYNOMIALS, args.family, str(args.s)]
+    return [sys.executable, "-m", "seriesforge.cli", *argv]
+
+
 def main(argv=None):
     if hasattr(sys, "set_int_max_str_digits"):
         # the labeled counts at s = 1500 pass Python's 4300-digit default
@@ -319,27 +344,21 @@ def main(argv=None):
     args = parse(argv)
     run = " ".join(argv)
     start = time.perf_counter()
-    if args.command == "polynomials":           # in this process: its time is read at the end
-        output, code, who = FAMILIES[args.family][0](args.s, PolyVar.gen("m")), 0, resource.RUSAGE_SELF
-    else:
-        try:
-            done = subprocess.run([sys.executable, "-m", "seriesforge.cli", *argv],
-                                  stdout=subprocess.PIPE, text=True, timeout=TIME_LIMIT_S)
-        except subprocess.TimeoutExpired:
-            print(f"scale check failed: {run} took over {TIME_LIMIT_S} s", file=sys.stderr)
-            return 1
-        output, code, who = done.stdout, done.returncode, resource.RUSAGE_CHILDREN
+    try:
+        done = subprocess.run(command(args, argv), stdout=subprocess.PIPE, text=True,
+                              timeout=TIME_LIMIT_S)
+    except subprocess.TimeoutExpired:
+        print(f"scale check failed: {run} took over {TIME_LIMIT_S} s", file=sys.stderr)
+        return 1
     seconds = time.perf_counter() - start
-    mib = resource.getrusage(who).ru_maxrss / 1024          # KiB on Linux
+    mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024     # KiB on Linux
     print(f"{run}: {seconds:.2f} s, {mib:.1f} MiB", flush=True)
-    if code:
-        problem = f"exited {code}"
-    elif seconds > TIME_LIMIT_S:
-        problem = f"took {seconds:.1f} s, over {TIME_LIMIT_S} s"
+    if done.returncode:
+        problem = f"exited {done.returncode}"
     elif mib > RSS_LIMIT_MIB:
         problem = f"peaked at {mib:.1f} MiB RSS, above {RSS_LIMIT_MIB} MiB"
     else:
-        problem = CHECKS[args.command](args, output)
+        problem = CHECKS[args.command](args, done.stdout)
     if problem:
         print(f"scale check failed: {run}: {problem}", file=sys.stderr)
         return 1

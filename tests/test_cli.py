@@ -478,6 +478,13 @@ class TestVerify:
         assert (usage_error(capsys, "verify", "unlabeled", "--bfile", str(bf))
                 == f"{bf}:2: malformed line 'not a line'")
 
+    def test_bfile_that_is_not_utf8_usage_error(self, capsys, tmp_path):
+        bf = tmp_path / "b.txt"
+        bf.write_bytes(b"\xff\xfe1 1\n")
+        assert (usage_error(capsys, "verify", "unlabeled", "--bfile", str(bf))
+                == f"cannot read {bf}: 'utf-8' codec can't decode byte 0xff"
+                   " in position 0: invalid start byte")
+
     @pytest.mark.parametrize("text", ["", "# comments only\n", "0 1\n", "# c\n-1 5\n0 1\n"])
     def test_bfile_without_entries_usage_error(self, capsys, tmp_path, text):
         bf = tmp_path / "b.txt"

@@ -159,16 +159,20 @@ class TestUltrametrics:
         for m in range(1, 9):
             assert [p.eval_at(m) for p in polys] == ultrametric_counts(8, m)
 
+    def test_polynomials_keep_the_name_of_their_variable(self):
+        # equality ignores the name, so only the repr sees a lost one
+        assert repr(ultrametric_counts(3, PolyVar.gen("k"))[-1]) == "-2*k + 3*k^2"
+
     def test_series_inversion_route_agrees(self):
         assert ultrametric_series_polynomials(8) == ultrametric_counts(8, M)
 
     @pytest.mark.parametrize("m, up_to_s", [
         (1, 300), (2, 300), (3, 300), (8, 300),
-        (M, 30), (M + 1, 30), (1 - M, 30),
-    ], ids=["1", "2", "3", "8", "m", "m+1", "1-m"])
+        (M, 30), (M + 1, 30), (1 - M, 30), (2 * M + 3, 30),
+    ], ids=["1", "2", "3", "8", "m", "m+1", "1-m", "2m+3"])
     def test_folded_sum_matches_the_full_sum(self, m, up_to_s):
-        # ODE recurrence vs production: the derangement rows with the
-        # point folded in give the counts the full convolution gives
+        # ODE recurrence vs production: the m-free derangement rows, each
+        # evaluated at the point, give the counts the full convolution gives
         assert ultrametric_counts(up_to_s, m) == [m * 0 + 1] + [
             m * r for r in ode_reduced(up_to_s, m)]
 

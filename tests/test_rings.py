@@ -30,6 +30,14 @@ class TestPolyVar:
         q = PolyVar([-1, 1], "m")    # m - 1
         assert p.compose(q) == PolyVar([1, -2, 1], "m")
 
+    @pytest.mark.parametrize("coeffs", [[], [5], [1, -2, 1], [0, 3, 0, -7]])
+    def test_eval_at_the_bare_variable_is_the_polynomial_named_by_it(self, coeffs):
+        # equality ignores the name, so the repr checks that it is kept
+        p, k = PolyVar(coeffs, "t"), PolyVar.gen("k")
+        horner = sum((c * k ** i for i, c in enumerate(coeffs)), PolyVar([], "k"))
+        assert p.eval_at(k) == p.compose(k) == horner
+        assert repr(p.eval_at(k)) == repr(p.compose(k)) == repr(horner)
+
     def test_pow_examples(self):
         m = PolyVar.gen("m")
         assert (m - 1) ** 2 == PolyVar([1, -2, 1], "m")
