@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import labeled, reference, unlabeled
@@ -247,7 +248,8 @@ def _p_record(m: int, order: int, series: list):
 
 def parse_bfile(path: str):
     """OEIS b-file, UTF-8 text: '#' comment lines, then 'index value' per
-    line, with strictly increasing indices."""
+    line, both decimal integers (an optional minus sign and ASCII digits),
+    with strictly increasing indices."""
     entries = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -257,10 +259,9 @@ def parse_bfile(path: str):
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: malformed line {line!r}")
-            try:
-                idx, val = int(parts[0]), int(parts[1])
-            except ValueError:
+            if not all(re.fullmatch(r"-?[0-9]+", part) for part in parts):
                 raise ValueError(f"{path}:{lineno}: non-integer entry {line!r}")
+            idx, val = map(int, parts)
             if entries and idx <= entries[-1][0]:
                 raise ValueError(f"{path}:{lineno}: indices not strictly increasing")
             entries.append((idx, val))

@@ -86,11 +86,12 @@ def _level_values(up_to_s: int, t0) -> list:
     return levels[1][1:up_to_s + 1]
 
 
-def _exact(value, n: int):
-    """value / n, which the Euler transform makes exact."""
+def _exact(value, n):
+    """value / n, which the Euler transform makes exact, as the factor t
+    of every a_s beyond one leaf makes the division by t0 = m - 1."""
     q = value // n
     if q * n != value:
-        raise ArithmeticError(f"Euler transform not integral at n={n}")
+        raise ArithmeticError(f"level table value not divisible by {n}")
     return q
 
 
@@ -115,7 +116,7 @@ def multipartite_unlabeled_counts(up_to_s: int, m) -> list:
     if m == 1:
         return [m * 0 + 1] * up_to_s
     t0 = m - 1
-    return [m * 0 + 1] + [m * (a // t0) for a in _level_values(up_to_s, t0)[1:]]
+    return [m * 0 + 1] + [m * _exact(a, t0) for a in _level_values(up_to_s, t0)[1:]]
 
 
 def fully_colored_unlabeled_counts(up_to_s: int, m) -> list:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from seriesforge import reference
-from seriesforge.cli import FAMILIES, _p_record, main, parse_bfile
+from seriesforge.cli import FAMILIES, _p_record, main
 from seriesforge.labeled import (
     fully_colored_labeled_counts,
     mobile_counts,
@@ -452,8 +452,7 @@ def test_unlabeled_stdout_bytes_are_pinned(capsys, argv):
 class TestVerify:
     def test_bundled_bfile_ok(self, capsys):
         code, out, _ = run(capsys, "verify", "unlabeled", "--bfile", BFILE)
-        assert code == 0
-        assert out.strip().startswith("OK")
+        assert (code, out) == (0, "OK (10 entries)\n")
 
     def test_with_m(self, capsys, tmp_path):
         bf = tmp_path / "b.txt"
@@ -472,11 +471,19 @@ class TestVerify:
         assert "mismatch at index 4" in out
         assert "verification failed" in err
 
-    def test_corrupted_bfile_usage_error(self, capsys, tmp_path):
+    # each entry is an optional minus sign and ASCII digits; int() alone
+    # would read 1_2 and the fullwidth digits as 12, the fifth count
+    @pytest.mark.parametrize("text, message", [
+        ("1 1\nnot a line\n", "2: malformed line 'not a line'"),
+        ("1 one\n", "1: non-integer entry '1 one'"),
+        ("1 1\n2 1\n3 2\n4 5\n5 1_2\n", "5: non-integer entry '5 1_2'"),
+        ("1 1\n2 1\n3 2\n4 5\n5 \uff11\uff12\n", "5: non-integer entry '5 \uff11\uff12'"),
+        ("2 1\n1 1\n", "2: indices not strictly increasing"),
+    ], ids=["malformed", "non-integer", "underscore", "fullwidth", "non-increasing"])
+    def test_corrupted_bfile_usage_error(self, capsys, tmp_path, text, message):
         bf = tmp_path / "b.txt"
-        bf.write_text("1 1\nnot a line\n")
-        assert (usage_error(capsys, "verify", "unlabeled", "--bfile", str(bf))
-                == f"{bf}:2: malformed line 'not a line'")
+        bf.write_text(text, encoding="utf-8")
+        assert usage_error(capsys, "verify", "unlabeled", "--bfile", str(bf)) == f"{bf}:{message}"
 
     def test_bfile_that_is_not_utf8_usage_error(self, capsys, tmp_path):
         bf = tmp_path / "b.txt"
@@ -617,22 +624,3 @@ class TestOutputPath:
 
     def test_closed_pipe_during_gf_p(self):
         self.assert_stdout_error(self.to_closed_pipe(GF_P), errno.EPIPE)
-
-
-class TestParseBfile:
-    def test_parses_comments_and_entries(self):
-        entries = parse_bfile(BFILE)
-        assert entries[0] == (1, 1)
-        assert entries[-1] == (10, 2312)
-
-    def test_rejects_non_increasing(self, tmp_path):
-        bf = tmp_path / "b.txt"
-        bf.write_text("2 1\n1 1\n")
-        with pytest.raises(ValueError):
-            parse_bfile(str(bf))
-
-    def test_rejects_non_integer(self, tmp_path):
-        bf = tmp_path / "b.txt"
-        bf.write_text("1 one\n")
-        with pytest.raises(ValueError):
-            parse_bfile(str(bf))

@@ -32,91 +32,67 @@ CLI_RUNS = [
     ["verify", "unlabeled", "--bfile", BFILE],
 ]
 
-# runs the CLI in a fresh interpreter, then prints, as its last line, the
-# exit codes, the modules loaded and the module that defines each exported
-# name (a name that does not resolve fails the getattr)
+# modules a plain-format count, table or verify run, or a gf P run, does
+# not need: the ring contract, its dataclass series type, QQ and Fraction
+# live in the test-support egf.py, csv and json are imported only where
+# the csv or json format is written, and gf P writes its JSON text itself
+STARTUP_HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "csv", "json", "typing"}
+
+# snapshots sys.modules, which then holds what the interpreter loads on its
+# own (`site` and its .pth files included), runs the CLI and prints, as its
+# last line, one JSON record: the exit codes, the modules the runs added
+# and the module that defines each exported name (a name that does not
+# resolve fails the getattr); json is imported once the runs are done
 PROBE = """
-import json, sys
+import sys
+before = set(sys.modules)
 from seriesforge.cli import main
-codes = [main(argv) for argv in json.loads(sys.argv[1])]
-import seriesforge
+codes = [main(argv) for argv in %r]
+added = sorted(set(sys.modules) - before)
+import json, seriesforge
 print(json.dumps({
     "codes": codes,
-    "modules": sorted(sys.modules),
+    "added": added,
     "exports": {n: getattr(getattr(seriesforge, n), "__module__", None)
                 for n in seriesforge.__all__},
 }))
 """
 
 
-@pytest.fixture(scope="module")
-def probe():
-    env = dict(os.environ, PYTHONPATH=SRC)
+def _probe(runs) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(CLI_RUNS)],
-        capture_output=True, text=True, env=env, check=True,
+        [sys.executable, "-c", PROBE % (runs,)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), check=True,
     )
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0] * len(CLI_RUNS)
-    # what the interpreter loads on its own, `site` and its .pth files included
-    bare = subprocess.run(
-        [sys.executable, "-c", "import sys; print(*sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    report["bare"] = bare.stdout.split()
+    assert report["codes"] == [0] * len(runs)
+    assert "seriesforge.cli" in report["added"]
     return report
 
 
-# modules a plain-format count, table or verify run, or a gf P run, does
-# not need: the ring contract, its dataclass series type, QQ and Fraction
-# live in the test-support egf.py, csv and json are imported only where the csv or json format is
-# written, and gf P writes its JSON text itself
-STARTUP_HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "csv", "json", "typing"}
-
-# snapshots sys.modules before it imports anything, then prints, as its
-# last line, the exit codes and the modules the CLI runs added
-STARTUP_PROBE = """
-import sys
-before = set(sys.modules)
-from seriesforge.cli import main
-codes = [main(argv) for argv in %r]
-print((codes, sorted(set(sys.modules) - before)))
-"""
+@pytest.fixture(scope="module")
+def probe():
+    return _probe(CLI_RUNS)
 
 
-def _modules_added_by(runs) -> list:
-    proc = subprocess.run(
-        [sys.executable, "-c", STARTUP_PROBE % (runs,)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), check=True,
-    )
-    codes, added = ast.literal_eval(proc.stdout.splitlines()[-1])
-    assert codes == [0] * len(runs)
-    assert "seriesforge.cli" in added
-    return added
-
-
-def test_plain_cli_runs_load_no_heavy_module():
-    added = _modules_added_by([argv for argv in CLI_RUNS if argv[0] in ("count", "table", "verify")])
-    assert STARTUP_HEAVY.isdisjoint(added), STARTUP_HEAVY.intersection(added)
+def test_plain_cli_runs_load_no_heavy_module(probe):
+    assert STARTUP_HEAVY.isdisjoint(probe["added"]), STARTUP_HEAVY.intersection(probe["added"])
 
 
 def test_symbolic_gf_p_run_loads_no_heavy_module():
-    added = _modules_added_by([["gf", "P", "--spec", "symbolic", "--m", "3", "--order", "8"]])
+    added = _probe([["gf", "P", "--spec", "symbolic", "--m", "3", "--order", "8"]])["added"]
     assert STARTUP_HEAVY.isdisjoint(added), STARTUP_HEAVY.intersection(added)
 
 
 def test_cli_run_stays_inside_production(probe):
-    assert "seriesforge.egf" not in probe["modules"]
-    assert "seriesforge.oracle" not in probe["modules"]
+    assert "seriesforge.egf" not in probe["added"]
+    assert "seriesforge.oracle" not in probe["added"]
     for name, module in probe["exports"].items():
         assert module not in ("seriesforge.egf", "seriesforge.oracle"), name
 
 
 def test_cli_run_loads_nothing_outside_the_standard_library(probe):
-    def top(modules):
-        return {m.split(".")[0] for m in modules}
-
-    extra = top(probe["modules"]) - top(probe["bare"]) - {"seriesforge"}
+    extra = {m.split(".")[0] for m in probe["added"]} - {"seriesforge"}
     assert extra <= set(sys.stdlib_module_names), extra - set(sys.stdlib_module_names)
 
 
@@ -125,7 +101,7 @@ def _public_functions(mod):
             if not name.startswith("_") and fn.__module__ == mod.__name__}
 
 
-def test_bell_is_the_inversion_kernel_only():
+def test_bell_exports_only_bell_row():
     assert _public_functions(bell) == {bell.bell_row}
 
 
@@ -174,7 +150,8 @@ USAGE_ERROR = ["count", "ultrametrics", "--s", "x"]
 
 # profiles, from before the package is imported, the CLI runs and the README
 # quick start as a doctest, then prints, as its last line, the exit codes,
-# the doctest failures and (module, first line) of every code object entered
+# the doctest examples tried and failed and (module, first line) of every
+# code object entered
 DEAD_CODE_PROBE = """
 import doctest, json, sys
 entered = set()
@@ -186,9 +163,10 @@ def profile(frame, event, arg):
 sys.setprofile(profile)
 from seriesforge.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-failed = doctest.testfile(sys.argv[2], module_relative=False).failed
+readme = doctest.testfile(sys.argv[2], module_relative=False)
 sys.setprofile(None)
-print(json.dumps({"codes": codes, "failed": failed, "entered": sorted(entered)}))
+print(json.dumps({"codes": codes, "attempted": readme.attempted, "failed": readme.failed,
+                  "entered": sorted(entered)}))
 """
 
 GATED_MODULES = ("cli", "labeled", "unlabeled", "bell", "rings", "weights")
@@ -251,6 +229,7 @@ def test_every_production_def_is_run_or_kept_for_a_reason():
     )
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["codes"] == [0] * len(EVERY_RUN) + [1]
+    assert report["attempted"] > 0
     assert report["failed"] == 0
     entered = {tuple(pair) for pair in report["entered"]}
     unrun = {name for module in GATED_MODULES for name, lines in _defs(module)

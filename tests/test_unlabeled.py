@@ -3,6 +3,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seriesforge import unlabeled
 from seriesforge.oracle import refined_polys_substituted
 from seriesforge.rings import PolyVar
 from seriesforge.unlabeled import (
@@ -63,13 +64,9 @@ class TestLevelTable:
     @pytest.mark.parametrize("m", [M, 2 * M + 3, PolyVar([1], "m"), PolyVar([5], "m")],
                              ids=["m", "2m+3", "const 1", "const 5"])
     def test_multipartite_polynomials_in_m(self, m):
-        want = by_substitution(25, m - 1, m)
-        for s in range(1, 26):
+        want = by_substitution(30, m - 1, m)
+        for s in (*range(1, 26), 30):
             assert multipartite_unlabeled_counts(s, m) == want[:s], s
-
-    def test_polynomials_in_m_match_refined_polys(self):
-        for m in (M, 2 * M + 3, PolyVar([1], "m"), PolyVar([5], "m")):
-            assert multipartite_unlabeled_counts(30, m) == by_substitution(30, m - 1, m), m
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 25), st.integers(9, 10 ** 6))
@@ -83,6 +80,12 @@ class TestLevelTable:
         for value in (7, PolyVar([1, 2], "t")):
             with pytest.raises(ArithmeticError):
                 _exact(value, 2)
+
+    def test_multipartite_division_by_m_minus_1_is_exact(self, monkeypatch):
+        # a level value that m - 1 = 2 does not divide must not be floored
+        monkeypatch.setattr(unlabeled, "_level_values", lambda up_to_s, t0: [1, 4, 7])
+        with pytest.raises(ArithmeticError):
+            multipartite_unlabeled_counts(3, 3)
 
 
 class TestRefinedPolys:
