@@ -7,7 +7,11 @@ against an OEIS b-file), each over the families of the FAMILIES table.
 
 Exit codes: 0 success, 1 usage error or unwritable output (one ``error:``
 line on stderr), 2 verification mismatch.  The env var
-SERIESFORGE_MAX_ORDER caps the series order (default 16).
+SERIESFORGE_MAX_ORDER caps the series order (default 16).  Every integer
+the CLI reads (an int option, that variable, each b-file field) must be a
+decimal integer, an optional minus sign and ASCII digits (_INT); the other
+spellings int() reads, such as '+5', '1_0' or fullwidth digits, are usage
+errors.  `parse_bfile` words every b-file error.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from . import labeled, reference, unlabeled
 from .weights import WeightPoly, _json_int
 
 DEFAULT_MAX_ORDER = 16
+_INT = re.compile(r"-?[0-9]+")
 
 # family -> (prefix function, takes --m, table name, reference values by m,
 # gf letter); the exponential series are A labeled trees, G mobiles and
@@ -54,6 +59,13 @@ class UsageError(Exception):
 
 class VerificationFailure(Exception):
     """Computed values disagree with a fixture or b-file."""
+
+
+def _int(text: str) -> int:
+    """The argparse type of every int option, worded as argparse words int."""
+    if not _INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -207,10 +219,9 @@ def cmd_gf(args):
     if kind != "P" and args.spec is not None:
         raise UsageError("--spec applies to gf P only")
     raw = os.environ.get("SERIESFORGE_MAX_ORDER", str(DEFAULT_MAX_ORDER))
-    try:
-        cap = int(raw)
-    except ValueError:
+    if not _INT.fullmatch(raw):
         raise UsageError(f"SERIESFORGE_MAX_ORDER is not an integer: {raw!r}")
+    cap = int(raw)
     if order > cap:
         raise UsageError(f"order {order} exceeds the cap {cap}")
     if order < 1:
@@ -247,40 +258,39 @@ def _p_record(m: int, order: int, series: list):
 
 
 def parse_bfile(path: str):
-    """OEIS b-file, UTF-8 text: '#' comment lines, then 'index value' per
-    line, both decimal integers (an optional minus sign and ASCII digits),
-    with strictly increasing indices."""
+    """The entries at index >= 1 of an OEIS b-file, read line by line: UTF-8
+    text, a leading byte-order mark dropped, '#' comment lines, then 'index
+    value' per line, both decimal integers (_INT), with strictly increasing
+    indices.  Every problem with the file is a UsageError that names it."""
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: malformed line {line!r}")
-            if not all(re.fullmatch(r"-?[0-9]+", part) for part in parts):
-                raise ValueError(f"{path}:{lineno}: non-integer entry {line!r}")
-            idx, val = map(int, parts)
-            if entries and idx <= entries[-1][0]:
-                raise ValueError(f"{path}:{lineno}: indices not strictly increasing")
-            entries.append((idx, val))
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise UsageError(f"{path}:{lineno}: malformed line {line!r}")
+                if not all(_INT.fullmatch(part) for part in parts):
+                    raise UsageError(f"{path}:{lineno}: non-integer entry {line!r}")
+                idx, val = map(int, parts)
+                if entries and idx <= entries[-1][0]:
+                    raise UsageError(f"{path}:{lineno}: indices not strictly increasing")
+                entries.append((idx, val))
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: {exc}")
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}")
+    entries = [(idx, val) for idx, val in entries if idx >= 1]
+    if not entries:
+        raise UsageError(f"{path}: no entry at index >= 1")
     return entries
 
 
 def cmd_verify(args):
     """Compare computed values against a b-file over its index range."""
-    try:
-        entries = parse_bfile(args.bfile)
-    except UnicodeDecodeError as exc:   # a ValueError, but about the file, not a line
-        raise UsageError(f"cannot read {args.bfile}: {exc}")
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.bfile}: {exc.strerror}")
-    entries = [(idx, val) for idx, val in entries if idx >= 1]
-    if not entries:
-        raise UsageError(f"{args.bfile}: no entry at index >= 1")
+    entries = parse_bfile(args.bfile)
     values = _counts(args.family, entries[-1][0], args.m)
     for idx, val in entries:
         if values[idx - 1] != val:
@@ -307,24 +317,24 @@ def _parser() -> argparse.ArgumentParser:
         return sub
 
     count = command(cmd_count, "count", "family", sorted(FAMILIES), [grid])
-    count.add_argument("--s", type=int, required=True, help="size parameter (leaves/chains/actions)")
-    count.add_argument("--m", type=int, help="number of colors/symbols")
+    count.add_argument("--s", type=_int, required=True, help="size parameter (leaves/chains/actions)")
+    count.add_argument("--m", type=_int, help="number of colors/symbols")
 
     table = command(cmd_table, "table", "name", sorted(TABLES) + ["riordan-triangle"], [grid])
-    table.add_argument("--max-s", type=int, help="family tables only (default 8)")
-    table.add_argument("--max-m", type=int, help="family tables only (default 8)")
-    table.add_argument("--max-n", type=int, help="riordan-triangle only (default 10)")
+    table.add_argument("--max-s", type=_int, help="family tables only (default 8)")
+    table.add_argument("--max-m", type=_int, help="family tables only (default 8)")
+    table.add_argument("--max-n", type=_int, help="riordan-triangle only (default 10)")
     table.add_argument("--check-paper", action="store_true",
                        help="compare against the embedded reference values")
 
     gf = command(cmd_gf, "gf", "kind", ["P", *GF_KINDS], [output])
-    gf.add_argument("--m", type=int, required=True)
-    gf.add_argument("--order", type=int, default=8)
+    gf.add_argument("--m", type=_int, required=True)
+    gf.add_argument("--order", type=_int, default=8)
     gf.add_argument("--spec", choices=["symbolic", *P_SPECS],
                     help="gf P only: x_{c,k} symbolic (default), all 1 or (k-1)!")
 
     verify = command(cmd_verify, "verify", "family", sorted(FAMILIES))
-    verify.add_argument("--m", type=int)
+    verify.add_argument("--m", type=_int)
     verify.add_argument("--bfile", required=True)
     return parser
 

@@ -441,6 +441,32 @@ class TestGf:
                 == "SERIESFORGE_MAX_ORDER is not an integer: 'lots'")
 
 
+# int() also reads an underscore, a plus sign and non-ASCII digits; every
+# integer the CLI reads, an option or SERIESFORGE_MAX_ORDER, must be an
+# optional minus sign and ASCII digits
+@pytest.mark.parametrize("cap, argv, message", [
+    (None, ("count", "unlabeled", "--s", "1_0"), "argument --s: invalid int value: '1_0'"),
+    (None, ("count", "unlabeled", "--s", "+5"), "argument --s: invalid int value: '+5'"),
+    (None, ("count", "unlabeled", "--s", "\uff11\uff10"),
+     "argument --s: invalid int value: '\uff11\uff10'"),
+    (None, ("count", "ultrametrics", "--s", "4", "--m", "\u0662"),
+     "argument --m: invalid int value: '\u0662'"),
+    (None, ("gf", "A", "--m", "2", "--order", "1_6"),
+     "argument --order: invalid int value: '1_6'"),
+    (None, ("table", "riordan-triangle", "--max-n", "0_5"),
+     "argument --max-n: invalid int value: '0_5'"),
+    (None, ("table", "symbolic", "--max-s", "3", "--max-m", "+2"),
+     "argument --max-m: invalid int value: '+2'"),
+    ("1_7", ("gf", "A", "--m", "2", "--order", "3"),
+     "SERIESFORGE_MAX_ORDER is not an integer: '1_7'"),
+], ids=["s-underscore", "s-plus", "s-fullwidth", "m-arabic-indic", "order-underscore",
+        "max-n-underscore", "max-m-plus", "max-order-underscore"])
+def test_integers_int_reads_but_the_cli_refuses(capsys, monkeypatch, cap, argv, message):
+    if cap is not None:
+        monkeypatch.setenv("SERIESFORGE_MAX_ORDER", cap)
+    assert usage_error(capsys, *argv) == message
+
+
 @pytest.mark.parametrize("argv", sorted(UNLABELED_STDOUT), ids=" ".join)
 def test_unlabeled_stdout_bytes_are_pinned(capsys, argv):
     code, out, _ = run(capsys, *argv)
@@ -491,6 +517,17 @@ class TestVerify:
         assert (usage_error(capsys, "verify", "unlabeled", "--bfile", str(bf))
                 == f"cannot read {bf}: 'utf-8' codec can't decode byte 0xff"
                    " in position 0: invalid start byte")
+
+    def test_bfile_with_a_byte_order_mark(self, capsys, tmp_path):
+        bf = tmp_path / "b.txt"
+        bf.write_text("\ufeff1 1\n2 1\n3 2\n", encoding="utf-8")
+        code, out, _ = run(capsys, "verify", "unlabeled", "--bfile", str(bf))
+        assert (code, out) == (0, "OK (3 entries)\n")
+        # only a leading mark is dropped: one on a later line stays in the
+        # entry, which the message writes as repr writes it
+        bf.write_text("1 1\n\ufeff2 1\n3 2\n", encoding="utf-8")
+        assert (usage_error(capsys, "verify", "unlabeled", "--bfile", str(bf))
+                == f"{bf}:2: non-integer entry '\\ufeff2 1'")
 
     @pytest.mark.parametrize("text", ["", "# comments only\n", "0 1\n", "# c\n-1 5\n0 1\n"])
     def test_bfile_without_entries_usage_error(self, capsys, tmp_path, text):

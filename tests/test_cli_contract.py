@@ -3,12 +3,14 @@
 Each example builds one command line from the grammar: a subcommand, a
 family (or one bad name), a size s in -1..12, an m that is absent, -1, 0
 or 1..4, a format, maybe ``-o`` into a temporary directory and maybe an
-unknown option.  Whatever the input, `main` returns 0, 1 or 2 without a
-traceback, and a usage error (1) is one ``error: `` line on stderr with
-nothing on stdout.  A run that succeeds must agree with the others: json
-and csv carry the plain value, a count equals its table cell and its
-``gf A|G|Y`` coefficient, ``verify`` accepts a b-file of the same prefix,
-and ``-o`` writes exactly what stdout would.
+unknown option; sometimes its first non-negative int is spelled as int()
+reads it but the CLI does not (``+3``, ``0_3`` or fullwidth digits), which
+makes the run a usage error.  Whatever the input, `main` returns 0, 1 or 2
+without a traceback, and a usage error (1) is one ``error: `` line on
+stderr with nothing on stdout.  A run that succeeds must agree with the
+others: json and csv carry the plain value, a count equals its table cell
+and its ``gf A|G|Y`` coefficient, ``verify`` accepts a b-file of the same
+prefix, and ``-o`` writes exactly what stdout would.
 
 `main` runs in-process under ``contextlib.redirect_stdout/stderr``:
 hypothesis rejects function-scoped fixtures such as ``capsys``.
@@ -52,6 +54,10 @@ ms = st.one_of(st.integers(1, 4), st.sampled_from([None, -1, 0]))
 formats = st.sampled_from(["plain", "json", "csv"])
 specs = st.one_of(st.none(), st.sampled_from(["symbolic", "ones", "factorial"]))
 rarely = st.sampled_from([False, False, False, True])
+FULLWIDTH = str.maketrans("0123456789", "".join(chr(0xFF10 + d) for d in range(10)))
+SPELLINGS = {"plus": "+{}".format, "underscore": "0_{}".format,
+             "fullwidth": lambda digits: digits.translate(FULLWIDTH)}
+spellings = st.sampled_from([None] * 6 + sorted(SPELLINGS))
 
 
 def run(argv):
@@ -72,6 +78,17 @@ def run(argv):
 def options(*pairs):
     """The flat argv of (option, value) pairs, skipping absent values."""
     return [str(x) for opt, value in pairs if value is not None for x in (opt, value)]
+
+
+def respelled(argv, spelling):
+    """argv with its first non-negative int spelled the given way, or None
+    where it holds none."""
+    for i, arg in enumerate(argv):
+        if arg.isascii() and arg.isdigit():
+            odd = SPELLINGS[spelling](arg)
+            assert int(odd) == int(arg)
+            return argv[:i] + [odd] + argv[i + 1:]
+    return None
 
 
 def bfile(path, values):
@@ -170,9 +187,11 @@ def as_plain(argv):
 
 
 @settings(max_examples=200, deadline=None)
-@given(command_lines(), rarely, rarely, st.booleans())
-def test_cli_contract(line, to_file, unknown, corrupt):
+@given(command_lines(), rarely, rarely, st.booleans(), spellings)
+def test_cli_contract(line, to_file, unknown, corrupt, spelling):
     argv, fmt, what = line
+    odd = spelling and respelled(argv, spelling)
+    argv = odd or argv
     with tempfile.TemporaryDirectory() as tmp:
         if argv[0] == "verify":
             family, s, m = what
@@ -184,7 +203,7 @@ def test_cli_contract(line, to_file, unknown, corrupt):
         target = os.path.join(tmp, "out.txt")
         extra = (["-o", target] if to_file else []) + (["--no-such-option"] if unknown else [])
         code, out, err = run(argv + extra)
-        if unknown or (to_file and argv[0] == "verify"):
+        if unknown or odd or (to_file and argv[0] == "verify"):
             assert code == 1
             return
         if argv[0] == "verify":
