@@ -158,10 +158,9 @@ def _render_grid(rows, fmt) -> str:
             [{str(h): (_json_int(c) if isinstance(c, int) else c)
               for h, c in zip(header, row)} for row in body]
         )
-    widths = [max(len(str(r[i])) for r in rows) for i in range(len(rows[0]))]
-    return "\n".join(
-        "  ".join(str(c).rjust(w) for c, w in zip(row, widths)) for row in rows
-    )
+    cells = [[str(c) for c in row] for row in rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells)
 
 
 def cmd_table(args):

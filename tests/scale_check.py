@@ -63,6 +63,9 @@ RSS_LIMIT_MIB = 50
 # each fully coloured family is (m - 1)^s times its base family for s > 1
 FULLY_COLORED = {"fully-colored-labeled": "ultrametrics",
                  "fully-colored-unlabeled": "multipartite-unlabeled"}
+# every integer read from the CLI's stdout, by this file's own rule: int()
+# also reads '٥٢' as 52, '1_0' as 10, a '+' and surrounding spaces
+INTEGER = re.compile(r"-?[0-9]+")
 # the families that take --m, whose prefix also takes PolyVar.gen("m")
 POLYNOMIAL_FAMILIES = [family for family, row in FAMILIES.items() if row[1]]
 # the child of `polynomials FAMILY --s S`: FAMILY(S, PolyVar.gen("m")), one
@@ -78,6 +81,17 @@ polys = FAMILIES[sys.argv[1]][0](int(sys.argv[2]), PolyVar.gen("m"))
 for p in polys:
     print(json.dumps(list(p.coeffs)))
 """
+
+
+class NotAnInteger(ValueError):
+    """A value of the CLI's stdout that stands where an integer must."""
+
+
+def integer(value):
+    """value if it is a JSON int, or the int that the str value spells by INTEGER."""
+    if type(value) is int or isinstance(value, str) and INTEGER.fullmatch(value):
+        return int(value)
+    raise NotAnInteger(f"not an ASCII integer: {value!r}")
 
 
 def euler_transform(size, t0, p):
@@ -154,9 +168,9 @@ def expected_prefix(family, size, m, p):
 
 def check_count(args, text):
     tokens = text.split()
-    if len(tokens) != 1 or not tokens[0].isdigit():
-        return f"expected one nonnegative integer, got {len(tokens)} token(s)"
-    value = int(tokens[0])
+    if len(tokens) != 1:
+        return f"expected one integer, got {len(tokens)} token(s)"
+    value = integer(tokens[0])
     for p in PRIMES:
         want = expected_prefix(args.family, args.s, args.m, p)[-1]
         if value % p != want:
@@ -170,7 +184,7 @@ def read_triangle(text):
     header, *rows = text.splitlines()
     ends = [match.end() for match in re.finditer(r"\S+", header)]
     starts = [0] + ends[:-1]
-    columns = [int(header[s:e]) for s, e in zip(starts[1:], ends[1:])]
+    columns = [integer(header[s:e].strip()) for s, e in zip(starts[1:], ends[1:])]
     cells = {}
     for line in rows:
         label, *row = (line[s:e].strip() for s, e in zip(starts, ends))
@@ -178,7 +192,7 @@ def read_triangle(text):
             continue
         for n, cell in zip(columns, row):
             if cell:
-                cells[int(label), n] = int(cell)
+                cells[integer(label), n] = integer(cell)
     return columns, cells
 
 
@@ -233,7 +247,8 @@ def mismatch(coeffs, x, want, point, p):
     if len(coeffs) != len(want):
         return f"{len(coeffs)} coefficients, not {len(want)}"
     for s, terms in enumerate(coeffs):
-        value = sum(int(term["coeff"]) * prod(pow(x[c - 1][k], e, p) for c, k, e in term["monomial"])
+        value = sum(integer(term["coeff"])
+                    * prod(pow(x[c - 1][k], e, p) for c, k, e in term["monomial"])
                     for term in terms) % p
         if value != want[s]:
             return f"P_{s} at {point}: {value} != {want[s]} mod {p}"
@@ -295,7 +310,7 @@ def check_polynomials(args, text):
 
 
 # each takes the parsed arguments and the child's stdout and returns None or a
-# line naming what is wrong
+# line naming what is wrong, or raises NotAnInteger
 CHECKS = {"count": check_count, "table": check_triangle, "gf": check_p,
           "polynomials": check_polynomials}
 
@@ -358,7 +373,10 @@ def main(argv=None):
     elif mib > RSS_LIMIT_MIB:
         problem = f"peaked at {mib:.1f} MiB RSS, above {RSS_LIMIT_MIB} MiB"
     else:
-        problem = CHECKS[args.command](args, done.stdout)
+        try:
+            problem = CHECKS[args.command](args, done.stdout)
+        except NotAnInteger as exc:
+            problem = str(exc)
     if problem:
         print(f"scale check failed: {run}: {problem}", file=sys.stderr)
         return 1

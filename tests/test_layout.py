@@ -27,6 +27,7 @@ README = os.path.join(os.path.dirname(HERE), "README.md")
 
 CLI_RUNS = [
     ["gf", "P", "--m", "2", "--order", "4"],
+    ["gf", "P", "--spec", "symbolic", "--m", "3", "--order", "8"],
     ["count", "ultrametrics", "--s", "6", "--m", "3"],
     ["table", "riordan-triangle", "--max-n", "5"],
     ["verify", "unlabeled", "--bfile", BFILE],
@@ -37,63 +38,6 @@ CLI_RUNS = [
 # live in the test-support egf.py, csv and json are imported only where
 # the csv or json format is written, and gf P writes its JSON text itself
 STARTUP_HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "csv", "json", "typing"}
-
-# snapshots sys.modules, which then holds what the interpreter loads on its
-# own (`site` and its .pth files included), runs the CLI and prints, as its
-# last line, one JSON record: the exit codes, the modules the runs added
-# and the module that defines each exported name (a name that does not
-# resolve fails the getattr); json is imported once the runs are done
-PROBE = """
-import sys
-before = set(sys.modules)
-from seriesforge.cli import main
-codes = [main(argv) for argv in %r]
-added = sorted(set(sys.modules) - before)
-import json, seriesforge
-print(json.dumps({
-    "codes": codes,
-    "added": added,
-    "exports": {n: getattr(getattr(seriesforge, n), "__module__", None)
-                for n in seriesforge.__all__},
-}))
-"""
-
-
-def _probe(runs) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE % (runs,)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), check=True,
-    )
-    report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0] * len(runs)
-    assert "seriesforge.cli" in report["added"]
-    return report
-
-
-@pytest.fixture(scope="module")
-def probe():
-    return _probe(CLI_RUNS)
-
-
-def test_plain_cli_runs_load_no_heavy_module(probe):
-    assert STARTUP_HEAVY.isdisjoint(probe["added"]), STARTUP_HEAVY.intersection(probe["added"])
-
-
-def test_symbolic_gf_p_run_loads_no_heavy_module():
-    added = _probe([["gf", "P", "--spec", "symbolic", "--m", "3", "--order", "8"]])["added"]
-    assert STARTUP_HEAVY.isdisjoint(added), STARTUP_HEAVY.intersection(added)
-
-
-def test_cli_run_stays_inside_production(probe):
-    assert "seriesforge.egf" not in probe["added"]
-    assert "seriesforge.oracle" not in probe["added"]
-    for name, module in probe["exports"].items():
-        assert module not in ("seriesforge.egf", "seriesforge.oracle"), name
-
-
-def test_cli_run_loads_nothing_outside_the_standard_library(probe):
-    extra = {m.split(".")[0] for m in probe["added"]} - {"seriesforge"}
-    assert extra <= set(sys.stdlib_module_names), extra - set(sys.stdlib_module_names)
 
 
 def _public_functions(mod):
@@ -148,12 +92,18 @@ EVERY_RUN = CLI_RUNS + [
 ] + [["--help"]]
 USAGE_ERROR = ["count", "ultrametrics", "--s", "x"]
 
-# profiles, from before the package is imported, the CLI runs and the README
-# quick start as a doctest, then prints, as its last line, the exit codes,
-# the doctest examples tried and failed and (module, first line) of every
-# code object entered
-DEAD_CODE_PROBE = """
-import doctest, json, sys
+# snapshots sys.modules, which then holds what the interpreter loads on its
+# own (`site` and its .pth files included), and profiles from before the
+# package is imported; runs CLI_RUNS and records the modules they added and
+# the module that defines each exported name (a name that does not resolve
+# fails the getattr); only then imports json and doctest, runs the rest of
+# EVERY_RUN, the usage error and the README quick start as a doctest, and
+# prints, as its last line, one JSON record: those, the exit codes, the
+# doctest examples tried and failed and (module, first line) of every code
+# object entered
+PROBE = """
+import sys
+before = set(sys.modules)
 entered = set()
 
 def profile(frame, event, arg):
@@ -162,12 +112,49 @@ def profile(frame, event, arg):
 
 sys.setprofile(profile)
 from seriesforge.cli import main
-codes = [main(argv) for argv in json.loads(sys.argv[1])]
-readme = doctest.testfile(sys.argv[2], module_relative=False)
+plain, rest, path = %r
+codes = [main(argv) for argv in plain]
+added = sorted(set(sys.modules) - before)
+import seriesforge
+exports = {n: getattr(getattr(seriesforge, n), "__module__", None) for n in seriesforge.__all__}
+import doctest, json
+codes += [main(argv) for argv in rest]
+readme = doctest.testfile(path, module_relative=False)
 sys.setprofile(None)
-print(json.dumps({"codes": codes, "attempted": readme.attempted, "failed": readme.failed,
+print(json.dumps({"codes": codes, "added": added, "exports": exports,
+                  "attempted": readme.attempted, "failed": readme.failed,
                   "entered": sorted(entered)}))
 """
+
+
+@pytest.fixture(scope="module")
+def probe():
+    rest = EVERY_RUN[len(CLI_RUNS):] + [USAGE_ERROR]
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE % ((CLI_RUNS, rest, README),)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), check=True,
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0] * len(EVERY_RUN) + [1]
+    assert "seriesforge.cli" in report["added"]
+    return report
+
+
+def test_plain_cli_runs_load_no_heavy_module(probe):
+    assert STARTUP_HEAVY.isdisjoint(probe["added"]), STARTUP_HEAVY.intersection(probe["added"])
+
+
+def test_cli_run_stays_inside_production(probe):
+    assert "seriesforge.egf" not in probe["added"]
+    assert "seriesforge.oracle" not in probe["added"]
+    for name, module in probe["exports"].items():
+        assert module not in ("seriesforge.egf", "seriesforge.oracle"), name
+
+
+def test_cli_run_loads_nothing_outside_the_standard_library(probe):
+    extra = {m.split(".")[0] for m in probe["added"]} - {"seriesforge"}
+    assert extra <= set(sys.stdlib_module_names), extra - set(sys.stdlib_module_names)
+
 
 GATED_MODULES = ("cli", "labeled", "unlabeled", "bell", "rings", "weights")
 EXPORTED = "a method of an exported class"
@@ -221,17 +208,10 @@ def _defs(module: str):
                     yield name, {child.lineno, *(d.lineno for d in child.decorator_list)}
 
 
-def test_every_production_def_is_run_or_kept_for_a_reason():
-    runs = EVERY_RUN + [USAGE_ERROR]
-    proc = subprocess.run(
-        [sys.executable, "-c", DEAD_CODE_PROBE, json.dumps(runs), README],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), check=True,
-    )
-    report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0] * len(EVERY_RUN) + [1]
-    assert report["attempted"] > 0
-    assert report["failed"] == 0
-    entered = {tuple(pair) for pair in report["entered"]}
+def test_every_production_def_is_run_or_kept_for_a_reason(probe):
+    assert probe["attempted"] > 0
+    assert probe["failed"] == 0
+    entered = {tuple(pair) for pair in probe["entered"]}
     unrun = {name for module in GATED_MODULES for name, lines in _defs(module)
              if not any((f"seriesforge.{module}", line) in entered for line in lines)}
     assert unrun == set(KEPT_UNRUN)

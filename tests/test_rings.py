@@ -116,20 +116,6 @@ class TestPolyVar:
         assert p.substitute(d).eval_at(x) == p.eval_at(x ** d)
 
 
-small_fraction = st.fractions(
-    min_value=-10, max_value=10, max_denominator=12
-)
-
-
-@given(small_fraction, small_fraction, small_fraction)
-def test_rational_ring_axioms(a, b, c):
-    assert (a + b) + c == a + (b + c)
-    assert a * (b + c) == a * b + a * c
-    assert a + QQ.zero == a
-    assert a * QQ.one == a
-    assert a * b == b * a
-
-
 small_poly = st.lists(st.integers(-9, 9), max_size=4).map(PolyVar)
 
 

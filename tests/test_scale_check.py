@@ -105,6 +105,20 @@ def test_rejects_a_triangle_column_changed_where_1_and_2_cannot_see():
     assert re.match(r"riordan-triangle column 10 at t = \d+: ", found), found
 
 
+@pytest.mark.parametrize("run, old, new", [
+    ("count ultrametrics --s 4 --m 2", "52", "٥٢"),
+    ("table riordan-triangle --max-n 12", " 12\n", " ١٢\n"),     # the header's last column
+    ("table riordan-triangle --max-n 12", " 1133\n", "1_133\n"),
+    ("gf P --m 3 --order 8", '"coeff": 1}', '"coeff": "١"}'),
+])
+def test_rejects_an_integer_that_int_reads_but_the_cli_never_writes(run, old, new):
+    # int() reads the new spelling as the old integer, so only the rule sees it
+    text = stdout_of(run)
+    assert old in text
+    with pytest.raises(scale_check.NotAnInteger, match="not an ASCII integer"):
+        problem(run, text.replace(old, new, 1))
+
+
 def test_rejects_a_polynomial_changed_by_a_multiple_of_m_minus_2_times_m_minus_3():
     # the change vanishes at m = 2 and m = 3, so a comparison there passes
     run = "polynomials ultrametrics --s 30"
