@@ -135,8 +135,8 @@ def cmd_count(args):
     elif fmt == "json":
         import json
 
-        _emit(json.dumps({"family": family, "s": s, "m": m, "value": _json_int(value)}),
-              args.output)
+        _emit(json.dumps({"family": family, "s": s, "m": None if m is None else _json_int(m),
+                          "value": _json_int(value)}), args.output)
     else:
         rows = [["family", "s", "m", "value"], [family, s, "" if m is None else m, value]]
         _emit(_render_grid(rows, fmt), args.output)
@@ -164,8 +164,8 @@ def _render_grid(rows, fmt) -> str:
 
 
 def cmd_table(args):
-    """Emit one of the count tables."""
-    mismatches = []
+    """Emit one of the count tables; --check-paper compares each printed cell
+    that `paper` holds by (row label, column), an empty cell read as 0."""
     if args.name == "riordan-triangle":
         if args.max_s is not None or args.max_m is not None:
             raise UsageError("--max-s and --max-m apply to the family tables only")
@@ -176,16 +176,9 @@ def cmd_table(args):
         rows = [["k\\n"] + list(range(2, max_n + 1))]
         for k in range(1, max_n):
             rows.append([k] + [polys[n - 1][k] or "" for n in range(2, max_n + 1)])
-        sums = [p.eval_at(1) for p in polys]
-        rows.append(["sum"] + sums[1:])
-        if args.check_paper:
-            for (k, n), ref in reference.RIORDAN_TRIANGLE.items():
-                if n <= max_n and polys[n - 1][k] != ref:
-                    mismatches.append(((k, n), polys[n - 1][k], ref))
-            for n in range(1, max_n + 1):
-                ref = reference.UNLABELED_SEQUENCE[n - 1]
-                if sums[n - 1] != ref:
-                    mismatches.append((("sum", n), sums[n - 1], ref))
+        rows.append(["sum"] + [p.eval_at(1) for p in polys[1:]])
+        sums = enumerate(reference.UNLABELED_SEQUENCE, start=1)
+        paper = reference.RIORDAN_TRIANGLE | {("sum", n): ref for n, ref in sums}
     else:
         if args.max_n is not None:
             raise UsageError("--max-n applies to riordan-triangle only")
@@ -197,18 +190,22 @@ def cmd_table(args):
         fn, _, _, ref_table, _ = FAMILIES[TABLES[args.name]]
         rows = [["m\\s"] + list(range(1, max_s + 1))]
         for m in range(1, max_m + 1):
-            row = _values(fn, max_s, m)
-            rows.append([m] + row)
-            if args.check_paper and m in ref_table:
-                for s, ref in enumerate(ref_table[m][:max_s], start=1):
-                    if row[s - 1] != ref:
-                        mismatches.append(((m, s), row[s - 1], ref))
+            rows.append([m] + _values(fn, max_s, m))
+        paper = {(m, s): ref for m, refs in ref_table.items()
+                 for s, ref in enumerate(refs, start=1)}
     _emit(_render_grid(rows, args.fmt), args.output)
     if args.check_paper:
-        if mismatches:
-            for cell, got, ref in mismatches:
-                print(f"MISMATCH at {cell}: computed {got}, reference {ref}", file=sys.stderr)
-            raise VerificationFailure(f"{len(mismatches)} cell(s) differ")
+        header, *body = rows
+        differ = 0
+        for row in body:
+            for column, cell in zip(header[1:], row[1:]):
+                key, got = (row[0], column), cell or 0
+                if key in paper and got != paper[key]:
+                    print(f"MISMATCH at {key}: computed {got}, reference {paper[key]}",
+                          file=sys.stderr)
+                    differ += 1
+        if differ:
+            raise VerificationFailure(f"{differ} cell(s) differ")
         print("all checked cells match the reference values", file=sys.stderr)
 
 
@@ -247,7 +244,8 @@ def _p_record(m: int, order: int, series: list):
     the separators.  It empties the list series as it goes, so each
     coefficient is dropped once written and the last, the largest, is
     rendered beside no other."""
-    yield f'{{"kind": "P", "m": {m}, "order": {order}, "coeffs": ['
+    json_m = f'"{m}"' if isinstance(_json_int(m), str) else m
+    yield f'{{"kind": "P", "m": {json_m}, "order": {order}, "coeffs": ['
     series.reverse()
     while series:
         yield from series.pop()._json_pieces()

@@ -7,7 +7,8 @@ runs `python -m seriesforge.cli gf P --m 8 --order 9` in this environment
 and prints the arguments, the seconds and the peak RSS of its child in MiB
 (on Linux a child's peak starts at this process's, about 15 MiB).
 It exits 1 with one line on stderr if the run exits non-zero, is killed
-at TIME_LIMIT_S, peaks above RSS_LIMIT_MIB or prints a wrong value.
+at TIME_LIMIT_S, peaks above RSS_LIMIT_MIB, or prints a wrong value or a
+stdout of the wrong shape.
 pytest does not collect it; tests/test_scale_check.py tests it.  The
 routes are written here afresh, over the integers mod p, and share no code
 with the package:
@@ -310,7 +311,9 @@ def check_polynomials(args, text):
 
 
 # each takes the parsed arguments and the child's stdout and returns None or a
-# line naming what is wrong, or raises NotAnInteger
+# line naming what is wrong; it raises NotAnInteger on a misspelt integer, and
+# LookupError, TypeError or ValueError on a stdout of the wrong shape, such as
+# an empty grid
 CHECKS = {"count": check_count, "table": check_triangle, "gf": check_p,
           "polynomials": check_polynomials}
 
@@ -377,6 +380,8 @@ def main(argv=None):
             problem = CHECKS[args.command](args, done.stdout)
         except NotAnInteger as exc:
             problem = str(exc)
+        except (LookupError, TypeError, ValueError) as exc:
+            problem = f"stdout of the wrong shape ({type(exc).__name__}: {exc})"
     if problem:
         print(f"scale check failed: {run}: {problem}", file=sys.stderr)
         return 1

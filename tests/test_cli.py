@@ -248,13 +248,18 @@ class TestTable:
         (("symbolic", "--max-s", "4", "--max-m", "2"), reference.ULTRAMETRIC_TABLE, 2,
          [1, 2, 9, *reference.ULTRAMETRIC_TABLE[2][3:]],
          "MISMATCH at (2, 3): computed 8, reference 9"),
-        # n <= 10: the reference column sums end there
         (("riordan-triangle", "--max-n", "6"), reference.RIORDAN_TRIANGLE, (2, 4), 3,
          "MISMATCH at (2, 4): computed 2, reference 3"),
         # the column sum of n = 5 raised from 12 to 13
         (("riordan-triangle", "--max-n", "6"), reference.UNLABELED_SEQUENCE, 4, 13,
          "MISMATCH at ('sum', 5): computed 12, reference 13"),
-    ], ids=["symbolic", "riordan-triangle", "riordan-sum"])
+        # past n = 10, where the reference ends, only the cells it holds are checked
+        (("riordan-triangle", "--max-n", "12"), reference.RIORDAN_TRIANGLE, (9, 10), 99,
+         "MISMATCH at (9, 10): computed 98, reference 99"),
+        (("riordan-triangle", "--max-n", "12"), reference.UNLABELED_SEQUENCE, 9, 2313,
+         "MISMATCH at ('sum', 10): computed 2312, reference 2313"),
+    ], ids=["symbolic", "riordan-triangle", "riordan-sum", "riordan-triangle-12",
+            "riordan-sum-12"])
     def test_check_paper_reports_a_changed_reference_cell(self, capsys, argv, table, key,
                                                           value, line):
         _, plain, _ = run(capsys, "table", *argv)
@@ -467,6 +472,15 @@ def test_integers_int_reads_but_the_cli_refuses(capsys, monkeypatch, cap, argv, 
     assert usage_error(capsys, *argv) == message
 
 
+def test_json_writes_an_m_from_2_to_the_53_as_a_string(capsys):
+    # a reader that parses numbers as doubles would read 2^53 + 1 as 2^53
+    m = str(2 ** 53 + 1)
+    count = run(capsys, "count", "ultrametrics", "--s", "3", "--m", m, "--format", "json")
+    record = run(capsys, "gf", "P", "--spec", "ones", "--m", m, "--order", "2")
+    assert (count[0], record[0]) == (0, 0)
+    assert json.loads(count[1])["m"] == json.loads(record[1])["m"] == m
+
+
 @pytest.mark.parametrize("argv", sorted(UNLABELED_STDOUT), ids=" ".join)
 def test_unlabeled_stdout_bytes_are_pinned(capsys, argv):
     code, out, _ = run(capsys, *argv)
@@ -620,13 +634,13 @@ class TestOutputPath:
         GF_P,
     ], ids=["count", "table", "gf", "gf-P"])
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
-    def test_unwritable_output(self, tmp_path, argv, where):
-        target = tmp_path / "no" / "such" / "x" if where == "missing-directory" else tmp_path
-        proc = cli_process([*argv, "-o", str(target)], stdout=subprocess.PIPE)
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ") and str(target) in proc.stderr
-        assert proc.stdout == ""
+    def test_unwritable_output(self, capsys, tmp_path, argv, where):
+        if where == "missing-directory":
+            target, errnum = tmp_path / "no" / "such" / "x", errno.ENOENT
+        else:
+            target, errnum = tmp_path, errno.EISDIR
+        assert (usage_error(capsys, *argv, "-o", str(target))
+                == f"cannot write {target}: {os.strerror(errnum)}")
 
     @staticmethod
     def assert_stdout_error(proc, errnum):

@@ -164,10 +164,7 @@ def command_lines(draw):
         name = draw(st.sampled_from(TABLES + [BAD]))
         check = draw(st.booleans())
         if name == "riordan-triangle":
-            # --check-paper past n = 10 is the known IndexError of the
-            # riordan reference check, which the benchmark's strict xfail
-            # pins until a benchmark change mends it; stay below it here
-            pairs = [("--max-n", draw(st.integers(-1, 10 if check else 12)))]
+            pairs = [("--max-n", draw(st.integers(-1, 12)))]
         else:
             pairs = [("--max-s", s), ("--max-m", m)]
         argv = ["table", name, *options(*pairs, ("--format", fmt))]

@@ -46,10 +46,6 @@ class TestCompose:
 
 
 class TestInvert:
-    def test_identity(self):
-        t = ExpSeries.identity(QQ, 6)
-        assert t.invert().coeffs == t.coeffs
-
     def test_nonunit_linear_coeff_over_poly_ring(self):
         # c_1 = 1 even though m - 1 is no unit: inversion still works
         ring = poly_ring("m")

@@ -141,3 +141,19 @@ def test_runs_the_cli_in_a_child_and_prints_its_time_and_peak(run, code, line):
     assert done.returncode == code, done.stderr
     assert re.fullmatch(rf"{run}: \d+\.\d\d s, \d+\.\d MiB\n", done.stdout)
     assert done.stderr.endswith(line)
+
+
+@pytest.mark.parametrize("run, stdout, shape", [
+    ("table riordan-triangle --max-n 12", "",
+     "ValueError: not enough values to unpack (expected at least 1, got 0)"),
+    ("gf P --m 1 --order 2", '{"kind": "P", "m": 1, "order": 2, "coeffs": [[], [1], [2]]}',
+     "TypeError: 'int' object is not subscriptable"),
+], ids=["empty-triangle", "p-coefficient-not-a-term"])
+def test_names_a_stdout_of_the_wrong_shape(monkeypatch, capsys, run, stdout, shape):
+    # the checks raise on these; main words the error as one line
+    monkeypatch.setattr(scale_check.subprocess, "run",
+                        lambda argv, **kwargs: subprocess.CompletedProcess(argv, 0, stdout))
+    monkeypatch.setattr(scale_check, "RSS_LIMIT_MIB", float("inf"))
+    assert scale_check.main(run.split()) == 1
+    assert capsys.readouterr().err == (
+        f"scale check failed: {run}: stdout of the wrong shape ({shape})\n")
