@@ -11,7 +11,8 @@ SERIESFORGE_MAX_ORDER caps the series order (default 16).  Every integer
 the CLI reads (an int option, that variable, each b-file field) must be a
 decimal integer, an optional minus sign and ASCII digits (_INT); the other
 spellings int() reads, such as '+5', '1_0' or fullwidth digits, are usage
-errors.  `parse_bfile` words every b-file error.
+errors.  `parse_bfile` words every b-file error and reads no line past
+_MAX_LINE characters.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from .weights import WeightPoly, _json_int
 
 DEFAULT_MAX_ORDER = 16
 _INT = re.compile(r"-?[0-9]+")
+# the longest b-file line read, far above the digits of any value the CLI
+# can compute; a bad line is quoted up to _QUOTED characters
+_MAX_LINE = 10 ** 6
+_QUOTED = 60
 
 # family -> (prefix function, takes --m, table name, reference values by m,
 # gf letter); the exponential series are A labeled trees, G mobiles and
@@ -258,19 +263,24 @@ def parse_bfile(path: str):
     """The entries at index >= 1 of an OEIS b-file, read line by line: UTF-8
     text, a leading byte-order mark dropped, '#' comment lines, then 'index
     value' per line, both decimal integers (_INT), with strictly increasing
-    indices.  Every problem with the file is a UsageError that names it."""
+    indices.  A line is read up to _MAX_LINE characters, so a file with no
+    end of line costs no more.  Every problem with the file is a UsageError
+    that names it."""
     entries = []
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
+            lines = iter(lambda: fh.readline(_MAX_LINE + 1), "")
+            for lineno, line in enumerate(lines, start=1):
+                if len(line.rstrip("\n")) > _MAX_LINE:
+                    raise UsageError(f"{path}:{lineno}: line longer than {_MAX_LINE} characters")
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 parts = line.split()
                 if len(parts) != 2:
-                    raise UsageError(f"{path}:{lineno}: malformed line {line!r}")
+                    raise UsageError(f"{path}:{lineno}: malformed line {line[:_QUOTED]!r}")
                 if not all(_INT.fullmatch(part) for part in parts):
-                    raise UsageError(f"{path}:{lineno}: non-integer entry {line!r}")
+                    raise UsageError(f"{path}:{lineno}: non-integer entry {line[:_QUOTED]!r}")
                 idx, val = map(int, parts)
                 if entries and idx <= entries[-1][0]:
                     raise UsageError(f"{path}:{lineno}: indices not strictly increasing")

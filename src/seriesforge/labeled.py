@@ -4,8 +4,8 @@ P(m,t,x) with symbolic weights x_{c,k} has one route, p_series: the
 root-color recurrence for the trees whose root has color 1, read from one
 Bell table (:mod:`seriesforge.bell`) over the forest v of trees rooted off
 color 1, which has about half the nonzero entries of a table over t + v,
-and a color swap for every other root color, returned as the coefficient
-tuple; the global inversion and the other routes live in
+and the color orbit of T_1 for the other root colors, returned as the
+coefficient tuple; the global inversion and the other routes live in
 :mod:`seriesforge.oracle`.  x_{c,k} = 1 and (k-1)! turn it into the
 ultrametric and mobile counts.  Each counting family has
 one function, its prefix for s = 1..up_to_s: an int m gives the counts,
@@ -26,12 +26,12 @@ ODE recurrence of the tests.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb
-from operator import add
 
 from .bell import bell_row
 from .rings import PolyVar
-from .weights import WeightPoly, color_swaps, sum_of_products
+from .weights import WeightPoly, add_into, color_swaps, sum_of_products
 
 
 def _check(s: int, m=None, least: int = 1) -> None:
@@ -63,17 +63,26 @@ def p_series(m: int, order: int) -> tuple:
 
     T_c, the trees whose root has color c, is sum_k x_{c,k} u_c^k/k! with
     u_c = t + sum_{c' != c} T_{c'}.  The colors are exchangeable, so only
-    T_1 is built; T_c is T_1 with colors 1 and c swapped, P_n =
+    T_1 is built; T_c is T_1 with colors 1 and c exchanged, P_n =
     sum_c T_{c,n}, and v_n = P_n - T_{1,n} is the forest v = u_1 - t of
     trees rooted off color 1, with v_1 = 0.  The one Bell table is over v:
     B_{q,j}(v) = 0 for 2j > q, and B_{n,k}(t + v) = sum_j C(n, k-j)
     B_{n-k+j,j}(v), so T_{1,n} = x_{1,n} + sum_{k<n} sum_{j=1..min(k,n-k)}
-    C(n, k-j) x_{1,k} B_{n-k+j,j}(v), one sum_of_products.  color_swaps
-    registers the x_{c,k} and lays out their fields.  Only T_1 and v sit
-    beside the table, v_n as the table's B_{n,1} too.  The table is released
-    as soon as T_{1,order} is made, before the last swaps copy it, so the
-    table and v_order, the largest swap sum, are never held at once; P_n =
-    T_{1,n} + v_n is built after the loop, so neither are the table and P.
+    C(n, k-j) x_{1,k} B_{n-k+j,j}(v), one sum_of_products, and v_n is the
+    color orbit of T_{1,n}, sum_{c>=2} T_{c,n}, which color_swaps adds into
+    one dict; color_swaps also registers the x_{c,k} and lays out their
+    fields.
+
+    Each coefficient is held once.  At step n < order the table holds rows
+    0..n, and T_{1,1..n} and v_1..v_n sit beside it, v_n as the table's
+    B_{n,1} too.  Row order is never stored: bell_row with dot = list gives
+    each of its entries as its triples, and the terms x_{1,k}
+    B_{order,k}(v), k <= order/2, go into the sum of T_{1,order} as those
+    triples, each with its first factor times x_{1,k}.  The table is
+    released as soon as T_{1,order} is made, so it is never held beside
+    v_order, the largest orbit.  Then each P_n = T_{1,n} + v_n is made in
+    v_n's own dict and T_{1,n} released, so P, T_1 and v are never held as
+    three copies; v_1, the shared zero, is not touched: P_1 = T_{1,1}.
     """
     for name, value in (("m", m), ("order", order)):
         if type(value) is not int:
@@ -82,23 +91,30 @@ def p_series(m: int, order: int) -> tuple:
     if order < 1:
         raise ValueError("order must be >= 1")
     zero, one = WeightPoly(), WeightPoly.const(1)
-    swaps = color_swaps(m, order)
+    orbit = color_swaps(m, order)
     x1 = [None, None] + [WeightPoly.gen(1, k) for k in range(2, order + 1)]
     t1 = [one]                          # T_{1,n} at index n - 1, the lone leaf as T_{1,1}
     v = [zero]                          # v_n at index n - 1: v_1 = 0
     rows = [[one], [zero, zero]]
     for n in range(2, order + 1):
-        bell_row(rows, v, sum_of_products)
-        t1.append(sum_of_products([(1, x1[n], one)] + [
+        if n < order:                   # top: the terms j = k, x_{1,k} B_{n,k}(v)
+            bell_row(rows, v, sum_of_products)
+            top = [(1, x1[k], rows[n][k]) for k in range(2, n // 2 + 1)]
+        else:                           # dot = list: each entry of row order as its triples
+            bell_row(rows, v, list)
+            last = rows.pop()
+            top = ((b, x1[k] * y, z) for k in range(2, n // 2 + 1) for b, y, z in last[k])
+        t1.append(sum_of_products(chain([(1, x1[n], one)], top, (
             (comb(n, k - j), x1[k], rows[n - k + j][j])
-            for k in range(2, n) for j in range(1, min(k, n - k) + 1)
-        ]))
+            for k in range(2, n) for j in range(1, min(k - 1, n - k) + 1)))))
         if n == order:
-            del rows                    # spent: the last swaps copy T_{1,order} without it
-        v.append(sum((swap(t1[-1]) for swap in swaps), zero))
+            del rows, last              # spent: the orbit of T_{1,order} is made without them
+        v.append(orbit(t1[-1]))
         if n < order:
             rows[n][1] = v[-1]
-    return (zero,) + tuple(map(add, t1, v))
+    for n in range(order - 1, 0, -1):   # P_{n+1} in v_{n+1}'s own dict
+        add_into(v[n], t1.pop())
+    return (zero, *t1, *v[1:])
 
 
 # ---------------------------------------------------------------------------

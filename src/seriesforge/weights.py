@@ -7,14 +7,14 @@ and the exponent of x_{c,k} sits in that field.  A product of monomials
 is then the sum of their ints.  The registry of the process is one
 insertion-ordered dict, _FIELDS, from (c, k) to field index; the field
 count, the guard mask of a product, the (c, k) order of the output keys
-and the masks of a color swap are all read from it.  color_swaps
+and the masks of a color exchange are all read from it.  color_swaps
 registers the variables of labeled.p_series degree-major, the m colors
 of each out-degree side by side, so a monomial of low degrees is a short
-int and a color swap moves a monomial with one mask and shift each way;
-no other module knows the layout.  The top bit of every field is a guard: a
-product whose exponent reaches it raises OverflowError rather than carry
-into the next field.  Output reads each monomial once into sorted int
-keys, one per factor: the rank of x_{c,k} among the registered variables
+int and a color exchange moves a monomial with one mask and shift each
+way; no other module knows the layout.  The top bit of every field is a
+guard: a product whose exponent reaches it raises OverflowError rather
+than carry into the next field.  Output reads each monomial once into
+sorted int keys, one per factor: the rank of x_{c,k} among the registered variables
 in (c, k) order, shifted past the exponent, so a key orders as its
 [c, k, e] triple and terms are ordered by their triples whatever order
 the variables were first seen in; the terms of one polynomial share one
@@ -25,12 +25,14 @@ in pieces of _BATCH terms; joined, the pieces are ``to_json``, the text
 ``json.dumps`` gives for ``to_jsonable()``.  The CLI writes each piece as
 it is made, so no coefficient's whole text is held.  Tree weights and the
 per-leaf-count coefficients of the weighted generating function live
-here, with the two
-kernels of labeled.p_series: sum_of_products, which p_series passes to
-bell_row and calls for each T_{1,n}, adds a whole sum of products into
-one dict (sparse accumulation as in Monagan and Pearce, 2011), and
-color_swaps, which exchanges color 1 with each other color of a
-polynomial by masks and shifts of its packed monomials.
+here, with the kernels of labeled.p_series, each of which adds straight
+into one dict (sparse accumulation as in Monagan and Pearce, 2011) and
+deletes any zero coefficient in place, never filtering into a copy:
+sum_of_products, which p_series passes to bell_row and calls for each
+T_{1,n}, adds a whole sum of products; the color orbit that color_swaps
+returns adds the exchanges of color 1 with every other color of a
+polynomial, by masks and shifts of its packed monomials; and add_into
+adds one polynomial into another's own dict.
 """
 
 from __future__ import annotations
@@ -149,17 +151,8 @@ class WeightPoly:
             other = WeightPoly.const(other)
         if not isinstance(other, WeightPoly):
             return NotImplemented
-        big, small = self.terms, other.terms
-        if len(big) < len(small):
-            big, small = small, big
-        out = dict(big)
-        for mono, coeff in small.items():
-            coeff += out.get(mono, 0)
-            if coeff:
-                out[mono] = coeff
-            else:
-                del out[mono]
-        return WeightPoly._of(out)
+        big, small = (other, self) if len(self.terms) < len(other.terms) else (self, other)
+        return add_into(WeightPoly._of(dict(big.terms)), small)
 
     __radd__ = __add__
 
@@ -265,31 +258,30 @@ def sum_of_products(terms) -> WeightPoly:
     guards = _GUARD_BIT * ((1 << _WIDTH * len(_FIELDS)) - 1) // _MASK   # top bit of each field
     if reduce(or_, out, 0) & guards:
         raise OverflowError(f"an exponent of a product reached 2^{_WIDTH - 1}")
-    if 0 in out.values():
-        out = {m: c for m, c in out.items() if c}
-    return WeightPoly._of(out)
+    return WeightPoly._of(_drop_zeros(out))
 
 
-def color_swaps(m: int, order: int) -> list:
-    """For each c = 2..m, the map exchanging colors 1 and c in a
-    polynomial whose x_{1,k} and x_{c,k} all have k <= order; the
-    variables of other colors stay as they are.
+def color_swaps(m: int, order: int):
+    """The color orbit map of a polynomial whose x_{1,k} and x_{c,k} all
+    have k <= order: poly -> sum_{c=2..m} poly with colors 1 and c
+    exchanged, the variables of other colors left as they are.
 
     It first registers the x_{c,k}, 1 <= c <= m and 2 <= k <= order,
     degree-major, the m colors of each out-degree side by side, so a
-    monomial of low degrees is a short int and a swap moves it by one
-    shift each way.  Fields that move by the same distance share one
+    monomial of low degrees is a short int and each exchange moves it by
+    one shift each way.  Fields that move by the same distance share one
     mask, and every field of another variable stays where it is.
 
     The fields stay registered for the life of the process, so a later
     call at a larger m gets the new colors' fields after all the old
-    ones, not degree-major: the output is the same, but each swap needs
-    one mask per run of moved fields and the monomials are longer ints.
+    ones, not degree-major: the output is the same, but each exchange
+    needs one mask per run of moved fields and the monomials are longer
+    ints.
     """
     for k in range(2, order + 1):
         for c in range(1, m + 1):
             _FIELDS.setdefault((c, k), len(_FIELDS))
-    swaps = []
+    moves = []
     for c in range(2, m + 1):
         runs: dict = {}                  # shift in bits -> mask of the fields it moves
         for k in range(2, order + 1):
@@ -298,19 +290,43 @@ def color_swaps(m: int, order: int) -> list:
                 runs[shift] = runs.get(shift, 0) | _MASK << (_WIDTH * _FIELDS[(a, k)])
         left = [(mask, shift) for shift, mask in runs.items() if shift > 0]
         right = [(mask, -shift) for shift, mask in runs.items() if shift < 0]
-        swaps.append(partial(_swap, ~reduce(or_, runs.values(), 0), left, right))
-    return swaps
+        moves.append((~reduce(or_, runs.values(), 0), left, right))
+    return partial(_orbit, moves)
 
 
-def _swap(keep: int, left: list, right: list, poly: WeightPoly) -> WeightPoly:
-    """poly with the fields under each mask of left moved up by its shift,
-    those of right moved down, and the fields under keep left in place."""
-    out = {}
+def _orbit(moves: list, poly: WeightPoly) -> WeightPoly:
+    """The sum over the (keep, left, right) of moves of poly with the
+    fields under each mask of left moved up by its shift, those of right
+    moved down and those under keep left in place: every image is added
+    straight into one dict, and no image is built."""
+    out: dict = {}
+    get = out.get
+    terms = poly.terms.items()
+    for keep, left, right in moves:
+        for mono, coeff in terms:
+            moved = mono & keep
+            for mask, shift in left:
+                moved |= (mono & mask) << shift
+            for mask, shift in right:
+                moved |= (mono & mask) >> shift
+            out[moved] = get(moved, 0) + coeff
+    return WeightPoly._of(_drop_zeros(out))
+
+
+def add_into(total: WeightPoly, poly: WeightPoly) -> WeightPoly:
+    """total + poly, made in total's own dict, which total then holds;
+    total changes its value, so it must not be a set member or a dict key."""
+    out = total.terms
+    get = out.get
     for mono, coeff in poly.terms.items():
-        moved = mono & keep
-        for mask, shift in left:
-            moved |= (mono & mask) << shift
-        for mask, shift in right:
-            moved |= (mono & mask) >> shift
-        out[moved] = coeff
-    return WeightPoly._of(out)
+        out[mono] = get(mono, 0) + coeff
+    _drop_zeros(out)
+    return total
+
+
+def _drop_zeros(out: dict) -> dict:
+    """out with its zero coefficients deleted in place, no copy made."""
+    if 0 in out.values():
+        for mono in [mono for mono, coeff in out.items() if not coeff]:
+            del out[mono]
+    return out

@@ -58,7 +58,9 @@ from seriesforge.cli import FAMILIES
 PRIMES = (2 ** 61 - 1, 2 ** 61 - 31)
 PRIME = PRIMES[0]
 # the bounds of every run: a run over either has lost its route's speed or
-# its memory economy; gf P at (3, 16) and (8, 9) come closest to 50 MiB
+# its memory economy; gf P at (3, 16) and (8, 9) come closest to 50 MiB,
+# at 35-40 MiB and 31-36 MiB on Pythons 3.10 to 3.13, where p_series
+# holds each coefficient once
 TIME_LIMIT_S = 60
 RSS_LIMIT_MIB = 50
 # each fully coloured family is (m - 1)^s times its base family for s > 1

@@ -519,11 +519,20 @@ class TestVerify:
         ("1 1\n2 1\n3 2\n4 5\n5 1_2\n", "5: non-integer entry '5 1_2'"),
         ("1 1\n2 1\n3 2\n4 5\n5 \uff11\uff12\n", "5: non-integer entry '5 \uff11\uff12'"),
         ("2 1\n1 1\n", "2: indices not strictly increasing"),
-    ], ids=["malformed", "non-integer", "underscore", "fullwidth", "non-increasing"])
+        # a bad line is quoted up to its first 60 characters
+        ("1 1\n" + "2 " * 50 + "\n", "2: malformed line '" + "2 " * 30 + "'"),
+    ], ids=["malformed", "non-integer", "underscore", "fullwidth", "non-increasing", "long"])
     def test_corrupted_bfile_usage_error(self, capsys, tmp_path, text, message):
         bf = tmp_path / "b.txt"
         bf.write_text(text, encoding="utf-8")
         assert usage_error(capsys, "verify", "unlabeled", "--bfile", str(bf)) == f"{bf}:{message}"
+
+    def test_bfile_line_past_the_bound_usage_error(self, capsys, tmp_path):
+        # read up to the bound, not to an end of line that may never come
+        bf = tmp_path / "b.txt"
+        bf.write_text("1" * (10 ** 6 + 1))
+        assert (usage_error(capsys, "verify", "unlabeled", "--bfile", str(bf))
+                == f"{bf}:1: line longer than 1000000 characters")
 
     def test_bfile_that_is_not_utf8_usage_error(self, capsys, tmp_path):
         bf = tmp_path / "b.txt"

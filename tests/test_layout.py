@@ -179,10 +179,11 @@ KEPT_UNRUN = {
     "weights.WeightPoly.__bool__": EXPORTED,
     "weights.WeightPoly.__eq__": EXPORTED,
     "weights.WeightPoly.__hash__": EXPORTED,
+    # p_series adds in place (weights.add_into); only tests and oracles use +
+    "weights.WeightPoly.__add__": TRACED,
     "weights.WeightPoly.__neg__": TRACED,
     "weights.WeightPoly.__sub__": TRACED,
     "weights.WeightPoly.__rsub__": TRACED,
-    "weights.WeightPoly.__mul__": TRACED,
     "weights.WeightPoly.substitute": TRACED,
     "weights.WeightPoly.degree_mass": TRACED,
     "weights.WeightPoly.to_jsonable": TRACED,

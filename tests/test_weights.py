@@ -283,10 +283,12 @@ def swapped_counters(poly: WeightPoly, a: int, b: int) -> dict:
 class TestColorSwap:
     @settings(max_examples=60, deadline=None)
     @given(pools, st.integers(2, 4), st.integers(2, 6), st.data())
-    def test_exchanges_two_colors_for_any_field_order(self, pool, m, order, data):
+    def test_orbit_sums_the_exchanges_for_any_field_order(self, pool, m, order, data):
         # the registry already holds, in any order, part of the (m, order)
-        # box of color_swaps and variables outside it; a polynomial may
-        # hold any variable of out-degree at most order
+        # box of color_swaps and variables outside it: with none of the box
+        # yet, each exchange moves one mask each way, and in another order,
+        # as after a call at a smaller m, one mask per run of moved fields;
+        # a polynomial may hold any variable of out-degree at most order
         box = [(c, k) for k in range(2, order + 1) for c in range(1, m + 1)]
         inside = data.draw(st.lists(st.sampled_from(box), unique=True))
         first = data.draw(st.permutations(list(dict.fromkeys(pool + inside))))
@@ -298,18 +300,26 @@ class TestColorSwap:
                 WeightPoly.gen(c, k)
             poly = build([(coeff, [(c, k, e) for (c, k), e in factors.items()])
                           for coeff, factors in spec])
-            swaps = weights.color_swaps(m, order)
-            assert len(swaps) == m - 1
-            for c, swap in enumerate(swaps, start=2):
-                assert as_counters(swap(poly)) == swapped_counters(poly, 1, c)
-                assert swap(swap(poly)) == poly
+            orbit = weights.color_swaps(m, order)
+            want = Counter()
+            for c in range(2, m + 1):
+                want.update(swapped_counters(poly, 1, c))
+            assert as_counters(orbit(poly)) == {mono: coeff for mono, coeff in want.items() if coeff}
+
+    def test_orbit_deletes_the_terms_that_cancel(self):
+        # x_{1,2} comes from x_{2,2} and, with the opposite sign, from
+        # x_{3,2}, so only the two images of x_{1,2} are left
+        with fresh_registry():
+            x22, x32 = WeightPoly.gen(2, 2), WeightPoly.gen(3, 2)
+            orbit = weights.color_swaps(3, 2)
+            assert orbit(x22 - x32).terms == (x22 - x32).terms
 
     def test_keeps_a_field_registered_after_it_was_built(self):
         with fresh_registry():
             x12 = WeightPoly.gen(1, 2)
-            swap, = weights.color_swaps(2, 2)
+            orbit = weights.color_swaps(2, 2)
             x32 = WeightPoly.gen(3, 2)
-            assert swap(x12 * x32) == WeightPoly.gen(2, 2) * x32
+            assert orbit(x12 * x32) == WeightPoly.gen(2, 2) * x32
 
     def test_p_series_registers_its_box_and_nothing_else(self):
         def box(m, order):
