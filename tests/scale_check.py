@@ -7,7 +7,8 @@ runs `python -m seriesforge.cli gf P --m 8 --order 9` in this environment
 and prints the arguments, the seconds and the peak RSS of its child in MiB
 (on Linux a child's peak starts at this process's, about 15 MiB).
 It exits 1 with one line on stderr if the run exits non-zero, is killed
-at TIME_LIMIT_S, peaks above RSS_LIMIT_MIB, or prints a wrong value or a
+at TIME_LIMIT_S, peaks above its bound in RSS_LIMIT_MIB (one per CI line,
+DEFAULT_RSS_LIMIT_MIB for any other run), or prints a wrong value or a
 stdout of the wrong shape.
 pytest does not collect it; tests/test_scale_check.py tests it.  The
 routes are written here afresh, over the integers mod p, and share no code
@@ -57,12 +58,31 @@ from seriesforge.cli import FAMILIES
 
 PRIMES = (2 ** 61 - 1, 2 ** 61 - 31)
 PRIME = PRIMES[0]
-# the bounds of every run: a run over either has lost its route's speed or
-# its memory economy; gf P at (3, 16) and (8, 9) come closest to 50 MiB,
-# at 35-40 MiB and 31-36 MiB on Pythons 3.10 to 3.13, where p_series
-# holds each coefficient once
+# the bounds of a run: a run over either has lost its route's speed or its
+# memory economy.  Each line of CI's large-size step has its own peak RSS
+# bound, the largest peak measured on Pythons 3.10.13, 3.11.7, 3.12.1 and
+# 3.13.0 plus 5 MiB, rounded up; gf P at (3, 16) and (8, 9) sit where the
+# release that copied each coefficient (40.3-43.7 and 37.8-41.6 MiB) fails
+# and the one that holds each coefficient once (35.4-39.1 and 31.2-34.7
+# MiB) passes.  A run outside the table has DEFAULT_RSS_LIMIT_MIB.
 TIME_LIMIT_S = 60
-RSS_LIMIT_MIB = 50
+RSS_LIMIT_MIB = {
+    "count unlabeled --s 1000": 22,
+    "count multipartite-unlabeled --s 600 --m 8": 22,
+    "table riordan-triangle --max-n 120": 23,
+    "count ultrametrics --s 1500 --m 8": 29,
+    "count mobiles --s 1500 --m 8": 29,
+    "gf P --m 3 --order 16": 41.5,
+    "gf P --m 4 --order 11": 24,
+    "gf P --m 8 --order 9": 37.5,
+    "polynomials ultrametrics --s 200": 26,
+    "polynomials mobiles --s 200": 26,
+    "polynomials chain-increasing --s 200": 26,
+    "polynomials fully-colored-labeled --s 200": 31,
+    "polynomials multipartite-unlabeled --s 100": 22,
+    "polynomials fully-colored-unlabeled --s 100": 22,
+}
+DEFAULT_RSS_LIMIT_MIB = 50
 # each fully coloured family is (m - 1)^s times its base family for s > 1
 FULLY_COLORED = {"fully-colored-labeled": "ultrametrics",
                  "fully-colored-unlabeled": "multipartite-unlabeled"}
@@ -363,6 +383,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = parse(argv)
     run = " ".join(argv)
+    limit = RSS_LIMIT_MIB.get(run, DEFAULT_RSS_LIMIT_MIB)
     start = time.perf_counter()
     try:
         done = subprocess.run(command(args, argv), stdout=subprocess.PIPE, text=True,
@@ -375,8 +396,8 @@ def main(argv=None):
     print(f"{run}: {seconds:.2f} s, {mib:.1f} MiB", flush=True)
     if done.returncode:
         problem = f"exited {done.returncode}"
-    elif mib > RSS_LIMIT_MIB:
-        problem = f"peaked at {mib:.1f} MiB RSS, above {RSS_LIMIT_MIB} MiB"
+    elif mib > limit:
+        problem = f"peaked at {mib:.1f} MiB RSS, above {limit} MiB"
     else:
         try:
             problem = CHECKS[args.command](args, done.stdout)

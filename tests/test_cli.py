@@ -20,52 +20,11 @@ from seriesforge.labeled import (
 from seriesforge.oracle import alternating_bell_polys, refined_polys_substituted
 from seriesforge.unlabeled import multipartite_unlabeled_counts, unlabeled_counts
 
+import test_golden_stdout as golden_stdout
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 BFILE = os.path.join(DATA, "b000669_prefix.txt")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
-
-# stdout of `gf P --m 2 --order 4`: pins the JSON layout and the order of
-# the terms, sorted by their [c, k, exp] triples
-P_M2_ORDER4 = (
-    '{"kind": "P", "m": 2, "order": 4, "coeffs": [[], [{"monomial": [], "coeff": 1}], '
-    '[{"monomial": [[1, 2, 1]], "coeff": 1}, {"monomial": [[2, 2, 1]], "coeff": 1}], '
-    '[{"monomial": [[1, 2, 1], [2, 2, 1]], "coeff": 6}, {"monomial": [[1, 3, 1]], "coeff": 1}, '
-    '{"monomial": [[2, 3, 1]], "coeff": 1}], '
-    '[{"monomial": [[1, 2, 1], [2, 2, 2]], "coeff": 15}, '
-    '{"monomial": [[1, 2, 1], [2, 3, 1]], "coeff": 10}, '
-    '{"monomial": [[1, 2, 2], [2, 2, 1]], "coeff": 15}, '
-    '{"monomial": [[1, 3, 1], [2, 2, 1]], "coeff": 10}, '
-    '{"monomial": [[1, 4, 1]], "coeff": 1}, {"monomial": [[2, 4, 1]], "coeff": 1}]]}\n'
-)
-
-# sha256 of the stdout of `gf P --spec symbolic --m M --order N`, recorded
-# from the release whose monomials were sorted variable tuples; the three
-# sizes of the benchmark's symbolic mix, (2, 14), (3, 11) and (4, 9), were
-# recorded from the release that rendered through json.dumps(to_jsonable()),
-# before to_json wrote its text directly
-P_SYMBOLIC_SHA256 = {
-    (1, 16): "7e7a746cce5e1c173c1d1a1d334aa4a9bc513aa729c92518ef5e202cf621baff",
-    (2, 12): "c2dcdce742cea03c1b659d916b87b801a7be3c1b0ce7ce32988db89d1c77dc08",
-    (3, 10): "69cf9c0d61fe5f1d70df01832f8d09a339f3f5e1d84b2deb71eb156750f57f70",
-    (5, 8): "87c8f2d1c171c15485796c799b322b732e45a4753edf6138cedf4f15bcd96390",
-    (2, 14): "ff36acc2b5ff87655c21198e22d8c5112928725eb61d301b5d8d7800fa9ae03f",
-    (3, 11): "9679b4309344ad39e1884c9e4fb28acba921a6176a84b408ffcf8c5c00c0f2d1",
-    (4, 9): "c41ff1e1c213c9af83e45c4d0d22fa6f43cd6da4d19a31992ef175a77d5e688f",
-}
-
-# (sha256, length in bytes) of the stdout of runs whose every step divides
-# exactly in the level table, over Z[t] for the triangle and at the int
-# point m - 1 for the multipartite count; recorded from the release whose
-# level table divided with divmod
-UNLABELED_STDOUT = {
-    ("table", "riordan-triangle", "--max-n", "40"):
-        ("411c4566be063ed199e5fe50bd7c6e92302e88b42bd71d2c1727ca91465e4888", 18614),
-    ("table", "riordan-triangle", "--max-n", "40", "--format", "json"):
-        ("71116956be46ded2151d699ed526d16e6275a3d9db92e808b66ce274a80a7412", 21721),
-    ("count", "multipartite-unlabeled", "--s", "300", "--m", "8"):
-        ("0933d2270e0753a13f338e3bd755683639edc094c059b7d60c647f2dbd2cd5d1", 377),
-}
 
 
 def decimal(v: int) -> str:
@@ -350,18 +309,6 @@ class TestGf:
             [{"monomial": [], "coeff": v}] for v in counts(8, 3)
         ]
 
-    def test_p_printed_output(self, capsys):
-        code, out, _ = run(capsys, "gf", "P", "--m", "2", "--order", "4")
-        assert code == 0
-        assert out == P_M2_ORDER4
-
-    @pytest.mark.parametrize("m, order", sorted(P_SYMBOLIC_SHA256))
-    def test_p_symbolic_bytes_are_pinned(self, capsys, m, order):
-        code, out, _ = run(capsys, "gf", "P", "--spec", "symbolic", "--m", str(m),
-                           "--order", str(order))
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == P_SYMBOLIC_SHA256[(m, order)]
-
     def test_p_record_is_written_one_coefficient_at_a_time(self):
         # the record goes out in pieces as each coefficient's text is made,
         # never joined into one str, and a long coefficient goes out in
@@ -379,10 +326,10 @@ class TestGf:
 
         recorder = Recorder()
         with contextlib.redirect_stdout(recorder):
-            code = main(["gf", "P", "--m", "3", "--order", "10"])
+            code = main(list(GF_P))
         assert code == 0
-        record = "".join(recorder.writes)
-        assert hashlib.sha256(record.encode()).hexdigest() == P_SYMBOLIC_SHA256[(3, 10)]
+        record = "".join(recorder.writes).encode()
+        assert hashlib.sha256(record).hexdigest() == golden_stdout.load()[" ".join(GF_P)]["sha256"]
         assert len(recorder.writes) > 1
         longest = max(len(c.to_json()) for c in p_series(3, 10))
         assert max(map(len, recorder.writes)) < longest
@@ -479,14 +426,6 @@ def test_json_writes_an_m_from_2_to_the_53_as_a_string(capsys):
     record = run(capsys, "gf", "P", "--spec", "ones", "--m", m, "--order", "2")
     assert (count[0], record[0]) == (0, 0)
     assert json.loads(count[1])["m"] == json.loads(record[1])["m"] == m
-
-
-@pytest.mark.parametrize("argv", sorted(UNLABELED_STDOUT), ids=" ".join)
-def test_unlabeled_stdout_bytes_are_pinned(capsys, argv):
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    data = out.encode()
-    assert (hashlib.sha256(data).hexdigest(), len(data)) == UNLABELED_STDOUT[argv]
 
 
 class TestVerify:

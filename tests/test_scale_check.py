@@ -5,6 +5,7 @@ at fixed points cannot see."""
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -17,6 +18,8 @@ from seriesforge.labeled import ultrametric_counts
 import scale_check
 
 M = PolyVar.gen("m")
+WORKFLOW = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        ".github", "workflows", "tests.yml")
 
 
 def stdout_of(run):
@@ -153,7 +156,20 @@ def test_names_a_stdout_of_the_wrong_shape(monkeypatch, capsys, run, stdout, sha
     # the checks raise on these; main words the error as one line
     monkeypatch.setattr(scale_check.subprocess, "run",
                         lambda argv, **kwargs: subprocess.CompletedProcess(argv, 0, stdout))
-    monkeypatch.setattr(scale_check, "RSS_LIMIT_MIB", float("inf"))
+    monkeypatch.setattr(scale_check, "DEFAULT_RSS_LIMIT_MIB", float("inf"))
     assert scale_check.main(run.split()) == 1
     assert capsys.readouterr().err == (
         f"scale check failed: {run}: stdout of the wrong shape ({shape})\n")
+
+
+def test_every_ci_line_has_its_own_rss_bound():
+    with open(WORKFLOW) as fh:
+        lines = re.findall(r"^ *python tests/scale_check\.py (.+)$", fh.read(), re.M)
+    assert sorted(lines) == sorted(scale_check.RSS_LIMIT_MIB)
+
+
+def test_a_run_over_its_own_bound_fails(monkeypatch, capsys):
+    monkeypatch.setitem(scale_check.RSS_LIMIT_MIB, "count unlabeled --s 30", 1)
+    assert scale_check.main(["count", "unlabeled", "--s", "30"]) == 1
+    assert re.fullmatch(r"scale check failed: count unlabeled --s 30: peaked at \d+\.\d MiB RSS,"
+                        r" above 1 MiB\n", capsys.readouterr().err)
