@@ -45,6 +45,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def digest(out):
+    """(sha256, length in bytes) of a run's stdout, as the corpus pins it."""
+    data = out.encode()
+    return hashlib.sha256(data).hexdigest(), len(data)
+
+
+def pinned(key):
+    """(sha256, length in bytes) that tests/golden_stdout.json pins for one run."""
+    entry = golden_stdout.load()[key]
+    return entry["sha256"], entry["bytes"]
+
+
 def usage_error(capsys, *argv):
     """Run a command that must fail as a usage error: exit 1, nothing on
     stdout and one `error: ` line on stderr. Returns that line's message."""
@@ -309,6 +321,31 @@ class TestGf:
             [{"monomial": [], "coeff": v}] for v in counts(8, 3)
         ]
 
+    def test_p_printed_output(self, capsys):
+        # the record is laid out as json.dumps writes it, and the terms of
+        # each coefficient are sorted by their [c, k, exp] triples
+        code, out, _ = run(capsys, "gf", "P", "--m", "2", "--order", "4")
+        assert code == 0
+        assert digest(out) == pinned("gf P --m 2 --order 4")
+        data = json.loads(out)
+        assert out == json.dumps(data) + "\n"
+        for coeff in data["coeffs"]:
+            monomials = [term["monomial"] for term in coeff]
+            assert monomials == sorted(monomials)
+
+    # the corpus pins these sizes with the default spec, or with --spec
+    # symbolic last; the spec given first writes the same bytes
+    @pytest.mark.parametrize("key", [
+        "gf P --m 1 --order 16", "gf P --m 2 --order 12", "gf P --m 2 --order 14 --spec symbolic",
+        "gf P --m 3 --order 10", "gf P --m 3 --order 11 --spec symbolic",
+        "gf P --m 4 --order 9 --spec symbolic", "gf P --m 5 --order 8",
+    ], ids=lambda key: "-".join(key.split()[3:6:2]))
+    def test_p_symbolic_bytes_are_pinned(self, capsys, key):
+        m, order = key.split()[3:6:2]
+        code, out, _ = run(capsys, "gf", "P", "--spec", "symbolic", "--m", m, "--order", order)
+        assert code == 0
+        assert digest(out) == pinned(key)
+
     def test_p_record_is_written_one_coefficient_at_a_time(self):
         # the record goes out in pieces as each coefficient's text is made,
         # never joined into one str, and a long coefficient goes out in
@@ -426,6 +463,19 @@ def test_json_writes_an_m_from_2_to_the_53_as_a_string(capsys):
     record = run(capsys, "gf", "P", "--spec", "ones", "--m", m, "--order", "2")
     assert (count[0], record[0]) == (0, 0)
     assert json.loads(count[1])["m"] == json.loads(record[1])["m"] == m
+
+
+# runs whose every step divides exactly in the level table, over Z[t] for
+# the triangle and at the int point m - 1 for the multipartite count
+@pytest.mark.parametrize("argv", [
+    ("table", "riordan-triangle", "--max-n", "40"),
+    ("table", "riordan-triangle", "--max-n", "40", "--format", "json"),
+    ("count", "multipartite-unlabeled", "--s", "300", "--m", "8"),
+], ids=" ".join)
+def test_unlabeled_stdout_bytes_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert digest(out) == pinned(" ".join(argv))
 
 
 class TestVerify:
