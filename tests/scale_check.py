@@ -1,15 +1,17 @@
-"""Run a large CLI run under a time and a memory bound and check its stdout
+"""Run large CLI runs under a time and a memory bound and check each stdout
 against an independent route, modulo primes below 2^61.
 
+    PYTHONPATH=src python tests/scale_check.py
     PYTHONPATH=src python tests/scale_check.py gf P --m 8 --order 9
 
-runs `python -m seriesforge.cli gf P --m 8 --order 9` in this environment
-and prints the arguments, the seconds and the peak RSS of its child in MiB
-(on Linux a child's peak starts at this process's, about 15 MiB).
-It exits 1 with one line on stderr if the run exits non-zero, is killed
-at TIME_LIMIT_S, peaks above its bound in RSS_LIMIT_MIB (one per CI line,
-DEFAULT_RSS_LIMIT_MIB for any other run), or prints a wrong value or a
-stdout of the wrong shape.
+The first runs every run of RSS_LIMIT_MIB, CI's large sizes, in order; the
+second runs `python -m seriesforge.cli gf P --m 8 --order 9` alone.  Each
+run prints its arguments, its seconds and its own peak RSS in MiB, and
+fails with one line on stderr if it exits non-zero, is killed at
+TIME_LIMIT_S, peaks above its bound in RSS_LIMIT_MIB (DEFAULT_RSS_LIMIT_MIB
+for a run outside the table), or prints a wrong value or a stdout of the
+wrong shape.  A failed run does not stop the others; the exit code is 1
+if any run failed.
 pytest does not collect it; tests/test_scale_check.py tests it.  The
 routes are written here afresh, over the integers mod p, and share no code
 with the package:
@@ -45,9 +47,10 @@ checked, so 1..S are invertible.
 
 import argparse
 import json
+import os
 import random
 import re
-import resource
+import signal
 import subprocess
 import sys
 import time
@@ -59,16 +62,17 @@ from seriesforge.cli import FAMILIES
 PRIMES = (2 ** 61 - 1, 2 ** 61 - 31)
 PRIME = PRIMES[0]
 # the bounds of a run: a run over either has lost its route's speed or its
-# memory economy.  Each line of CI's large-size step has its own peak RSS
-# bound, the largest peak measured on Pythons 3.10.13, 3.11.7, 3.12.1 and
-# 3.13.0 plus 5 MiB, rounded up; gf P at (3, 16) and (8, 9) sit where the
+# memory economy.  Each of CI's large-size runs has its own peak RSS
+# bound, the largest own peak measured on Pythons 3.10.13, 3.11.7, 3.12.1
+# and 3.13.0 plus 5 MiB, rounded up; gf P at (3, 16) and (8, 9) sit where the
 # release that copied each coefficient (40.3-43.7 and 37.8-41.6 MiB) fails
 # and the one that holds each coefficient once (35.4-39.1 and 31.2-34.7
-# MiB) passes.  A run outside the table has DEFAULT_RSS_LIMIT_MIB.
+# MiB) passes.  The table is the one list of CI's large-size runs; a run
+# outside it has DEFAULT_RSS_LIMIT_MIB.
 TIME_LIMIT_S = 60
 RSS_LIMIT_MIB = {
-    "count unlabeled --s 1000": 22,
-    "count multipartite-unlabeled --s 600 --m 8": 22,
+    "count unlabeled --s 1000": 21,
+    "count multipartite-unlabeled --s 600 --m 8": 21,
     "table riordan-triangle --max-n 120": 23,
     "count ultrametrics --s 1500 --m 8": 29,
     "count mobiles --s 1500 --m 8": 29,
@@ -103,6 +107,23 @@ if hasattr(sys, "set_int_max_str_digits"):
 polys = FAMILIES[sys.argv[1]][0](int(sys.argv[2]), PolyVar.gen("m"))
 for p in polys:
     print(json.dumps(list(p.coeffs)))
+"""
+# every run's parent, so that the peak read is the run's own: RUSAGE_CHILDREN
+# of this process keeps the largest peak of every child it has reaped, each
+# counted from this process's own RSS, which a forked child holds until it
+# execs.  The launcher runs without `site` and holds about 5 MiB when it
+# forks; its child sets an alarm, which exec keeps, so that the run itself
+# is killed at TIME_LIMIT_S, and execs the run.  The launcher then writes
+# "EXIT_CODE PEAK_KIB" to the file descriptor argv[1], the exit code
+# negative for a signal as in subprocess.
+LAUNCHER = """\
+import os, signal, sys
+pid = os.fork()
+if pid == 0:
+    signal.alarm(int(sys.argv[2]))
+    os.execv(sys.argv[3], sys.argv[3:])
+_, status, usage = os.wait4(pid, 0)
+os.write(int(sys.argv[1]), b"%d %d" % (os.waitstatus_to_exitcode(status), usage.ru_maxrss))
 """
 
 
@@ -376,26 +397,26 @@ def command(args, argv):
     return [sys.executable, "-m", "seriesforge.cli", *argv]
 
 
-def main(argv=None):
-    if hasattr(sys, "set_int_max_str_digits"):
-        # the labeled counts at s = 1500 pass Python's 4300-digit default
-        sys.set_int_max_str_digits(0)
-    argv = sys.argv[1:] if argv is None else argv
+def check(argv):
+    """Run one run through LAUNCHER and print its line; on a failure, also
+    print a line on stderr naming what is wrong.  1 if it failed, else 0."""
     args = parse(argv)
     run = " ".join(argv)
-    limit = RSS_LIMIT_MIB.get(run, DEFAULT_RSS_LIMIT_MIB)
-    start = time.perf_counter()
-    try:
-        done = subprocess.run(command(args, argv), stdout=subprocess.PIPE, text=True,
-                              timeout=TIME_LIMIT_S)
-    except subprocess.TimeoutExpired:
-        print(f"scale check failed: {run} took over {TIME_LIMIT_S} s", file=sys.stderr)
-        return 1
-    seconds = time.perf_counter() - start
-    mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024     # KiB on Linux
+    read, write = os.pipe()
+    with open(read, "rb") as report, open(write, "wb") as writer:
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-S", "-c", LAUNCHER, str(write), str(TIME_LIMIT_S),
+                               *command(args, argv)], stdout=subprocess.PIPE, text=True, pass_fds=(write,))
+        seconds = time.perf_counter() - start
+        writer.close()                  # so that the read ends where the launcher's report does
+        code, kib = map(int, report.read().split())
+    mib = kib / 1024                    # KiB on Linux
     print(f"{run}: {seconds:.2f} s, {mib:.1f} MiB", flush=True)
-    if done.returncode:
-        problem = f"exited {done.returncode}"
+    limit = RSS_LIMIT_MIB.get(run, DEFAULT_RSS_LIMIT_MIB)
+    if code == -signal.SIGALRM:
+        problem = f"took over {TIME_LIMIT_S} s"
+    elif code:
+        problem = f"exited {code}"
     elif mib > limit:
         problem = f"peaked at {mib:.1f} MiB RSS, above {limit} MiB"
     else:
@@ -406,9 +427,18 @@ def main(argv=None):
         except (LookupError, TypeError, ValueError) as exc:
             problem = f"stdout of the wrong shape ({type(exc).__name__}: {exc})"
     if problem:
-        print(f"scale check failed: {run}: {problem}", file=sys.stderr)
-        return 1
-    return 0
+        print(f"scale check failed: {run}: {problem}", file=sys.stderr, flush=True)
+    return int(bool(problem))
+
+
+def main(argv=None):
+    """Check the run that argv names or, with no arguments, every run of
+    RSS_LIMIT_MIB; 1 if any failed, else 0."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        # the labeled counts at s = 1500 pass Python's 4300-digit default
+        sys.set_int_max_str_digits(0)
+    argv = sys.argv[1:] if argv is None else argv
+    return max(check(run) for run in ([argv] if argv else map(str.split, RSS_LIMIT_MIB)))
 
 
 if __name__ == "__main__":

@@ -154,18 +154,39 @@ def test_runs_the_cli_in_a_child_and_prints_its_time_and_peak(run, code, line):
 ], ids=["empty-triangle", "p-coefficient-not-a-term"])
 def test_names_a_stdout_of_the_wrong_shape(monkeypatch, capsys, run, stdout, shape):
     # the checks raise on these; main words the error as one line
-    monkeypatch.setattr(scale_check.subprocess, "run",
-                        lambda argv, **kwargs: subprocess.CompletedProcess(argv, 0, stdout))
-    monkeypatch.setattr(scale_check, "DEFAULT_RSS_LIMIT_MIB", float("inf"))
+    def launcher(argv, pass_fds, **kwargs):
+        os.write(pass_fds[0], b"0 10240")       # the launcher's report: exit 0, 10 MiB
+        return subprocess.CompletedProcess(argv, 0, stdout)
+
+    monkeypatch.setattr(scale_check.subprocess, "run", launcher)
     assert scale_check.main(run.split()) == 1
     assert capsys.readouterr().err == (
         f"scale check failed: {run}: stdout of the wrong shape ({shape})\n")
 
 
 def test_every_ci_line_has_its_own_rss_bound():
+    # CI runs the whole table, so its runs and their bounds are written once
     with open(WORKFLOW) as fh:
-        lines = re.findall(r"^ *python tests/scale_check\.py (.+)$", fh.read(), re.M)
-    assert sorted(lines) == sorted(scale_check.RSS_LIMIT_MIB)
+        runs = re.findall(r"python3? tests/scale_check\.py(.*)$", fh.read(), re.M)
+    assert runs == [""]
+
+
+def test_reads_the_peak_of_its_own_run_alone(capsys):
+    # RUSAGE_CHILDREN would hold this earlier and larger child's peak too
+    subprocess.run([sys.executable, "-c", 'b"x" * (96 << 20)'], check=True, timeout=60)
+    assert scale_check.main(["count", "unlabeled", "--s", "30"]) == 0
+    line = re.fullmatch(r"count unlabeled --s 30: \d+\.\d\d s, (\d+\.\d) MiB\n", capsys.readouterr().out)
+    assert float(line[1]) < 50
+
+
+def test_runs_every_run_of_the_table_and_names_each_failure(monkeypatch, capsys):
+    monkeypatch.setattr(scale_check, "RSS_LIMIT_MIB", {
+        "count unlabeled --s 30": 1, "count unlabeled --s 31": 50, "gf P --m 3 --order 17": 50})
+    assert scale_check.main([]) == 1
+    out, err = capsys.readouterr()
+    assert re.fullmatch(r"count unlabeled --s 30: .*\ncount unlabeled --s 31: .*\ngf P --m 3 --order 17: .*\n", out)
+    assert re.fullmatch(r"scale check failed: count unlabeled --s 30: peaked at \d+\.\d MiB RSS, above 1 MiB\n"
+                        r"scale check failed: gf P --m 3 --order 17: exited 1\n", err)
 
 
 def test_a_run_over_its_own_bound_fails(monkeypatch, capsys):
