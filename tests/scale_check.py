@@ -4,14 +4,14 @@ against an independent route, modulo primes below 2^61.
     PYTHONPATH=src python tests/scale_check.py
     PYTHONPATH=src python tests/scale_check.py gf P --m 8 --order 9
 
-The first runs every run of RSS_LIMIT_MIB, CI's large sizes, in order; the
+The first runs every run of BOUNDS, CI's large sizes, in order; the
 second runs `python -m seriesforge.cli gf P --m 8 --order 9` alone.  Each
 run prints its arguments, its seconds and its own peak RSS in MiB, and
-fails with one line on stderr if it exits non-zero, is killed at
-TIME_LIMIT_S, peaks above its bound in RSS_LIMIT_MIB (DEFAULT_RSS_LIMIT_MIB
-for a run outside the table), or prints a wrong value or a stdout of the
-wrong shape.  A failed run does not stop the others; the exit code is 1
-if any run failed.
+fails with one line on stderr if it exits non-zero, is killed at its time
+bound, peaks above its RSS bound (both from BOUNDS, or TIME_LIMIT_S and
+DEFAULT_RSS_LIMIT_MIB for a run outside the table), or prints a wrong
+value or a stdout of the wrong shape.  A failed run does not stop the
+others; the exit code is 1 if any run failed.
 pytest does not collect it; tests/test_scale_check.py tests it.  The
 routes are written here afresh, over the integers mod p, and share no code
 with the package:
@@ -61,32 +61,35 @@ from seriesforge.cli import FAMILIES
 
 PRIMES = (2 ** 61 - 1, 2 ** 61 - 31)
 PRIME = PRIMES[0]
-# the bounds of a run: a run over either has lost its route's speed or its
-# memory economy.  Each of CI's large-size runs has its own peak RSS
-# bound, the largest own peak measured on Pythons 3.10.13, 3.11.7, 3.12.1
-# and 3.13.0 plus 5 MiB, rounded up; gf P at (3, 16) and (8, 9) sit where the
-# release that copied each coefficient (40.3-43.7 and 37.8-41.6 MiB) fails
-# and the one that holds each coefficient once (35.4-39.1 and 31.2-34.7
-# MiB) passes.  The table is the one list of CI's large-size runs; a run
-# outside it has DEFAULT_RSS_LIMIT_MIB.
-TIME_LIMIT_S = 60
-RSS_LIMIT_MIB = {
-    "count unlabeled --s 1000": 21,
-    "count multipartite-unlabeled --s 600 --m 8": 21,
-    "table riordan-triangle --max-n 120": 23,
-    "count ultrametrics --s 1500 --m 8": 29,
-    "count mobiles --s 1500 --m 8": 29,
-    "gf P --m 3 --order 16": 41.5,
-    "gf P --m 4 --order 11": 24,
-    "gf P --m 8 --order 9": 37.5,
-    "polynomials ultrametrics --s 200": 26,
-    "polynomials mobiles --s 200": 26,
-    "polynomials chain-increasing --s 200": 26,
-    "polynomials fully-colored-labeled --s 200": 31,
-    "polynomials multipartite-unlabeled --s 100": 22,
-    "polynomials fully-colored-unlabeled --s 100": 22,
+# the bounds of a run, (peak RSS in MiB, seconds): a run over either has
+# lost its route's memory economy or its speed.  Each of CI's large-size
+# runs has its own.  The RSS bound is the largest own peak measured on
+# Pythons 3.10.13, 3.11.7, 3.12.1 and 3.13.0 plus 5 MiB, rounded up; gf P
+# at (3, 16) and (8, 9) sit where the release that copied each coefficient
+# (40.3-43.7 and 37.8-41.6 MiB) fails and the one that holds each
+# coefficient once (35.4-39.1 and 31.2-34.7 MiB) passes.  The time bound is
+# 10 times the slowest own time on the same Pythons, rounded up to a whole
+# second, at least 2 and at most 60; the run is killed there.  The table is
+# the one list of CI's large-size runs; a run outside it has
+# DEFAULT_RSS_LIMIT_MIB and TIME_LIMIT_S.
+BOUNDS = {
+    "count unlabeled --s 1000": (21, 5),
+    "count multipartite-unlabeled --s 600 --m 8": (21, 5),
+    "table riordan-triangle --max-n 120": (23, 16),
+    "count ultrametrics --s 1500 --m 8": (29, 34),
+    "count mobiles --s 1500 --m 8": (29, 29),
+    "gf P --m 3 --order 16": (41.5, 25),
+    "gf P --m 4 --order 11": (24, 5),
+    "gf P --m 8 --order 9": (37.5, 21),
+    "polynomials ultrametrics --s 200": (26, 3),
+    "polynomials mobiles --s 200": (26, 17),
+    "polynomials chain-increasing --s 200": (26, 14),
+    "polynomials fully-colored-labeled --s 200": (31, 20),
+    "polynomials multipartite-unlabeled --s 100": (22, 11),
+    "polynomials fully-colored-unlabeled --s 100": (22, 12),
 }
 DEFAULT_RSS_LIMIT_MIB = 50
+TIME_LIMIT_S = 60
 # each fully coloured family is (m - 1)^s times its base family for s > 1
 FULLY_COLORED = {"fully-colored-labeled": "ultrametrics",
                  "fully-colored-unlabeled": "multipartite-unlabeled"}
@@ -112,10 +115,10 @@ for p in polys:
 # of this process keeps the largest peak of every child it has reaped, each
 # counted from this process's own RSS, which a forked child holds until it
 # execs.  The launcher runs without `site` and holds about 5 MiB when it
-# forks; its child sets an alarm, which exec keeps, so that the run itself
-# is killed at TIME_LIMIT_S, and execs the run.  The launcher then writes
-# "EXIT_CODE PEAK_KIB" to the file descriptor argv[1], the exit code
-# negative for a signal as in subprocess.
+# forks; its child sets an alarm at the run's time bound, argv[2], which
+# exec keeps, so that the run itself is killed there, and execs the run.
+# The launcher then writes "EXIT_CODE PEAK_KIB" to the file descriptor
+# argv[1], the exit code negative for a signal as in subprocess.
 LAUNCHER = """\
 import os, signal, sys
 pid = os.fork()
@@ -402,23 +405,23 @@ def check(argv):
     print a line on stderr naming what is wrong.  1 if it failed, else 0."""
     args = parse(argv)
     run = " ".join(argv)
+    rss_bound, time_bound = BOUNDS.get(run, (DEFAULT_RSS_LIMIT_MIB, TIME_LIMIT_S))
     read, write = os.pipe()
     with open(read, "rb") as report, open(write, "wb") as writer:
         start = time.perf_counter()
-        done = subprocess.run([sys.executable, "-S", "-c", LAUNCHER, str(write), str(TIME_LIMIT_S),
+        done = subprocess.run([sys.executable, "-S", "-c", LAUNCHER, str(write), str(time_bound),
                                *command(args, argv)], stdout=subprocess.PIPE, text=True, pass_fds=(write,))
         seconds = time.perf_counter() - start
         writer.close()                  # so that the read ends where the launcher's report does
         code, kib = map(int, report.read().split())
     mib = kib / 1024                    # KiB on Linux
     print(f"{run}: {seconds:.2f} s, {mib:.1f} MiB", flush=True)
-    limit = RSS_LIMIT_MIB.get(run, DEFAULT_RSS_LIMIT_MIB)
     if code == -signal.SIGALRM:
-        problem = f"took over {TIME_LIMIT_S} s"
+        problem = f"took over {time_bound} s"
     elif code:
         problem = f"exited {code}"
-    elif mib > limit:
-        problem = f"peaked at {mib:.1f} MiB RSS, above {limit} MiB"
+    elif mib > rss_bound:
+        problem = f"peaked at {mib:.1f} MiB RSS, above {rss_bound} MiB"
     else:
         try:
             problem = CHECKS[args.command](args, done.stdout)
@@ -433,12 +436,12 @@ def check(argv):
 
 def main(argv=None):
     """Check the run that argv names or, with no arguments, every run of
-    RSS_LIMIT_MIB; 1 if any failed, else 0."""
+    BOUNDS; 1 if any failed, else 0."""
     if hasattr(sys, "set_int_max_str_digits"):
         # the labeled counts at s = 1500 pass Python's 4300-digit default
         sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else argv
-    return max(check(run) for run in ([argv] if argv else map(str.split, RSS_LIMIT_MIB)))
+    return max(check(run) for run in ([argv] if argv else map(str.split, BOUNDS)))
 
 
 if __name__ == "__main__":

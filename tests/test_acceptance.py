@@ -238,14 +238,12 @@ def test_criterion_10_named_series():
     report(10, "classical series pairs invert to each other through order 16")
 
 
-def test_criterion_11_cli(tmp_path, capsys):
+def test_criterion_11_cli(capsys):
     assert cli_main(["table", "symbolic", "--check-paper"]) == 0
     import os
 
-    bfile = os.path.join(os.path.dirname(__file__), "data", "b000669_prefix.txt")
-    assert cli_main(["verify", "unlabeled", "--bfile", bfile]) == 0
-    bad = tmp_path / "bad.txt"
-    bad.write_text("1 1\n2 1\n3 2\n4 999\n")
-    assert cli_main(["verify", "unlabeled", "--bfile", str(bad)]) == 2
+    data = os.path.join(os.path.dirname(__file__), "data")
+    for name, code in (("b000669_prefix.txt", 0), ("b000669_wrong_at_4.txt", 2)):
+        assert cli_main(["verify", "unlabeled", "--bfile", os.path.join(data, name)]) == code
     capsys.readouterr()
     report(11, "CLI table check, b-file verification, and exit codes 0/0/2")

@@ -11,32 +11,16 @@ import pytest
 
 from seriesforge import reference
 from seriesforge.cli import FAMILIES, _p_record, main
-from seriesforge.labeled import (
-    fully_colored_labeled_counts,
-    mobile_counts,
-    p_series,
-    ultrametric_counts,
-)
+from seriesforge.labeled import p_series
 from seriesforge.oracle import alternating_bell_polys, refined_polys_substituted
-from seriesforge.unlabeled import multipartite_unlabeled_counts, unlabeled_counts
+from seriesforge.unlabeled import unlabeled_counts
 
 import test_golden_stdout as golden_stdout
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 BFILE = os.path.join(DATA, "b000669_prefix.txt")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
-
-def decimal(v: int) -> str:
-    """str(v), past the default digit limit too."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return str(v)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(v)
-    finally:
-        sys.set_int_max_str_digits(limit)
+CORPUS = golden_stdout.load()
 
 
 def run(capsys, *argv):
@@ -45,16 +29,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def digest(out):
-    """(sha256, length in bytes) of a run's stdout, as the corpus pins it."""
-    data = out.encode()
-    return hashlib.sha256(data).hexdigest(), len(data)
-
-
-def pinned(key):
-    """(sha256, length in bytes) that tests/golden_stdout.json pins for one run."""
-    entry = golden_stdout.load()[key]
-    return entry["sha256"], entry["bytes"]
+def assert_pinned(run, key=None):
+    """`run`, made in-process with the order cap at its default, has the exit
+    code, stdout and stderr that tests/golden_stdout.json pins for `key`,
+    by default the run itself.  A test that checks its run this way is
+    named for a fact that the pinned bytes hold."""
+    assert golden_stdout.record_all([run])[run] == CORPUS[key or run]
 
 
 def usage_error(capsys, *argv):
@@ -82,44 +62,20 @@ def check_long_bfile(capsys, tmp_path, family, m, values, changed):
 
 
 class TestCount:
-    def test_plain(self, capsys):
-        code, out, _ = run(capsys, "count", "ultrametrics", "--s", "4", "--m", "2")
-        assert code == 0
-        assert out.strip() == "52"
+    def test_plain(self):
+        assert_pinned("count ultrametrics --s 4 --m 2")
 
-    def test_json(self, capsys):
-        code, out, _ = run(
-            capsys, "count", "mobiles", "--s", "8", "--m", "8", "--format", "json"
-        )
-        assert code == 0
-        assert json.loads(out) == {
-            "family": "mobiles", "s": 8, "m": 8, "value": 218563826824
-        }
+    def test_json(self):
+        assert_pinned("count mobiles --s 8 --m 8 --format json")
 
-    def test_csv(self, capsys):
-        code, out, _ = run(
-            capsys, "count", "processes", "--s", "5", "--format", "csv"
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "family,s,m,value"
-        assert lines[1] == "processes,5,,3933"
-        # recorded from the release whose count command wrote its own CSV
-        assert out == "family,s,m,value\r\nprocesses,5,,3933\r\n"
+    def test_csv(self):
+        assert_pinned("count processes --s 5 --format csv")
 
-    def test_csv_keeps_m_zero(self, capsys):
-        code, out, _ = run(
-            capsys, "count", "chain-increasing", "--s", "4", "--m", "0", "--format", "csv"
-        )
-        assert (code, out) == (0, "family,s,m,value\r\nchain-increasing,4,0,1\r\n")
+    def test_csv_keeps_m_zero(self):
+        assert_pinned("count chain-increasing --s 4 --m 0 --format csv")
 
-    def test_huge_value_as_string_in_json(self, capsys):
-        code, out, _ = run(
-            capsys, "count", "ultrametrics", "--s", "20", "--m", "20",
-            "--format", "json",
-        )
-        assert code == 0
-        assert isinstance(json.loads(out)["value"], str)
+    def test_huge_value_as_string_in_json(self):
+        assert_pinned("count ultrametrics --s 20 --m 20 --format json")
 
     def test_missing_m_is_usage_error(self, capsys):
         assert (usage_error(capsys, "count", "ultrametrics", "--s", "4")
@@ -158,11 +114,8 @@ class TestCount:
         assert out == ""
         assert target.read_text().strip() == "2312"
 
-    def test_value_over_the_digit_limit(self, capsys):
-        m = 10 ** 20
-        code, out, err = run(capsys, "count", "fully-colored-labeled", "--s", "200", "--m", str(m))
-        assert (code, err) == (0, "")
-        assert out.strip() == decimal(fully_colored_labeled_counts(200, m)[-1])
+    def test_value_over_the_digit_limit(self):
+        assert_pinned("count fully-colored-labeled --s 200 --m 100000000000000000000")
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="this Python has no int/str digit limit")
@@ -179,22 +132,16 @@ class TestCount:
         finally:
             sys.set_int_max_str_digits(limit)
 
-    @pytest.mark.parametrize("family, m, counts", [
-        ("unlabeled", None, unlabeled_counts),
-        ("multipartite-unlabeled", 3, lambda s: multipartite_unlabeled_counts(s, 3)),
+    @pytest.mark.parametrize("run", [
+        "count unlabeled --s 400", "count multipartite-unlabeled --s 400 --m 3",
     ], ids=["unlabeled", "multipartite-unlabeled"])
-    def test_unlabeled_family_at_400_leaves(self, capsys, family, m, counts):
-        argv = ["count", family, "--s", "400"] + ([] if m is None else ["--m", str(m)])
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        assert out.strip() == str(counts(400)[-1])
+    def test_unlabeled_family_at_400_leaves(self, run):
+        assert_pinned(run)
 
-    def test_deterministic(self, capsys):
-        runs = {
-            run(capsys, "count", "ultrametrics", "--s", "8", "--m", "8")[1]
-            for _ in range(3)
-        }
-        assert runs == {"167347010944\n"}
+    def test_deterministic(self):
+        # three runs in one process, each writing the pinned bytes
+        for _ in range(3):
+            assert_pinned("count ultrametrics --s 8 --m 8")
 
 
 class TestTable:
@@ -209,10 +156,8 @@ class TestTable:
             "riordan-triangle",
         ],
     )
-    def test_check_paper_passes(self, capsys, name):
-        code, _, err = run(capsys, "table", name, "--check-paper")
-        assert code == 0
-        assert "match the reference" in err
+    def test_check_paper_passes(self, name):
+        assert_pinned(f"table {name} --check-paper")
 
     @pytest.mark.parametrize("argv, table, key, value, line", [
         # the m = 2 row with its s = 3 cell 8 raised to 9
@@ -242,29 +187,14 @@ class TestTable:
         assert (code, out) == (2, plain)
         assert err == f"{line}\nverification failed: 1 cell(s) differ\n"
 
-    def test_symbolic_contains_known_cell(self, capsys):
-        code, out, _ = run(capsys, "table", "symbolic", "--max-s", "4", "--max-m", "2")
-        assert code == 0
-        assert "52" in out
+    def test_symbolic_contains_known_cell(self):
+        assert_pinned("table symbolic --max-s 4 --max-m 2")
 
-    def test_csv_format(self, capsys):
-        code, out, _ = run(
-            capsys, "table", "mobiles", "--max-s", "3", "--max-m", "2",
-            "--format", "csv",
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0].startswith("m\\s,")
-        assert lines[1] == "1,1,1,2"
+    def test_csv_format(self):
+        assert_pinned("table mobiles --max-s 3 --max-m 2 --format csv")
 
-    def test_json_format(self, capsys):
-        code, out, _ = run(
-            capsys, "table", "symbolic", "--max-s", "2", "--max-m", "2",
-            "--format", "json",
-        )
-        assert code == 0
-        data = json.loads(out)
-        assert data[1]["2"] == 2
+    def test_json_format(self):
+        assert_pinned("table symbolic --max-s 2 --max-m 2 --format json")
 
     def test_bad_size_is_usage_error(self, capsys):
         assert (usage_error(capsys, "table", "riordan-triangle", "--max-n", "0")
@@ -296,37 +226,21 @@ class TestTable:
 
 
 class TestGf:
-    def test_a_series(self, capsys):
-        code, out, _ = run(capsys, "gf", "A", "--m", "2", "--order", "4")
-        assert code == 0
-        data = json.loads(out)
-        assert data["coeffs"] == ["0/1", "1/1", "2/1", "8/1", "52/1"]
+    def test_a_series(self):
+        assert_pinned("gf A --m 2 --order 4")
 
-    def test_p_series_symbolic(self, capsys):
-        code, out, _ = run(capsys, "gf", "P", "--m", "2", "--order", "3")
-        assert code == 0
-        data = json.loads(out)
-        assert data["kind"] == "P" and data["m"] == 2
-        # s = 2 coefficient is x_{1,2} + x_{2,2}
-        s2 = data["coeffs"][2]
-        assert sorted(term["monomial"][0][:2] for term in s2) == [[1, 2], [2, 2]]
+    def test_p_series_symbolic(self):
+        assert_pinned("gf P --m 2 --order 3")
 
-    @pytest.mark.parametrize("spec, counts", [
-        ("ones", ultrametric_counts), ("factorial", mobile_counts),
-    ], ids=["ones", "factorial"])
-    def test_p_series_constant_weights(self, capsys, spec, counts):
-        code, out, _ = run(capsys, "gf", "P", "--m", "3", "--order", "8", "--spec", spec)
-        assert code == 0
-        assert json.loads(out)["coeffs"] == [[]] + [
-            [{"monomial": [], "coeff": v}] for v in counts(8, 3)
-        ]
+    @pytest.mark.parametrize("spec", ["ones", "factorial"])
+    def test_p_series_constant_weights(self, spec):
+        assert_pinned(f"gf P --m 3 --order 8 --spec {spec}")
 
     def test_p_printed_output(self, capsys):
         # the record is laid out as json.dumps writes it, and the terms of
         # each coefficient are sorted by their [c, k, exp] triples
-        code, out, _ = run(capsys, "gf", "P", "--m", "2", "--order", "4")
-        assert code == 0
-        assert digest(out) == pinned("gf P --m 2 --order 4")
+        assert_pinned("gf P --m 2 --order 4")
+        _, out, _ = run(capsys, "gf", "P", "--m", "2", "--order", "4")
         data = json.loads(out)
         assert out == json.dumps(data) + "\n"
         for coeff in data["coeffs"]:
@@ -340,11 +254,9 @@ class TestGf:
         "gf P --m 3 --order 10", "gf P --m 3 --order 11 --spec symbolic",
         "gf P --m 4 --order 9 --spec symbolic", "gf P --m 5 --order 8",
     ], ids=lambda key: "-".join(key.split()[3:6:2]))
-    def test_p_symbolic_bytes_are_pinned(self, capsys, key):
+    def test_p_symbolic_bytes_are_pinned(self, key):
         m, order = key.split()[3:6:2]
-        code, out, _ = run(capsys, "gf", "P", "--spec", "symbolic", "--m", m, "--order", order)
-        assert code == 0
-        assert digest(out) == pinned(key)
+        assert_pinned(f"gf P --spec symbolic --m {m} --order {order}", key)
 
     def test_p_record_is_written_one_coefficient_at_a_time(self):
         # the record goes out in pieces as each coefficient's text is made,
@@ -366,7 +278,7 @@ class TestGf:
             code = main(list(GF_P))
         assert code == 0
         record = "".join(recorder.writes).encode()
-        assert hashlib.sha256(record).hexdigest() == golden_stdout.load()[" ".join(GF_P)]["sha256"]
+        assert hashlib.sha256(record).hexdigest() == CORPUS[" ".join(GF_P)]["sha256"]
         assert len(recorder.writes) > 1
         longest = max(len(c.to_json()) for c in p_series(3, 10))
         assert max(map(len, recorder.writes)) < longest
@@ -407,10 +319,8 @@ class TestGf:
         # every gf kind words a bad m as the count families do
         assert usage_error(capsys, "gf", *argv, "--order", "3") == f"m must be >= {least}"
 
-    def test_y_series(self, capsys):
-        code, out, _ = run(capsys, "gf", "Y", "--m", "2", "--order", "4")
-        assert code == 0
-        assert json.loads(out)["coeffs"][-1] == "243/1"
+    def test_y_series(self):
+        assert_pinned("gf Y --m 2 --order 4")
 
     def test_order_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("SERIESFORGE_MAX_ORDER", "5")
@@ -456,26 +366,22 @@ def test_integers_int_reads_but_the_cli_refuses(capsys, monkeypatch, cap, argv, 
     assert usage_error(capsys, *argv) == message
 
 
-def test_json_writes_an_m_from_2_to_the_53_as_a_string(capsys):
+def test_json_writes_an_m_from_2_to_the_53_as_a_string():
     # a reader that parses numbers as doubles would read 2^53 + 1 as 2^53
-    m = str(2 ** 53 + 1)
-    count = run(capsys, "count", "ultrametrics", "--s", "3", "--m", m, "--format", "json")
-    record = run(capsys, "gf", "P", "--spec", "ones", "--m", m, "--order", "2")
-    assert (count[0], record[0]) == (0, 0)
-    assert json.loads(count[1])["m"] == json.loads(record[1])["m"] == m
+    for run in ("count ultrametrics --s 3 --m 9007199254740993 --format json",
+                "gf P --spec ones --m 9007199254740993 --order 2"):
+        assert_pinned(run)
 
 
 # runs whose every step divides exactly in the level table, over Z[t] for
 # the triangle and at the int point m - 1 for the multipartite count
-@pytest.mark.parametrize("argv", [
-    ("table", "riordan-triangle", "--max-n", "40"),
-    ("table", "riordan-triangle", "--max-n", "40", "--format", "json"),
-    ("count", "multipartite-unlabeled", "--s", "300", "--m", "8"),
-], ids=" ".join)
-def test_unlabeled_stdout_bytes_are_pinned(capsys, argv):
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert digest(out) == pinned(" ".join(argv))
+@pytest.mark.parametrize("run", [
+    "table riordan-triangle --max-n 40",
+    "table riordan-triangle --max-n 40 --format json",
+    "count multipartite-unlabeled --s 300 --m 8",
+])
+def test_unlabeled_stdout_bytes_are_pinned(run):
+    assert_pinned(run)
 
 
 class TestVerify:
@@ -492,13 +398,8 @@ class TestVerify:
         assert code == 0
         assert "4 entries" in out
 
-    def test_mismatch_exits_2(self, capsys, tmp_path):
-        bf = tmp_path / "b.txt"
-        bf.write_text("1 1\n2 1\n3 2\n4 999\n")
-        code, out, err = run(capsys, "verify", "unlabeled", "--bfile", str(bf))
-        assert code == 2
-        assert "mismatch at index 4" in out
-        assert "verification failed" in err
+    def test_mismatch_exits_2(self):
+        assert_pinned("verify unlabeled --bfile tests/data/b000669_wrong_at_4.txt")
 
     # each entry is an optional minus sign and ASCII digits; int() alone
     # would read 1_2 and the fullwidth digits as 12, the fifth count
@@ -588,14 +489,13 @@ class TestVerify:
         assert (code, out.strip()) == (0, "OK (1 entries)")
 
     def test_value_over_the_digit_limit(self, capsys, tmp_path):
-        m = 10 ** 20
-        value = decimal(fully_colored_labeled_counts(200, m)[-1])
+        # the value as `count` writes it, whose bytes the corpus pins
+        m = "100000000000000000000"
+        _, value, _ = run(capsys, "count", "fully-colored-labeled", "--s", "200", "--m", m)
         assert len(value) > 4300
         bf = tmp_path / "b.txt"
-        bf.write_text(f"200 {value}\n")
-        code, out, _ = run(
-            capsys, "verify", "fully-colored-labeled", "--m", str(m), "--bfile", str(bf)
-        )
+        bf.write_text(f"200 {value}")
+        code, out, _ = run(capsys, "verify", "fully-colored-labeled", "--m", m, "--bfile", str(bf))
         assert (code, out.strip()) == (0, "OK (1 entries)")
 
 

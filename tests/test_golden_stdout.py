@@ -33,10 +33,10 @@ BENCHMARK_JOBS = os.path.join(ROOT, "benchmarks", "expected.json")
 # what a failure names, and the fields of an entry that each part covers
 PARTS = (("exit", ["exit"]), ("stdout", ["sha256", "bytes"]), ("stderr", ["stderr"]))
 
-# runs whose output tests of tests/test_cli.py assert, or asserted, by
-# hand, one usage error in the CLI's own words, and the sizes of the
-# earlier digest tables: gf P with symbolic weights, and the runs whose
-# every step divides exactly in the unlabeled level table
+# the runs of tests/test_cli.py that check their pins, one usage error in
+# the CLI's own words, a verify mismatch, and the sizes of the earlier
+# digest tables: gf P with symbolic weights, and the runs whose every
+# step divides exactly in the unlabeled level table
 RUNS = [
     "count ultrametrics --s 4 --m 2",
     "count ultrametrics --s 4",
@@ -64,6 +64,7 @@ RUNS = [
     "gf P --m 3 --order 8 --spec factorial",
     "gf P --spec ones --m 9007199254740993 --order 2",
     *(f"gf P --m {m} --order {order}" for m, order in ((1, 16), (2, 12), (3, 10), (5, 8))),
+    "verify unlabeled --bfile tests/data/b000669_wrong_at_4.txt",
 ]
 
 

@@ -180,8 +180,9 @@ def test_reads_the_peak_of_its_own_run_alone(capsys):
 
 
 def test_runs_every_run_of_the_table_and_names_each_failure(monkeypatch, capsys):
-    monkeypatch.setattr(scale_check, "RSS_LIMIT_MIB", {
-        "count unlabeled --s 30": 1, "count unlabeled --s 31": 50, "gf P --m 3 --order 17": 50})
+    monkeypatch.setattr(scale_check, "BOUNDS", {
+        "count unlabeled --s 30": (1, 60), "count unlabeled --s 31": (50, 60),
+        "gf P --m 3 --order 17": (50, 60)})
     assert scale_check.main([]) == 1
     out, err = capsys.readouterr()
     assert re.fullmatch(r"count unlabeled --s 30: .*\ncount unlabeled --s 31: .*\ngf P --m 3 --order 17: .*\n", out)
@@ -190,7 +191,15 @@ def test_runs_every_run_of_the_table_and_names_each_failure(monkeypatch, capsys)
 
 
 def test_a_run_over_its_own_bound_fails(monkeypatch, capsys):
-    monkeypatch.setitem(scale_check.RSS_LIMIT_MIB, "count unlabeled --s 30", 1)
+    monkeypatch.setitem(scale_check.BOUNDS, "count unlabeled --s 30", (1, 60))
     assert scale_check.main(["count", "unlabeled", "--s", "30"]) == 1
     assert re.fullmatch(r"scale check failed: count unlabeled --s 30: peaked at \d+\.\d MiB RSS,"
                         r" above 1 MiB\n", capsys.readouterr().err)
+
+
+def test_a_run_over_its_own_time_bound_is_killed(monkeypatch, capsys):
+    # the run takes several seconds; the kill at its bound is the check
+    run = "count unlabeled --s 3000"
+    monkeypatch.setitem(scale_check.BOUNDS, run, (50, 1))
+    assert scale_check.main(run.split()) == 1
+    assert capsys.readouterr().err == f"scale check failed: {run}: took over 1 s\n"
