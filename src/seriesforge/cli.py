@@ -1,15 +1,19 @@
-"""Command-line front end, on argparse.
+"""Command-line front end, with its own parser over one table, COMMANDS.
 
 Subcommands: ``count`` (one exact value), ``table`` (whole tables, with
 ``--check-paper`` validation against the embedded reference values),
 ``gf`` (series coefficients as exact JSON), ``verify`` (compare a family
 against an OEIS b-file), each over the families of the FAMILIES table.
+`_parse` reads argv as argparse reads it and words each usage error as
+Python 3.11's argparse does, on every Python; ``-h/--help`` prints the
+help of its level, made from the same table.  Four spellings argparse
+read are usage errors: ``-oFILE``, ``-o=FILE``, ``-ho`` and a bare ``--``.
 
 Exit codes: 0 success, 1 usage error or unwritable output (one ``error:``
 line on stderr), 2 verification mismatch.  The env var
 SERIESFORGE_MAX_ORDER caps the series order (default 16).  Every integer
 the CLI reads (an int option, that variable, each b-file field) must be a
-decimal integer, an optional minus sign and ASCII digits (_INT); the other
+decimal integer, an optional minus sign and ASCII digits (_is_int); the other
 spellings int() reads, such as '+5', '1_0' or fullwidth digits, are usage
 errors.  `parse_bfile` words every b-file error and reads no line past
 _MAX_LINE characters.
@@ -17,16 +21,14 @@ _MAX_LINE characters.
 
 from __future__ import annotations
 
-import argparse
 import os
-import re
 import sys
+from types import SimpleNamespace
 
 from . import labeled, reference, unlabeled
 from .weights import WeightPoly, _json_int
 
 DEFAULT_MAX_ORDER = 16
-_INT = re.compile(r"-?[0-9]+")
 # the longest b-file line read, far above the digits of any value the CLI
 # can compute; a bad line is quoted up to _QUOTED characters
 _MAX_LINE = 10 ** 6
@@ -66,22 +68,10 @@ class VerificationFailure(Exception):
     """Computed values disagree with a fixture or b-file."""
 
 
-def _int(text: str) -> int:
-    """The argparse type of every int option, worded as argparse words int."""
-    if not _INT.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
-
-
-class _Parser(argparse.ArgumentParser):
-    """A usage error exits 1, not argparse's 2, which is the exit code of a
-    verification mismatch; the help text is written as any output is."""
-
-    def error(self, message):
-        raise UsageError(message)
-
-    def print_help(self, file=None):
-        _emit(self.format_help().rstrip("\n"))
+def _is_int(text: str) -> bool:
+    """Whether text is a decimal integer: an optional minus sign and ASCII
+    digits."""
+    return text.isascii() and text.removeprefix("-").isdigit()
 
 
 def _emit(pieces, output=None):
@@ -133,7 +123,7 @@ def _values(fn, *args):
 
 def cmd_count(args):
     """Print one exact count."""
-    family, s, m, fmt = args.family, args.s, args.m, args.fmt
+    family, s, m, fmt = args.family, args.s, args.m, args.format
     value = _counts(family, s, m)[-1]
     if fmt == "plain":
         _emit(str(value), args.output)
@@ -169,8 +159,10 @@ def _render_grid(rows, fmt) -> str:
 
 
 def cmd_table(args):
-    """Emit one of the count tables; --check-paper compares each printed cell
-    that `paper` holds by (row label, column), an empty cell read as 0."""
+    """Emit one of the count tables.
+
+    --check-paper compares each printed cell that `paper` holds by (row
+    label, column), an empty cell read as 0."""
     if args.name == "riordan-triangle":
         if args.max_s is not None or args.max_m is not None:
             raise UsageError("--max-s and --max-m apply to the family tables only")
@@ -198,7 +190,7 @@ def cmd_table(args):
             rows.append([m] + _values(fn, max_s, m))
         paper = {(m, s): ref for m, refs in ref_table.items()
                  for s, ref in enumerate(refs, start=1)}
-    _emit(_render_grid(rows, args.fmt), args.output)
+    _emit(_render_grid(rows, args.format), args.output)
     if args.check_paper:
         header, *body = rows
         differ = 0
@@ -220,7 +212,7 @@ def cmd_gf(args):
     if kind != "P" and args.spec is not None:
         raise UsageError("--spec applies to gf P only")
     raw = os.environ.get("SERIESFORGE_MAX_ORDER", str(DEFAULT_MAX_ORDER))
-    if not _INT.fullmatch(raw):
+    if not _is_int(raw):
         raise UsageError(f"SERIESFORGE_MAX_ORDER is not an integer: {raw!r}")
     cap = int(raw)
     if order > cap:
@@ -262,7 +254,7 @@ def _p_record(m: int, order: int, series: list):
 def parse_bfile(path: str):
     """The entries at index >= 1 of an OEIS b-file, read line by line: UTF-8
     text, a leading byte-order mark dropped, '#' comment lines, then 'index
-    value' per line, both decimal integers (_INT), with strictly increasing
+    value' per line, both decimal integers (_is_int), with strictly increasing
     indices.  A line is read up to _MAX_LINE characters, so a file with no
     end of line costs no more.  Every problem with the file is a UsageError
     that names it."""
@@ -279,7 +271,7 @@ def parse_bfile(path: str):
                 parts = line.split()
                 if len(parts) != 2:
                     raise UsageError(f"{path}:{lineno}: malformed line {line[:_QUOTED]!r}")
-                if not all(_INT.fullmatch(part) for part in parts):
+                if not all(map(_is_int, parts)):
                     raise UsageError(f"{path}:{lineno}: non-integer entry {line[:_QUOTED]!r}")
                 idx, val = map(int, parts)
                 if entries and idx <= entries[-1][0]:
@@ -306,62 +298,125 @@ def cmd_verify(args):
     _emit(f"OK ({len(entries)} entries)")
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="seriesforge", allow_abbrev=False,
-                     description="Exact counts of multipartite series-reduced trees and friends.")
-    commands = parser.add_subparsers(dest="command", required=True)
+# every option by its names: (kind, default, help), the kind int, a list of
+# choices, bool for a flag, str for a path or None for -h/--help; a value is
+# stored under the option's last name, '-' read as '_'
+OPTIONS = {
+    "-h/--help": (None, None, "show this help message and exit"),
+    "-o/--output": (str, None, "write to this file, not to stdout"),
+    "--format": (["plain", "json", "csv"], "plain", "default plain"),
+    "--s": (int, None, "size parameter (leaves/chains/actions)"),
+    "--m": (int, None, "number of colors/symbols"),
+    "--max-s": (int, None, "family tables only (default 8)"),
+    "--max-m": (int, None, "family tables only (default 8)"),
+    "--max-n": (int, None, "riordan-triangle only (default 10)"),
+    "--check-paper": (bool, False, "compare against the embedded reference values"),
+    "--order": (int, 8, "default 8"),
+    "--spec": (["symbolic", *P_SPECS], None, "gf P only: x_{c,k} symbolic (default), 1 or (k-1)!"),
+    "--bfile": (str, None, "OEIS b-file to compare with"),
+}
+GRID = ["-o/--output", "--format"]
+# each command: (function, positional, its choices, options, required options)
+COMMANDS = {
+    "count": (cmd_count, "family", sorted(FAMILIES), [*GRID, "--m"], ["--s"]),
+    "table": (cmd_table, "name", sorted(TABLES) + ["riordan-triangle"],
+              [*GRID, "--max-s", "--max-m", "--max-n", "--check-paper"], []),
+    "gf": (cmd_gf, "kind", ["P", *GF_KINDS], ["-o/--output", "--order", "--spec"], ["--m"]),
+    "verify": (cmd_verify, "family", sorted(FAMILIES), ["--m"], ["--bfile"]),
+}
 
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("-o", "--output")
-    grid = argparse.ArgumentParser(add_help=False, parents=[output])
-    grid.add_argument("--format", dest="fmt", choices=["plain", "json", "csv"], default="plain")
 
-    def command(fn, name, positional, choices, parents=()):
-        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__,
-                                  allow_abbrev=False, parents=parents)
-        sub.set_defaults(run=fn)
-        sub.add_argument(positional, choices=choices)
-        return sub
+def _is_option(arg: str, names) -> bool:
+    """Whether argparse reads arg as an option, not as a value: one of
+    `names`, or one with '=' and more or, for -h and -o, with anything
+    after it, or any other '-' and more with no space that is not a
+    negative number (-N, -.N or -N.N in any decimal digits)."""
+    head, dot, tail = arg[1:].partition(".")
+    number = (head + tail).isdecimal() and (tail or not dot)
+    return (arg[:2] in names or arg.partition("=")[0] in names
+            or arg.startswith("-") and arg != "-" and " " not in arg and not number)
 
-    count = command(cmd_count, "count", "family", sorted(FAMILIES), [grid])
-    count.add_argument("--s", type=_int, required=True, help="size parameter (leaves/chains/actions)")
-    count.add_argument("--m", type=_int, help="number of colors/symbols")
 
-    table = command(cmd_table, "table", "name", sorted(TABLES) + ["riordan-triangle"], [grid])
-    table.add_argument("--max-s", type=_int, help="family tables only (default 8)")
-    table.add_argument("--max-m", type=_int, help="family tables only (default 8)")
-    table.add_argument("--max-n", type=_int, help="riordan-triangle only (default 10)")
-    table.add_argument("--check-paper", action="store_true",
-                       help="compare against the embedded reference values")
+def _parse(argv, prog="seriesforge", spec=None, extra=()):
+    """(function, argument) to run for argv: the command's function and its
+    arguments, or _emit and the help of the level where -h/--help comes.
+    spec is a row of COMMANDS, by default the top level, whose positional
+    is the command, which reads the rest of argv.  argv is read left to
+    right, as argparse reads it: '--name value' or '--name=value', the last
+    value of a repeated option wins, and the first bad or missing value is
+    the usage error; after the whole of argv, a missing argument is, and
+    then an unrecognised one at either level."""
+    fn, positional, choices, optional, required = spec or (main, "command", [*COMMANDS], [], [])
+    keys = ["-h/--help", *optional, *required]
+    names = {name: key for key in keys for name in key.split("/")}
+    values = {positional: None} | {key: OPTIONS[key][1] for key in keys[1:]}
+    argv = iter(argv)
+    for arg in argv:
+        head, eq, tail = arg.partition("=")
+        key, value = ((names[head], tail) if arg[:2] == "--" and eq and head in names
+                      else (names.get(arg), None if arg in names else arg))
+        if key is None and (_is_option(arg, names) or values[positional] is not None):
+            extra += (arg,)
+            continue
+        key, kind = (key, OPTIONS[key][0]) if key else (positional, choices)
+        if kind in (None, bool) and value is not None:
+            raise UsageError(f"argument {key}: ignored explicit argument {value!r}")
+        if kind is None:
+            return _emit, _help(prog, fn, positional, choices, keys, required)
+        if kind is not bool and value is None:
+            value = next(argv, None)
+            if value is None or _is_option(value, names):
+                raise UsageError(f"argument {key}: expected one argument")
+        if kind is int and not _is_int(value):
+            raise UsageError(f"argument {key}: invalid int value: {value!r}")
+        if isinstance(kind, list) and value not in kind:
+            raise UsageError(f"argument {key}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, kind))})")
+        values[key] = True if kind is bool else int(value) if kind is int else value
+        if fn is main:
+            return _parse(argv, f"{prog} {arg}", COMMANDS[arg], extra)
+    missing = [key for key in [positional, *required] if values[key] is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    return fn, SimpleNamespace(**{key.split("/")[-1].lstrip("-").replace("-", "_"): value
+                                  for key, value in values.items()})
 
-    gf = command(cmd_gf, "gf", "kind", ["P", *GF_KINDS], [output])
-    gf.add_argument("--m", type=_int, required=True)
-    gf.add_argument("--order", type=_int, default=8)
-    gf.add_argument("--spec", choices=["symbolic", *P_SPECS],
-                    help="gf P only: x_{c,k} symbolic (default), all 1 or (k-1)!")
 
-    verify = command(cmd_verify, "verify", "family", sorted(FAMILIES))
-    verify.add_argument("--m", type=_int)
-    verify.add_argument("--bfile", required=True)
-    return parser
+def _help(prog, fn, positional, choices, keys, required) -> str:
+    """The -h/--help text of one level: its usage, the first line of its
+    function's docstring, its positional's choices and its options."""
+    about = {c: COMMANDS[c][0].__doc__.partition("\n")[0] for c in choices if fn is main}
+    lines = [f"usage: {prog} [options] {positional.upper()}", "", fn.__doc__.partition("\n")[0],
+             "", f"{positional.upper()}:", *(f"  {c:<12}{about.get(c, '')}".rstrip()
+                                              for c in choices), "", "options:"]
+    for key in keys:
+        kind, _, text = OPTIONS[key]
+        usage = key.replace("/", ", ") + (f" {{{','.join(kind)}}}" if isinstance(kind, list)
+                                          else {int: " INT", str: " PATH"}.get(kind, ""))
+        lines.append(f"  {usage:<24}  {'required; ' * (key in required)}{text}")
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
+    """Exact counts of multipartite series-reduced trees and friends.
+
+    Runs the command of argv, by default sys.argv[1:], and returns the
+    exit code."""
     # counts and b-file values may pass Python's 4300-digit default (0: none)
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        args = _parser().parse_args(argv)
-        args.run(args)
+        run, args = _parse(sys.argv[1:] if argv is None else argv)
+        run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:           # argparse exits so after --help
-        return exc.code
     finally:                            # an in-process caller gets its limit back
         if limit:
             sys.set_int_max_str_digits(limit)

@@ -1,4 +1,5 @@
-"""The CLI's contract over its argv grammar, as one property test.
+"""The CLI's contract over its argv grammar, as one property test, and
+its parser against the argparse grammar it replaced (see the second half).
 
 Each example builds one command line from the grammar: a subcommand, a
 family (or one bad name), a size s in -1..12, an m that is absent, -1, 0
@@ -16,18 +17,22 @@ prefix, and ``-o`` writes exactly what stdout would.
 hypothesis rejects function-scoped fixtures such as ``capsys``.
 """
 
+import argparse
 import contextlib
 import csv
 import io
 import json
 import os
+import re
+import sys
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seriesforge
-from seriesforge.cli import main
+from seriesforge.cli import UsageError, _emit, _parse, main
 
 # the grammar's families, pinned here rather than read from the CLI:
 # family -> (prefix function, table name, gf letter)
@@ -225,3 +230,201 @@ def test_cli_contract(line, to_file, unknown, corrupt, spelling):
                 assert err == "all checked cells match the reference values\n"
         elif argv[0] == "gf" and code == 0:
             assert json.loads(out)["coeffs"][0] in ("0/1", [])
+
+
+# The parser's parity oracle: the argparse grammar the CLI had before it
+# parsed argv itself, kept here as the reference.  For every argv drawn
+# below and in PARITY, `cli._parse` must refuse exactly when argparse
+# does, print help exactly when and at the level argparse does, and
+# otherwise give the same values (argparse's dest "fmt" is the CLI's
+# "format").  On Python 3.11, whose wording the CLI keeps, each refusal
+# must also be worded the same.  The spellings argparse reads and the CLI
+# does not, in DROPPED, are not drawn.
+
+class Refused(Exception):
+    pass
+
+
+class Helped(Exception):
+    pass
+
+
+class Reference(argparse.ArgumentParser):
+    def error(self, message):
+        raise Refused(message)
+
+    def print_help(self, file=None):
+        raise Helped(self.prog)
+
+
+def _int(text):
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+def reference_parser():
+    parser = Reference(prog="seriesforge", allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output")
+    grid = argparse.ArgumentParser(add_help=False, parents=[output])
+    grid.add_argument("--format", dest="fmt", choices=["plain", "json", "csv"], default="plain")
+
+    def command(name, positional, choices, parents=()):
+        sub = commands.add_parser(name, allow_abbrev=False, parents=parents)
+        sub.add_argument(positional, choices=choices)
+        return sub
+
+    families = sorted(FAMILIES)
+    count = command("count", "family", families, [grid])
+    count.add_argument("--s", type=_int, required=True)
+    count.add_argument("--m", type=_int)
+    table = command("table", "name", TABLES, [grid])
+    table.add_argument("--max-s", type=_int)
+    table.add_argument("--max-m", type=_int)
+    table.add_argument("--max-n", type=_int)
+    table.add_argument("--check-paper", action="store_true")
+    gf = command("gf", "kind", ["P", "A", "G", "Y"], [output])
+    gf.add_argument("--m", type=_int, required=True)
+    gf.add_argument("--order", type=_int, default=8)
+    gf.add_argument("--spec", choices=["symbolic", "ones", "factorial"])
+    verify = command("verify", "family", families)
+    verify.add_argument("--m", type=_int)
+    verify.add_argument("--bfile", required=True)
+    return parser
+
+
+REFERENCE = reference_parser()
+
+
+def outcome(parse, argv):
+    """("ok", values), ("help", the level's prog) or ("refused", message)
+    of one parser on argv."""
+    try:
+        return "ok", parse(argv)
+    except (Refused, UsageError) as exc:
+        return "refused", str(exc)
+    except Helped as exc:
+        return "help", str(exc)
+
+
+def by_argparse(argv):
+    values = vars(REFERENCE.parse_args(argv))
+    del values["command"]
+    if "fmt" in values:
+        values["format"] = values.pop("fmt")
+    return values
+
+
+def by_cli(argv):
+    run, args = _parse(argv)
+    if run is _emit:
+        # the help's first line is "usage: PROG [options] POSITIONAL"
+        raise Helped(" ".join(args.partition("\n")[0].split()[1:-2]))
+    return vars(args)
+
+
+def assert_parity(argv):
+    want, got = outcome(by_argparse, argv), outcome(by_cli, argv)
+    if sys.version_info[:2] != (3, 11) and want[0] == got[0] == "refused":
+        return
+    assert got == want, argv
+
+
+INTS = ["3", "0", "-1", "12"]
+BAD_VALUES = ["x", "+5", "1_0", "-1.5", "", "\u0663", "-x", "nonsense"]
+PATHS = ["out.txt", "-1", "x y"]
+# command -> (its positional's choices, each option's good values, None for
+# a flag, and its required options), as the reference above has them
+GRAMMAR = {
+    "count": (sorted(FAMILIES), {"--s": INTS, "--m": INTS, "--format": ["plain", "json", "csv"],
+                                 "-o": PATHS, "--output": PATHS}, ["--s"]),
+    "table": (TABLES, {"--max-s": INTS, "--max-m": INTS, "--max-n": INTS, "--check-paper": None,
+                       "--format": ["csv"], "-o": PATHS}, []),
+    "gf": (["P", "A", "G", "Y"], {"--m": INTS, "--order": INTS,
+                                  "--spec": ["symbolic", "ones", "factorial"],
+                                  "--output": PATHS}, ["--m"]),
+    "verify": (sorted(FAMILIES), {"--m": INTS, "--bfile": PATHS}, ["--bfile"]),
+}
+ODD = ["--no-such-option", "-z", "--bad=1", "--max-n", "--spec", "--bfile", "extra",
+       "-h", "--help", "--help=1"]
+
+
+@st.composite
+def argvs(draw):
+    """A command line of one command from GRAMMAR: its positional and
+    required options, some other options, each '--name value' or
+    '--name=value', in any order; most lines are then spoiled, by a
+    dropped word, a bad value, an odd word (an unknown option, another
+    command's option, a positional too many, help) or a command name that
+    is missing or wrong."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    choices, options, required = GRAMMAR[command]
+    names = required + draw(st.lists(st.sampled_from(sorted(options)), max_size=3))
+    groups = [[draw(st.sampled_from(choices))]]
+    for name in names:
+        value = options[name] and draw(st.sampled_from(options[name]))
+        if value is not None and draw(st.sampled_from([False, False, True])):
+            value = draw(st.sampled_from(BAD_VALUES))
+        if value is None:
+            groups.append([name])
+        elif name.startswith("--") and draw(st.booleans()):
+            groups.append([f"{name}={value}"])
+        else:
+            groups.append([name, value])
+    groups += [[word] for word in draw(st.lists(st.sampled_from(ODD), max_size=2))]
+    groups = draw(st.permutations(groups))
+    if groups and draw(st.booleans()):
+        # one group loses its last word: a missing value or positional
+        i = draw(st.integers(0, len(groups) - 1))
+        groups[i] = groups[i][:-1]
+    lead = draw(st.sampled_from([[command]] * 6 + [[], ["nonsense"], ["--help", command],
+                                                     ["--no-such-option", command]]))
+    return lead + [word for group in groups for word in group]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+def test_the_parser_reads_argv_as_argparse_did(argv):
+    assert_parity(argv)
+
+
+# argv that the draws may miss, each read as argparse read it
+PARITY = [
+    ["count", "unlabeled", "--s=5"],
+    ["count", "--s", "5", "--format", "json", "unlabeled"],
+    ["count", "unlabeled", "--s", "3", "--s", "5"],
+    ["count", "ultrametrics", "--s", "3", "--m", "-1"],
+    ["count", "ultrametrics", "--s", "3", "--m=-1"],
+    ["count", "unlabeled", "--s", "3", "--output", "out.txt"],
+    ["count", "unlabeled", "--s", "3", "-o", "-1.5"],
+    ["count", "unlabeled", "--s", "x", "-h"],
+    ["count", "-h", "--s", "x"],
+    ["count", "unlabeled", "--s", "3", "--output", "-x"],
+    ["table", "symbolic", "--check-paper", "--check-paper=1"],
+    ["--no-such-option", "count", "unlabeled", "--s", "3", "extra", "--bad"],
+    ["gf", "P", "--m", "2", "--spec", "ones", "--output=-o"],
+    ["verify", "unlabeled"],
+    ["count", "unlabeled", "extra"],
+    ["--no-such-option"],
+    [],
+]
+# the spellings argparse read and the CLI refuses, each with its error
+DROPPED = [
+    (["count", "unlabeled", "--s", "3", "-oout.txt"], "unrecognized arguments: -oout.txt"),
+    (["count", "unlabeled", "--s", "3", "-o=out.txt"], "unrecognized arguments: -o=out.txt"),
+    (["count", "unlabeled", "--s", "3", "-ho", "out.txt"], "unrecognized arguments: -ho out.txt"),
+    (["count", "--s", "3", "--", "unlabeled"], "unrecognized arguments: --"),
+]
+
+
+@pytest.mark.parametrize("argv", PARITY, ids=lambda argv: " ".join(argv) or "no-argv")
+def test_the_parser_reads_each_spelling_as_argparse_did(argv):
+    assert_parity(argv)
+
+
+@pytest.mark.parametrize("argv, message", DROPPED, ids=[" ".join(argv) for argv, _ in DROPPED])
+def test_a_dropped_spelling_is_a_usage_error(argv, message):
+    assert outcome(by_argparse, argv)[0] != "refused"
+    assert outcome(by_cli, argv) == ("refused", message)

@@ -6,9 +6,9 @@ sha256 and length in bytes of its stdout, and its exact stderr.  One
 test runs every entry in-process through `cli.main` and names each run
 whose exit code, stdout or stderr differs.
 
-The runs: every run of test_layout's EVERY_RUN but --help, the non-verify
-jobs of benchmarks/expected.json, and RUNS below.  No entry may depend on
-the Python version, so none is --help or an error worded by argparse.
+The runs: every run of test_layout's EVERY_RUN, the non-verify jobs of
+benchmarks/expected.json, and RUNS below.  No entry may depend on the
+Python version: the CLI words its help and its usage errors itself.
 
     PYTHONPATH=src python tests/test_golden_stdout.py
 
@@ -34,9 +34,13 @@ BENCHMARK_JOBS = os.path.join(ROOT, "benchmarks", "expected.json")
 PARTS = (("exit", ["exit"]), ("stdout", ["sha256", "bytes"]), ("stderr", ["stderr"]))
 
 # the runs of tests/test_cli.py that check their pins, one usage error in
-# the CLI's own words, a verify mismatch, and the sizes of the earlier
-# digest tables: gf P with symbolic weights, and the runs whose every
-# step divides exactly in the unlabeled level table
+# the CLI's own words, a verify mismatch, the sizes of the earlier digest
+# tables (gf P with symbolic weights, and the runs whose every step divides
+# exactly in the unlabeled level table), the help of each command, and one
+# run of each usage error of the parser, the spellings it does not read
+# among them: no command, an unknown command, a missing positional and
+# option, a missing value, an invalid choice, a bad int, an unrecognised
+# argument and a flag given a value
 RUNS = [
     "count ultrametrics --s 4 --m 2",
     "count ultrametrics --s 4",
@@ -65,6 +69,19 @@ RUNS = [
     "gf P --spec ones --m 9007199254740993 --order 2",
     *(f"gf P --m {m} --order {order}" for m, order in ((1, 16), (2, 12), (3, 10), (5, 8))),
     "verify unlabeled --bfile tests/data/b000669_wrong_at_4.txt",
+    *(f"{command} -h" for command in ("count", "table", "gf", "verify")),
+    "",
+    "nonsense",
+    "count",
+    "count unlabeled --s",
+    "count nonsense --s 3",
+    "count unlabeled --s +5",
+    "count unlabeled --s 3 extra",
+    "table symbolic --check-paper=1",
+    "count unlabeled --s 3 -oout.txt",
+    "count unlabeled --s 3 -o=out.txt",
+    "count unlabeled --s 3 -ho out.txt",
+    "count --s 3 -- unlabeled",
 ]
 
 
@@ -78,8 +95,7 @@ def runs():
     """Every run the corpus pins, as its key."""
     with open(BENCHMARK_JOBS) as fh:
         jobs = [job for job in json.load(fh) if not job.startswith("verify ")]
-    layout = [" ".join(_paths(argv, lambda p: os.path.relpath(p, ROOT)))
-              for argv in EVERY_RUN if argv != ["--help"]]
+    layout = [" ".join(_paths(argv, lambda p: os.path.relpath(p, ROOT))) for argv in EVERY_RUN]
     return list(dict.fromkeys(layout + jobs + RUNS))
 
 

@@ -36,8 +36,12 @@ CLI_RUNS = [
 # modules a plain-format count, table or verify run, or a gf P run, does
 # not need: the ring contract, its dataclass series type, QQ and Fraction
 # live in the test-support egf.py, csv and json are imported only where
-# the csv or json format is written, and gf P writes its JSON text itself
-STARTUP_HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "csv", "json", "typing"}
+# the csv or json format is written, gf P writes its JSON text itself, and
+# the CLI parses argv and tests its integers without argparse (which loads
+# gettext, and locale for its first message) or re; an interpreter whose
+# `site` loads re itself hides re from this check
+STARTUP_HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "csv", "json", "typing",
+                 "argparse", "gettext", "locale", "re"}
 
 
 def _public_functions(mod):
